@@ -13,8 +13,8 @@ _EXPORTS = {
     # periodic grids and fixtures
     "Grid1D": "grids", "TFGrid": "grids", "Signal": "grids",
     "TFField": "grids", "make_grid": "grids", "tf_grid_of": "grids",
-    "gaussian": "grids", "hermite": "grids", "translate": "grids",
-    "modulate": "grids",
+    "gaussian": "grids", "hermite": "grids", "random": "grids",
+    "translate": "grids", "modulate": "grids",
     # transforms and recovery
     "WindowSpec": "transforms", "parse_window": "transforms",
     "stft": "transforms", "phaseless": "transforms",

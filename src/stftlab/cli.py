@@ -115,7 +115,7 @@ def _load_mask(path: str, flag: str):
 
 def _cmd_gen(args) -> int:
     from . import io
-    from .grids import gaussian, hermite, make_grid, modulate, translate, Signal
+    from .grids import gaussian, hermite, make_grid, modulate, random, translate
     from .rng import SplitMix64
 
     grid = _flag("--L/--N", lambda _: make_grid(args.L, args.N), None)
@@ -130,12 +130,7 @@ def _cmd_gen(args) -> int:
         if args.modulation:
             sig = modulate(sig, args.modulation)
     elif kind == "random" and not arg:
-        rng = SplitMix64(args.seed)
-        import numpy as np
-
-        re = np.array(rng.normals(grid.count))
-        im = np.array(rng.normals(grid.count))
-        sig = Signal(grid, (re + 1j * im) / math.sqrt(2.0))
+        sig = random(grid, SplitMix64(args.seed))
     else:
         raise _Usage(f"argument kind: unknown fixture {args.kind!r}; "
                      f"expected gaussian, hermite:N or random")

@@ -48,6 +48,7 @@ from .grids import (
     hermite,
     make_grid,
     modulate,
+    random,
     tf_grid_of,
     translate,
 )
@@ -480,12 +481,6 @@ def _require_square(grid, what: str) -> None:
             f"length {grid.length:g} with {grid.count} samples")
 
 
-def _random_signal(grid, rng: SplitMix64) -> Signal:
-    re = np.array(rng.normals(grid.count))
-    im = np.array(rng.normals(grid.count))
-    return Signal(grid, (re + 1j * im) / math.sqrt(2.0))
-
-
 def _smooth_signal(grid, rng: SplitMix64, kmax: int, decay: float) -> Signal:
     """Random trigonometric polynomial with geometrically damped modes."""
     x = grid.points()
@@ -500,7 +495,7 @@ def _named_signal(name: str, grid, rng: SplitMix64 | None = None) -> Signal:
     if name == "random":
         if rng is None:
             raise ValueError("random signal needs a seeded stream")
-        return _random_signal(grid, rng)
+        return random(grid, rng)
     return parse_window(name).build(grid)
 
 
@@ -529,7 +524,7 @@ def _run_isometry(manifest, fx, pr):
     tol = pr["tol"]
     rows = []
     for t in range(pr["trials"]):
-        f = _random_signal(grid, rng.spawn(t + 1))
+        f = random(grid, rng.spawn(t + 1))
         nf = _signal_l2(f)
         nv = _field_l2(stft(f))
         rows.append([t, nf, nv, abs(nv - nf) / nf, tol])
@@ -544,7 +539,7 @@ def _run_isometry(manifest, fx, pr):
 
 def _run_covariance(manifest, fx, pr):
     grid = _grid(fx)
-    f = _random_signal(grid, SplitMix64(manifest.seed))
+    f = random(grid, SplitMix64(manifest.seed))
     span, stride, tol = pr["span"], pr["stride"], pr["tol"]
     rows = []
     for wname in fx["windows"]:
@@ -1214,8 +1209,7 @@ def _run_window_ratio(manifest, fx, pr):
     grid = _grid(fx)
     _require_square(grid, "window comparison")
     tg = tf_grid_of(grid)
-    bracket_max = float(japanese_bracket(
-        np.hypot(tg.xmesh(), tg.wmesh())).max())
+    bracket_max = float(japanese_bracket(tg.radius()).max())
     same = window_comparison_ratio(parse_window("gaussian"),
                                    parse_window("gaussian"), grid)
     ident_rows = [["gaussian", "gaussian", same.sup, bracket_max,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, Signal, TFField, modulate, translate
+from .grids import Grid1D, Sampled, Signal, TFField, modulate, translate
 from .norms import (
     IntersectionNorm,
     LqNorm,
@@ -103,7 +103,7 @@ class AnnulusSchedule:
 
     def annulus_mask(self, n: int) -> np.ndarray:
         j = self.radii[self.level(n)]
-        r = np.abs(self.seed.grid.points())
+        r = self.seed.grid.radius()
         return (r >= j) & (r <= 2 * j)
 
 
@@ -347,36 +347,23 @@ class RatioResult:
 
 def instability_ratio(pair: InstabilityPair, q: float,
                       denominator: Norm) -> RatioResult:
-    """inf over unit phases of ||k - lam k_n||_{L^q}, divided by the
-    requested norm of |k| - |k_n|.
+    """field_instability_ratio of the pair (k, k_n) at rung pair.n."""
+    return field_instability_ratio(pair.k, pair.k_n, pair.n, q, denominator)
+
+
+def field_instability_ratio(a: Sampled, b: Sampled, n: int, q: float,
+                            denominator: Norm) -> RatioResult:
+    """inf over unit phases of ||a - lam b||_{L^q}, divided by the requested
+    norm of |a| - |b|; a and b are signals or transform-plane fields.
 
     The denominator routinely underflows to exact zero once the bump overlaps
     drop below the floating-point floor; with a nonzero numerator that is
-    reported as a saturated (infinite) ratio, which certifies the target.
-    A zero numerator as well means k_n is a unimodular multiple of k and no
+    reported as a saturated (infinite) ratio, which certifies the 2^n target.
+    A zero numerator as well means b is a unimodular multiple of a and no
     instability statement can be extracted: degenerate.
     """
-    num = phase_inf_distance(pair.k, pair.k_n, LqNorm(q)).distance
-    diff = Signal(pair.k.grid,
-                  np.abs(pair.k.values) - np.abs(pair.k_n.values))
-    den = denominator(diff)
-    if den == 0.0:
-        if num == 0.0:
-            return RatioResult(pair.n, float("nan"), num, den, pair.target,
-                               saturated=False, degenerate=True)
-        return RatioResult(pair.n, float("inf"), num, den, pair.target,
-                           saturated=True, degenerate=False)
-    return RatioResult(pair.n, num / den, num, den, pair.target,
-                       saturated=False, degenerate=False)
-
-
-def field_instability_ratio(a: TFField, b: TFField, n: int, q: float,
-                            denominator: Norm) -> RatioResult:
-    """instability_ratio for a pair of transform-plane fields: phase-infimum
-    L^q distance of the fields over the requested norm of |a| - |b|."""
     num = phase_inf_distance(a, b, LqNorm(q)).distance
-    diff = TFField(a.tfgrid, np.abs(a.values) - np.abs(b.values))
-    den = denominator(diff)
+    den = denominator(a.like(np.abs(a.values) - np.abs(b.values)))
     target = 2.0 ** n
     if den == 0.0:
         if num == 0.0:
@@ -543,7 +530,7 @@ def lp_reduction_rows(diff, field_a, field_b, s: float, p: float,
     lhs = frac_sobolev_norm(diff, s, p)
     high_a = frac_sobolev_norm(field_a, s + delta_prime, p)
     high_b = frac_sobolev_norm(field_b, s + delta_prime, p)
-    low = riemann_lp(diff.values, _cell_of(diff), p)
+    low = riemann_lp(diff.values, diff.space.cell, p)
     rows = []
     for j in js:
         rhs = 2.0 ** (j * s) * low + 2.0 ** (-j * delta_prime) * (high_a + high_b)
@@ -555,9 +542,3 @@ def lp_reduction_rows(diff, field_a, field_b, s: float, p: float,
             "constant_needed": float(lhs / rhs) if rhs > 0 else float("inf"),
         })
     return rows
-
-
-def _cell_of(obj) -> float:
-    if isinstance(obj, Signal):
-        return obj.grid.dx
-    return obj.tfgrid.cell

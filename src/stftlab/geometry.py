@@ -23,8 +23,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from .grids import TFField, TFGrid
-from .norms import riemann_lp
-from .transforms import _FOCK_EXP_CLAMP, FockField
+from .norms import field_gradient, riemann_lp
+from .transforms import FockField, fock_exponent
 
 __all__ = [
     "DomainMask",
@@ -437,6 +437,12 @@ def gluing_bound(c_a: float, c_b: float, lam: float) -> float:
     return math.hypot(c_a, c_b) * (1.0 / lam + math.sqrt(2.0))
 
 
+# Phases closer than 2^-40 (about 9.1e-13) count as equal, or as antipodal.
+# Rotation moves |tau_a -/+ tau_b| by a few ulps, so pairs that close to the
+# edge can change branch; a power of two keeps it off round inputs like 1e-12.
+_PHASE_TIE = 2.0**-40
+
+
 def circle_average(tau_a: complex, tau_b: complex,
                    variant: str = "printed") -> complex:
     """A unimodular representative between two unit phases.
@@ -452,9 +458,9 @@ def circle_average(tau_a: complex, tau_b: complex,
             raise ValueError(f"inputs must be unimodular, got |{t}|")
     if variant not in ("printed", "midpoint"):
         raise ValueError(f"unknown variant {variant!r}")
-    if abs(tau_a - tau_b) < 1e-12:
+    if abs(tau_a - tau_b) < _PHASE_TIE:
         return tau_a
-    if abs(tau_a + tau_b) < 1e-12:
+    if abs(tau_a + tau_b) < _PHASE_TIE:
         return 1j * tau_a
     # d / |d| = i sgn(sin(a - b)) s / |s|; normalise whichever of d, s is
     # longer, since the shorter one loses its direction to cancellation
@@ -689,11 +695,7 @@ def _winding_zero_cells(values: np.ndarray) -> np.ndarray:
 def _weighted_modulus(f: FockField) -> np.ndarray:
     """|F| e^{-pi |z|^2 / 2}, recovered exactly even where the stored field
     was exponent-clamped (the clamp cancels)."""
-    tg = f.field.tfgrid
-    x = tg.xmesh()
-    w = tg.wmesh()
-    expo = np.minimum(np.pi * (x * x + w * w) / 2.0, _FOCK_EXP_CLAMP)
-    return np.abs(f.field.values) * np.exp(-expo)
+    return np.abs(f.field.values) * np.exp(-fock_exponent(f.field.tfgrid))
 
 
 def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
@@ -739,18 +741,16 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
             f"field magnitude below {weight_floor:g} of max on "
             f"{floor_hits} cells outside the excised zeros")
 
-    dx = tg.xgrid.dx
-    dy = tg.wgrid.dx
     cell = tg.cell
     x = tg.xmesh()
     w = tg.wmesh()
 
     diff = m1 - m2
-    gdx, gdy = np.gradient(diff, dx, dy)
+    gdx, gdy = field_gradient(TFField(tg, diff))
     grad_term = np.hypot(gdx + math.pi * x * diff, gdy + math.pi * w * diff)
 
     logm1 = np.log(np.maximum(m1, 1e-300))
-    lx, ly = np.gradient(logm1, dx, dy)
+    lx, ly = field_gradient(TFField(tg, logm1))
     log_deriv = np.hypot(lx + math.pi * x, ly + math.pi * w)
 
     def lp_over(arr):
@@ -762,8 +762,7 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
 
     from .norms import LqNorm, phase_inf_distance
 
-    expo = np.minimum(np.pi * (x * x + w * w) / 2.0, _FOCK_EXP_CLAMP)
-    damp = np.exp(-expo)
+    damp = np.exp(-fock_exponent(tg))
     c1 = TFField(tg, f1.field.values * damp)
     c2 = TFField(tg, f2.field.values * damp)
     distance = phase_inf_distance(c1, c2, LqNorm(p), domain=dom).distance

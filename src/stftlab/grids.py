@@ -12,14 +12,25 @@ permutations / unimodular multiplications. All norms are Riemann sums, so the
 discrete quantities converge to their continuum counterparts under refinement.
 Claims about continuum objects are only meaningful for signals whose mass at the
 boundary is negligible; the constructors enforce a 1e-10 decay guard.
+
+Sample spaces: a Signal lives on a Grid1D and a TFField on a TFGrid. Both grids
+answer one protocol, so norms, distances and band projectors are written once
+for both sides of the transform: `cell` and `dual_cell` (the measure of one
+sample and of one spectral sample), `shape`, `radius()` (|x|, or |z| on the
+plane), `freq_radius()` (the same on the dual grid), and `fft(a)`/`ifft(a)`
+(the centred DFT over every axis and its inverse, without cell factors). Both
+objects derive from Sampled: `space` is their grid, `like(values)` rewraps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
+
+from .rng import SplitMix64
 
 BOUNDARY_DECAY_TOL = 1e-10
 
@@ -28,10 +39,12 @@ __all__ = [
     "Signal",
     "TFGrid",
     "TFField",
+    "Sampled",
     "make_grid",
     "tf_grid_of",
     "gaussian",
     "hermite",
+    "random",
     "translate",
     "modulate",
     "fourier",
@@ -88,6 +101,31 @@ class Grid1D:
     def nyquist(self) -> float:
         return (self.count // 2) * self.dxi
 
+    # sample-space protocol (shared with TFGrid)
+    @property
+    def cell(self) -> float:
+        return self.dx
+
+    @property
+    def dual_cell(self) -> float:
+        return self.dual().dx
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.count,)
+
+    def radius(self) -> np.ndarray:
+        return np.abs(self.points())
+
+    def freq_radius(self) -> np.ndarray:
+        return np.abs(self.dual().points())
+
+    def fft(self, a: np.ndarray) -> np.ndarray:
+        return cdft(a)
+
+    def ifft(self, a: np.ndarray) -> np.ndarray:
+        return icdft(a)
+
 
 def make_grid(length: float, count: int) -> Grid1D:
     """Validated Grid1D constructor: L > 0, N even and at least 8."""
@@ -98,12 +136,24 @@ def make_grid(length: float, count: int) -> Grid1D:
     return Grid1D(float(length), int(count))
 
 
+class Sampled:
+    """Values on a sample space: the common base of Signal and TFField."""
+
+    def like(self, values: np.ndarray) -> "Sampled":
+        """The same kind of object on the same space, carrying new values."""
+        return type(self)(self.space, values)
+
+
 @dataclass
-class Signal:
+class Signal(Sampled):
     """Complex samples on a Grid1D."""
 
     grid: Grid1D
     values: np.ndarray
+
+    @property
+    def space(self) -> Grid1D:
+        return self.grid
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
@@ -126,10 +176,6 @@ class TFGrid:
     xgrid: Grid1D
     wgrid: Grid1D
 
-    @property
-    def cell(self) -> float:
-        return self.xgrid.dx * self.wgrid.dx
-
     def xmesh(self) -> np.ndarray:
         return self.xgrid.points()[:, None]
 
@@ -137,12 +183,38 @@ class TFGrid:
         return self.wgrid.points()[None, :]
 
     @property
+    def nyquist(self) -> float:
+        return max(self.xgrid.nyquist, self.wgrid.nyquist)
+
+    # sample-space protocol (shared with Grid1D), built from the two axes
+    @property
+    def cell(self) -> float:
+        return self.xgrid.cell * self.wgrid.cell
+
+    @property
+    def dual_cell(self) -> float:
+        return self.xgrid.dual_cell * self.wgrid.dual_cell
+
+    @property
     def shape(self) -> tuple[int, int]:
         return (self.xgrid.count, self.wgrid.count)
 
+    def radius(self) -> np.ndarray:
+        return np.hypot(self.xmesh(), self.wmesh())
+
+    def freq_radius(self) -> np.ndarray:
+        return np.hypot(self.xgrid.freq_radius()[:, None],
+                        self.wgrid.freq_radius()[None, :])
+
+    def fft(self, a: np.ndarray) -> np.ndarray:
+        return cdft2(a)
+
+    def ifft(self, a: np.ndarray) -> np.ndarray:
+        return icdft2(a)
+
 
 @dataclass
-class TFField:
+class TFField(Sampled):
     """Samples on a TFGrid; values[i, j] lives at (x_i, omega_j).
 
     Real dtype is allowed (phaseless measurements, weights); complex otherwise.
@@ -150,6 +222,10 @@ class TFField:
 
     tfgrid: TFGrid
     values: np.ndarray
+
+    @property
+    def space(self) -> TFGrid:
+        return self.tfgrid
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values)
@@ -272,6 +348,14 @@ def hermite(grid: Grid1D, n: int) -> Signal:
             f"grid too coarse for hermite({n}) (measured norm {norm!r})"
         )
     return sig
+
+
+def random(grid: Grid1D, rng: SplitMix64) -> Signal:
+    """Complex white noise (re + i im) / sqrt(2) with standard normal parts
+    drawn from a SplitMix64 stream: real parts first, then imaginary parts."""
+    re = np.array(rng.normals(grid.count))
+    im = np.array(rng.normals(grid.count))
+    return Signal(grid, (re + 1j * im) / math.sqrt(2.0))
 
 
 def translate(f: Signal, u: float) -> Signal:

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, Signal, TFField, TFGrid, cdft, cdft2, icdft, icdft2
+from .grids import Sampled, TFField
 
 __all__ = [
     "riemann_lp",
     "japanese_bracket",
     "inner_l2",
-    "lp_weighted_norm",
     "ball_lp",
     "tail_weighted_lp",
     "bessel_potential",
@@ -44,11 +43,9 @@ __all__ = [
     "parse_norm",
     "lp_psi",
     "lp_multiplier",
-    "littlewood_paley",
     "lp_low",
     "lp_high",
     "lp_range_valid",
-    "lp_profile",
     "PhaseDistanceResult",
     "phase_inf_distance",
     "disjointness_witness",
@@ -79,114 +76,71 @@ def japanese_bracket(x: np.ndarray | float) -> np.ndarray | float:
     return np.sqrt(1.0 + np.square(x))
 
 
-def _unpack(obj) -> tuple[np.ndarray, float, np.ndarray]:
-    """(values, cell measure, radial coordinate array broadcastable to values)."""
-    if isinstance(obj, Signal):
-        return obj.values, obj.grid.dx, np.abs(obj.grid.points())
-    if isinstance(obj, TFField):
-        tg = obj.tfgrid
-        return obj.values, tg.cell, np.hypot(tg.xmesh(), tg.wmesh())
-    raise TypeError(f"expected Signal or TFField, got {type(obj).__name__}")
+def _weighted(values: np.ndarray, space, r: float) -> np.ndarray:
+    """<x>^r . values, with the radial bracket |z| on two-dimensional fields."""
+    return values if r == 0 else japanese_bracket(space.radius()) ** r * values
 
 
-def _freq_radius(obj) -> np.ndarray:
-    if isinstance(obj, Signal):
-        return np.abs(obj.grid.dual().points())
-    tg = obj.tfgrid
-    xi = tg.xgrid.dual().points()[:, None]
-    eta = tg.wgrid.dual().points()[None, :]
-    return np.hypot(xi, eta)
-
-
-def _rewrap(obj, values: np.ndarray):
-    if isinstance(obj, Signal):
-        return Signal(obj.grid, values)
-    return TFField(obj.tfgrid, values)
-
-
-def _same_geometry(f, g) -> None:
+def _same_geometry(f: Sampled, g: Sampled) -> None:
     if type(f) is not type(g):
         raise ValueError("operands live on different sample spaces")
-    if isinstance(f, Signal):
-        if f.grid != g.grid:
-            raise ValueError("operands live on different grids")
-    elif f.tfgrid != g.tfgrid:
+    if f.space != g.space:
         raise ValueError("operands live on different grids")
 
 
-def inner_l2(f, g) -> complex:
+def inner_l2(f: Sampled, g: Sampled) -> complex:
     """Riemann-sum inner product <f, g> = integral of f conj(g)."""
     _same_geometry(f, g)
-    vf, cell, _ = _unpack(f)
-    vg, _, _ = _unpack(g)
-    return complex(cell * np.vdot(vg.ravel(), vf.ravel()))
+    return complex(f.space.cell * np.vdot(g.values.ravel(), f.values.ravel()))
 
 
-def lp_weighted_norm(obj, p: float, r: float) -> float:
-    """||<x>^r f||_p, with the radial bracket |z| on two-dimensional fields."""
-    v, cell, rad = _unpack(obj)
-    w = v if r == 0 else japanese_bracket(rad) ** r * v
-    return riemann_lp(w, cell, p)
-
-
-def ball_lp(obj, p: float, radius: float = 1.0) -> float:
+def ball_lp(obj: Sampled, p: float, radius: float = 1.0) -> float:
     """L^p norm restricted to the centered ball of the given radius."""
-    v, cell, rad = _unpack(obj)
-    return riemann_lp(np.where(rad <= radius, v, 0.0), cell, p)
+    sp = obj.space
+    return riemann_lp(np.where(sp.radius() <= radius, obj.values, 0.0), sp.cell, p)
 
 
-def tail_weighted_lp(obj, p: float, sigma: float, cutoff: float) -> float:
+def tail_weighted_lp(obj: Sampled, p: float, sigma: float, cutoff: float) -> float:
     """||<x>^sigma f||_p over the tail region |x| >= cutoff."""
-    v, cell, rad = _unpack(obj)
-    w = v if sigma == 0 else japanese_bracket(rad) ** sigma * v
-    return riemann_lp(np.where(rad >= cutoff, w, 0.0), cell, p)
+    sp = obj.space
+    w = _weighted(obj.values, sp, sigma)
+    return riemann_lp(np.where(sp.radius() >= cutoff, w, 0.0), sp.cell, p)
 
 
-def bessel_potential(obj, s: float):
+def bessel_potential(obj: Sampled, s: float) -> Sampled:
     """<D>^s f: multiply the spectrum by (1 + |xi|^2)^{s/2}."""
     if s == 0:
-        return _rewrap(obj, np.asarray(obj.values, dtype=np.complex128).copy())
-    mult = (1.0 + np.square(_freq_radius(obj))) ** (s / 2.0)
-    if isinstance(obj, Signal):
-        return Signal(obj.grid, icdft(mult * cdft(obj.values)))
-    return TFField(obj.tfgrid, icdft2(mult * cdft2(obj.values)))
+        return obj.like(np.asarray(obj.values, dtype=np.complex128).copy())
+    sp = obj.space
+    mult = (1.0 + np.square(sp.freq_radius())) ** (s / 2.0)
+    return obj.like(sp.ifft(mult * sp.fft(obj.values)))
 
 
-def _derivative_term(obj, s: float, p: float) -> tuple[np.ndarray, float, float]:
+def _derivative_term(obj: Sampled, s: float, p: float) -> tuple[np.ndarray, float, float]:
     """(array, cell, p) whose riemann_lp is ||<D>^s f||_p.
 
     For p = 2 the norm is evaluated on the frequency side (Parseval is exact on
     the grid, and one transform is cheaper than a round trip); s = 0 needs no
     transform at all.
     """
-    v, cell, _ = _unpack(obj)
+    sp = obj.space
     if s == 0:
-        return v, cell, p
+        return obj.values, sp.cell, p
     if p == 2:
-        rho = _freq_radius(obj)
-        mult = (1.0 + np.square(rho)) ** (s / 2.0)
-        if isinstance(obj, Signal):
-            spec = obj.grid.dx * cdft(v)
-            return mult * spec, obj.grid.dual().dx, 2.0
-        tg = obj.tfgrid
-        spec = tg.cell * cdft2(v)
-        dual_cell = tg.xgrid.dual().dx * tg.wgrid.dual().dx
-        return mult * spec, dual_cell, 2.0
-    return bessel_potential(obj, s).values, cell, p
+        mult = (1.0 + np.square(sp.freq_radius())) ** (s / 2.0)
+        return mult * (sp.cell * sp.fft(obj.values)), sp.dual_cell, 2.0
+    return bessel_potential(obj, s).values, sp.cell, p
 
 
-def frac_sobolev_norm(obj, s, p: float = 2.0, r: float = 0.0) -> float:
-    """||<x>^r f||_p + ||<D>^s f||_p.
+def frac_sobolev_norm(obj: Sampled, s, p: float = 2.0, r: float = 0.0) -> float:
+    """||<x>^r f||_p + ||<D>^s f||_p, the norm of SobolevNorm(s, p, r).
 
     The smoothness argument may be a NormSpec bundle, which then supplies
     s, p and r wholesale.
     """
     if isinstance(s, NormSpec):
         s, p, r = s.s, s.p, s.r
-    v, cell, rad = _unpack(obj)
-    wv = v if r == 0 else japanese_bracket(rad) ** r * v
-    da, dc, dp = _derivative_term(obj, s, p)
-    return riemann_lp(wv, cell, p) + riemann_lp(da, dc, dp)
+    return SobolevNorm(s, p, r)(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +189,7 @@ class LqNorm(Norm):
         self.label = f"L{self.q:g}"
 
     def _terms(self, obj):
-        v, cell, _ = _unpack(obj)
-        return [(v, cell, self.q)]
+        return [(obj.values, obj.space.cell, self.q)]
 
 
 class XpSigmaNorm(Norm):
@@ -248,9 +201,8 @@ class XpSigmaNorm(Norm):
         self.label = f"X{self.p:g},{self.sigma:g}"
 
     def _terms(self, obj):
-        v, cell, rad = _unpack(obj)
-        w = v if self.sigma == 0 else japanese_bracket(rad) ** self.sigma * v
-        return [(w, cell, self.p)]
+        return [(_weighted(obj.values, obj.space, self.sigma), obj.space.cell,
+                 self.p)]
 
 
 class SobolevNorm(Norm):
@@ -263,9 +215,9 @@ class SobolevNorm(Norm):
         self.label = f"W{self.s:g},{self.p:g},{self.r:g}"
 
     def _terms(self, obj):
-        v, cell, rad = _unpack(obj)
-        wv = v if self.r == 0 else japanese_bracket(rad) ** self.r * v
-        return [(wv, cell, self.p), _derivative_term(obj, self.s, self.p)]
+        wv = _weighted(obj.values, obj.space, self.r)
+        return [(wv, obj.space.cell, self.p),
+                _derivative_term(obj, self.s, self.p)]
 
 
 class IntersectionNorm(Norm):
@@ -382,78 +334,27 @@ def lp_psi(t: np.ndarray | float) -> np.ndarray:
     return a / (a + b)
 
 
-def lp_multiplier(grid: Grid1D | TFGrid, j: int) -> np.ndarray:
-    """psi(|xi| / 2^j) sampled on the dual frequencies of the grid."""
-    if isinstance(grid, Grid1D):
-        rho = np.abs(grid.dual().points())
-    else:
-        rho = np.hypot(
-            grid.xgrid.dual().points()[:, None], grid.wgrid.dual().points()[None, :]
-        )
-    return lp_psi(rho / 2.0**j)
+def lp_multiplier(space, j: int) -> np.ndarray:
+    """psi(|xi| / 2^j) sampled on the dual frequencies of a grid."""
+    return lp_psi(space.freq_radius() / 2.0**j)
 
 
-def _grid_of(obj):
-    return obj.grid if isinstance(obj, Signal) else obj.tfgrid
-
-
-def lp_low(obj, j: int):
+def lp_low(obj: Sampled, j: int) -> Sampled:
     """Low-frequency piece: spectrum times psi(|xi| / 2^j)."""
-    mult = lp_multiplier(_grid_of(obj), j)
-    if isinstance(obj, Signal):
-        return Signal(obj.grid, icdft(mult * cdft(obj.values)))
-    return TFField(obj.tfgrid, icdft2(mult * cdft2(obj.values)))
+    sp = obj.space
+    return obj.like(sp.ifft(lp_multiplier(sp, j) * sp.fft(obj.values)))
 
 
-def lp_high(obj, j: int):
+def lp_high(obj: Sampled, j: int) -> Sampled:
     """High-frequency piece, defined as f minus the low piece so the two
     always sum back to f bit-exactly."""
     low = lp_low(obj, j)
-    return _rewrap(obj, np.asarray(obj.values, dtype=np.complex128) - low.values)
+    return obj.like(np.asarray(obj.values, dtype=np.complex128) - low.values)
 
 
-def lp_range_valid(grid, j: int) -> bool:
+def lp_range_valid(space, j: int) -> bool:
     """Whether the band scale 2^j is resolved: 2^j <= largest axis Nyquist."""
-    if isinstance(grid, (Signal, TFField)):
-        grid = _grid_of(grid)
-    if isinstance(grid, Grid1D):
-        top = grid.nyquist
-    else:
-        top = max(grid.xgrid.nyquist, grid.wgrid.nyquist)
-    return 2.0**j <= top
-
-
-def littlewood_paley(obj, j: int, mode: str = "below"):
-    """Smooth dyadic projection at scale 2^j.
-
-    mode "below" keeps frequencies up to ~2^j; "at_or_above" is its exact
-    complement (the two always sum back to the input bit-for-bit in the sense
-    high = f - low). The scale must be resolved by the grid.
-    """
-    if not lp_range_valid(obj, j):
-        raise ValueError(
-            f"band scale 2^{j} exceeds the grid's Nyquist range"
-        )
-    if mode == "below":
-        return lp_low(obj, j)
-    if mode == "at_or_above":
-        return lp_high(obj, j)
-    raise ValueError(f"mode must be 'below' or 'at_or_above', got {mode!r}")
-
-
-def lp_profile(obj, js, s: float, p: float, r: float = 0.0) -> list[dict]:
-    """Band-split Sobolev masses: one row per j with the norms of both pieces."""
-    rows = []
-    for j in js:
-        rows.append(
-            {
-                "j": int(j),
-                "low": frac_sobolev_norm(lp_low(obj, j), s, p, r),
-                "high": frac_sobolev_norm(lp_high(obj, j), s, p, r),
-                "valid": lp_range_valid(obj, j),
-            }
-        )
-    return rows
+    return 2.0**j <= space.nyquist
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +398,7 @@ def _apply_domain(obj, domain):
     v = np.asarray(obj.values)
     if mask.shape != v.shape:
         raise ValueError("domain mask shape does not match the operand")
-    return _rewrap(obj, np.where(mask, v, 0.0))
+    return obj.like(np.where(mask, v, 0.0))
 
 
 def phase_inf_distance(
@@ -511,9 +412,11 @@ def phase_inf_distance(
 ) -> PhaseDistanceResult:
     """Minimize ||f - lambda g|| over unimodular lambda.
 
-    The L2 case has the closed form lambda = <f, g> / |<f, g>| (an inner
-    product of zero is tagged degenerate: every phase ties, lambda = 1 is
-    reported). Other norms get a coarse circle scan followed by golden-section
+    The L2 case has the closed form lambda = <f, g> / |<f, g>| (lambda = 1 for
+    an inner product of exactly zero). The pair is tagged degenerate when
+    |<f, g>| <= n eps ||f||_2 ||g||_2 with n the sample count: the inner
+    product is then rounding noise, every phase ties in L2, and the reported
+    phase means nothing. Other norms get a coarse circle scan followed by golden-section
     refinement of the angle to within tol. An optional domain mask restricts
     both operands (values zeroed outside) before any norm is taken.
     """
@@ -525,12 +428,11 @@ def phase_inf_distance(
         g = _apply_domain(g, domain)
     if isinstance(norm, LqNorm) and norm.q == 2.0:
         ip = inner_l2(f, g)
-        if ip == 0:
-            lam = 1.0 + 0.0j
-            degenerate = True
-        else:
-            lam = ip / abs(ip)
-            degenerate = False
+        lam = ip / abs(ip) if ip != 0 else 1.0 + 0.0j
+        cell = f.space.cell
+        noise = (f.values.size * np.finfo(np.float64).eps
+                 * riemann_lp(f.values, cell, 2.0) * riemann_lp(g.values, cell, 2.0))
+        degenerate = bool(abs(ip) <= noise)
         ev = norm.pair_evaluator(f, g)
         return PhaseDistanceResult(ev(lam), lam, "closed-form", degenerate, 1)
 
@@ -553,9 +455,9 @@ def phase_inf_distance(
 # modulus-side quantities
 
 
-def modulus(obj):
+def modulus(obj: Sampled) -> Sampled:
     """|f| as a signal/field of the same shape."""
-    return _rewrap(obj, np.abs(np.asarray(obj.values)))
+    return obj.like(np.abs(np.asarray(obj.values)))
 
 
 def disjointness_witness(f, g, h, norm: Norm | None = None) -> float:
@@ -573,16 +475,15 @@ def disjointness_witness(f, g, h, norm: Norm | None = None) -> float:
         norm = LqNorm(2.0)
     _same_geometry(f, g)
     _same_geometry(g, h)
-    vf, cell, _ = _unpack(f)
-    vg, _, _ = _unpack(g)
-    vh, _, _ = _unpack(h)
+    vf, vg, vh = f.values, g.values, h.values
+    cell = f.space.cell
     drift = riemann_lp(vf - (vg + vh), cell, 2.0)
     if drift > 1e-8 * riemann_lp(vf, cell, 2.0):
         raise ValueError("g + h does not reproduce f (decomposition inexact)")
     den = min(norm(g), norm(h))
     if den == 0.0:
         raise ValueError("decomposition has a vanishing part")
-    overlap = _rewrap(g, np.minimum(np.abs(vg), np.abs(vh)))
+    overlap = g.like(np.minimum(np.abs(vg), np.abs(vh)))
     return norm(overlap) / den
 
 
@@ -591,8 +492,6 @@ def modulus_sobolev_ratio(obj, s, p: float = 2.0, r: float = 0.0) -> float:
 
     Accepts a NormSpec in place of s, like frac_sobolev_norm.
     """
-    if isinstance(s, NormSpec):
-        s, p, r = s.s, s.p, s.r
     den = frac_sobolev_norm(obj, s, p, r)
     if den == 0.0:
         raise ValueError("zero input has no modulus ratio")
@@ -600,7 +499,8 @@ def modulus_sobolev_ratio(obj, s, p: float = 2.0, r: float = 0.0) -> float:
 
 
 def field_gradient(field: TFField) -> tuple[np.ndarray, np.ndarray]:
-    """Centered-difference gradient (one-sided at the frame edges)."""
+    """Centered-difference gradient along x and omega (one-sided at the frame
+    edges); the one gradient every field-side estimate uses."""
     tg = field.tfgrid
     gx = np.gradient(field.values, tg.xgrid.dx, axis=0)
     gw = np.gradient(field.values, tg.wgrid.dx, axis=1)
@@ -615,12 +515,11 @@ def masked_h1_norm(field: TFField, mask: np.ndarray, r: float = 0.0) -> float:
     Gradients are taken on the full grid first, then restricted to the mask,
     so the region boundary does not inject one-sided difference artifacts.
     """
+    tg = field.tfgrid
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != field.tfgrid.shape:
+    if mask.shape != tg.shape:
         raise ValueError("mask shape does not match the field")
-    v, cell, rad = _unpack(field)
     gx, gw = field_gradient(field)
-    dens = np.abs(v) ** 2 + np.abs(gx) ** 2 + np.abs(gw) ** 2
-    if r != 0:
-        dens = japanese_bracket(rad) ** (2.0 * r) * dens
-    return float(np.sqrt(cell * np.sum(dens[mask])))
+    dens = np.abs(field.values) ** 2 + np.abs(gx) ** 2 + np.abs(gw) ** 2
+    dens = _weighted(dens, tg, 2.0 * r)
+    return float(np.sqrt(tg.cell * np.sum(dens[mask])))

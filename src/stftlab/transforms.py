@@ -39,8 +39,7 @@ __all__ = [
     "phaseless",
     "ambiguity_relation_residual",
     "to_fock",
-    "fock_cauchy_riemann_residual",
-    "fock_key_identity_residual",
+    "fock_exponent",
     "fock_polynomial_field",
     "recover",
     "window_comparison_ratio",
@@ -238,12 +237,19 @@ class FockField:
             raise ValueError("trust mask shape mismatch")
 
 
+def fock_exponent(tf: TFGrid) -> np.ndarray:
+    """pi |z|^2 / 2 on the grid, clamped at 700 so that e^{+-exponent} stays
+    representable: the exponent of the Fock weight e^{pi|z|^2/2}."""
+    x, w = tf.xmesh(), tf.wmesh()
+    return np.minimum(np.pi * (x * x + w * w) / 2.0, _FOCK_EXP_CLAMP)
+
+
 def to_fock(g: TFField, window: WindowSpec = WindowSpec("gaussian")) -> FockField:
     """Strip weight and unimodular twist: F(z) = e^{pi|z|^2/2} e^{-pi i x w} G(x,-w).
 
     Only a Gaussian window produces a holomorphic F; the convention (sign of
     the twist, reflection in omega) is validated by the Cauchy-Riemann
-    residual test rather than taken on faith.
+    residual in the tests rather than taken on faith.
     """
     if window.kind != "gaussian":
         raise ValueError("the Fock view requires a Gaussian window")
@@ -251,73 +257,12 @@ def to_fock(g: TFField, window: WindowSpec = WindowSpec("gaussian")) -> FockFiel
     n = tf.shape[1]
     flipped = g.values[:, (n - np.arange(n)) % n]
     x, w = tf.xmesh(), tf.wmesh()
-    expo = np.minimum(np.pi * (x * x + w * w) / 2.0, _FOCK_EXP_CLAMP)
-    vals = np.exp(expo) * np.exp(-1j * np.pi * x * w) * flipped
+    vals = np.exp(fock_exponent(tf)) * np.exp(-1j * np.pi * x * w) * flipped
     mag = np.abs(flipped)
     trust = (mag >= 1e-6 * float(np.max(mag))) & (
         np.pi * (x * x + w * w) / 2.0 <= _FOCK_EXP_CLAMP
     )
     return FockField(TFField(tf, vals), trust)
-
-
-def _interior(shape: tuple, margin: int = 2) -> np.ndarray:
-    ok = np.zeros(shape, dtype=bool)
-    ok[margin:-margin, margin:-margin] = True
-    return ok
-
-
-def _centered_gradients(values: np.ndarray, tf: TFGrid):
-    gx = np.gradient(values, tf.xgrid.dx, axis=0)
-    gw = np.gradient(values, tf.wgrid.dx, axis=1)
-    return gx, gw
-
-
-def fock_cauchy_riemann_residual(fock: FockField) -> float:
-    """Sup of |dF/dx + i dF/dw| over the trusted interior, relative to |F'|.
-
-    Zero (exactly) for numerically constant fields, where no derivative scale
-    exists to compare against.
-    """
-    tf = fock.field.tfgrid
-    gx, gw = _centered_gradients(fock.field.values, tf)
-    region = fock.trust & _interior(fock.field.values.shape)
-    if not region.any():
-        raise ValueError("no trusted interior samples")
-    scale = max(float(np.max(np.abs(gx[region]))), float(np.max(np.abs(gw[region]))))
-    top = float(np.max(np.abs(gx[region] + 1j * gw[region])))
-    # numerically constant: total variation across one cell is noise-level
-    h = min(tf.xgrid.dx, tf.wgrid.dx)
-    if scale * h <= 1e-8 * float(np.max(np.abs(fock.field.values[region]))):
-        return 0.0
-    return top / scale
-
-
-def fock_key_identity_residual(fock: FockField) -> float:
-    """Defect of |grad|F|| = |F'| where |F| is an honest fraction of its max.
-
-    For holomorphic F the modulus gradient has length exactly |F'|. The
-    modulus has a cone at every zero of F, so centered stencils lose their
-    accuracy within a couple of cells of one; the region keeps two pixels of
-    slack around the sub-threshold set.
-    """
-    from scipy.ndimage import binary_dilation
-
-    tf = fock.field.tfgrid
-    vals = fock.field.values
-    fx, _ = _centered_gradients(vals, tf)
-    ax, aw = _centered_gradients(np.abs(vals), tf)
-    grad_mod = np.hypot(ax, aw)
-    deriv = np.abs(fx)
-    near_zero = np.abs(vals) <= 1e-3 * float(np.max(np.abs(vals[fock.trust])))
-    region = fock.trust & _interior(vals.shape)
-    region &= ~binary_dilation(near_zero, iterations=2)
-    if not region.any():
-        raise ValueError("no usable samples for the gradient identity")
-    scale = float(np.max(deriv[region]))
-    h = min(tf.xgrid.dx, tf.wgrid.dx)
-    if scale * h <= 1e-8 * float(np.max(np.abs(vals[region]))):
-        return 0.0
-    return float(np.max(np.abs(grad_mod[region] - deriv[region]))) / scale
 
 
 def fock_polynomial_field(roots, tf: TFGrid) -> tuple[FockField, TFField]:
@@ -441,7 +386,7 @@ def window_comparison_ratio(phi: WindowSpec, big_phi: WindowSpec,
     target = ambiguity(big_phi.build(grid))
     a_den = target.values
     tf = target.tfgrid
-    bracket = japanese_bracket(np.hypot(tf.xmesh(), tf.wmesh()))
+    bracket = japanese_bracket(tf.radius())
 
     if np.array_equal(a_num, a_den):
         # identical windows: the ratio is 1 by definition, even where both

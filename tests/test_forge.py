@@ -326,6 +326,13 @@ def test_verified_window_spans_all_rungs(ratio_results):
     assert verified_window(ratio_results) == (0, 4)
 
 
+def test_instability_ratio_is_the_field_ratio(schedule, bumps, ratio_results):
+    den = XpSigmaNorm(2.0, 0.0)
+    for n, res in enumerate(ratio_results):
+        pair = assemble_pair(schedule, bumps, 0.1, n)
+        assert field_instability_ratio(pair.k, pair.k_n, pair.n, 2.0, den) == res
+
+
 def test_disjointness_link_decays_geometrically(schedule, bumps):
     for n in range(1, 5):
         pair = assemble_pair(schedule, bumps, 0.1, n)

@@ -315,6 +315,7 @@ def test_circle_average_rejects_non_unimodular_and_bad_variant():
     rot=st.floats(-math.pi, math.pi),
 )
 @example(a=0.0, b=6.331937660633351e-10, rot=1.0)  # near-equal phases
+@example(a=0.0, b=1e-12, rot=1.0)  # a round value near the tie edge
 def test_circle_average_is_unimodular_and_equivariant(a, b, rot):
     ta = complex(math.cos(a), math.sin(a))
     tb = complex(math.cos(b), math.sin(b))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from stftlab.grids import (
     Grid1D,
     Signal,
+    TFField,
+    TFGrid,
     boundary_decay,
     cdft,
     cdft2,
@@ -204,6 +206,37 @@ def test_tf_grid_of(grid16):
     assert tg.wgrid == grid16.dual()
     assert np.isclose(tg.cell, grid16.dx * grid16.dual().dx)
     assert tg.shape == (grid16.count, grid16.count)
+
+
+def test_sample_space_protocol_is_the_expressions_it_replaced():
+    g = make_grid(8.0, 64)
+    tg = TFGrid(g, make_grid(4.0, 32))  # not square
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=tg.shape) + 1j * rng.normal(size=tg.shape)
+    assert (g.cell, g.dual_cell, g.shape) == (g.dx, g.dual().dx, (64,))
+    assert np.array_equal(g.radius(), np.abs(g.points()))
+    assert np.array_equal(g.freq_radius(), np.abs(g.dual().points()))
+    assert np.array_equal(g.fft(a[:, 0]), cdft(a[:, 0]))
+    assert np.array_equal(g.ifft(a[:, 0]), icdft(a[:, 0]))
+    assert tg.cell == tg.xgrid.dx * tg.wgrid.dx
+    assert tg.dual_cell == tg.xgrid.dual().dx * tg.wgrid.dual().dx
+    assert tg.shape == (64, 32)
+    assert np.array_equal(tg.radius(), np.hypot(tg.xmesh(), tg.wmesh()))
+    xi, eta = tg.xgrid.dual().points(), tg.wgrid.dual().points()
+    assert np.array_equal(tg.freq_radius(), np.hypot(xi[:, None], eta[None, :]))
+    assert np.array_equal(tg.fft(a), cdft2(a))
+    assert np.array_equal(tg.ifft(a), icdft2(a))
+    assert tg.nyquist == max(tg.xgrid.nyquist, tg.wgrid.nyquist)
+
+
+def test_signal_and_field_share_space_and_like(grid16):
+    f, tg = random_signal(grid16, seed=4), tf_grid_of(grid16)
+    field = TFField(tg, np.ones(tg.shape))
+    assert f.space is f.grid and field.space is field.tfgrid
+    twice = f.like(2.0 * f.values)
+    assert type(twice) is Signal and np.array_equal(twice.values, 2.0 * f.values)
+    real = field.like(np.zeros(tg.shape))
+    assert type(real) is TFField and real.values.dtype == np.float64
 
 
 @settings(max_examples=25, deadline=None)

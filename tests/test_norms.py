@@ -23,10 +23,8 @@ from stftlab.norms import (
     lp_high,
     lp_low,
     lp_multiplier,
-    lp_profile,
     lp_psi,
     lp_range_valid,
-    littlewood_paley,
     masked_h1_norm,
     modulus,
     modulus_sobolev_ratio,
@@ -34,8 +32,8 @@ from stftlab.norms import (
     phase_inf_distance,
     riemann_lp,
     tail_weighted_lp,
-    lp_weighted_norm,
 )
+from stftlab.transforms import stft
 
 from conftest import random_signal
 
@@ -96,12 +94,12 @@ def test_lp_weighted_norm_gaussian_against_quadrature(grid16):
     p, r = 3.0, 1.5
     integrand = lambda x: ((1 + x * x) ** (r / 2) * 2**0.25 * np.exp(-np.pi * x * x)) ** p
     want = quad(integrand, -8, 8, epsabs=1e-14)[0] ** (1.0 / p)
-    got = lp_weighted_norm(g, p, r)
+    got = XpSigmaNorm(p, r)(g)
     assert abs(got - want) < 1e-8 * want
 
 
 def test_lp_weighted_norm_monotone_in_r(rand16):
-    vals = [lp_weighted_norm(rand16, 2.0, r) for r in (0.0, 0.5, 1.0, 2.0)]
+    vals = [XpSigmaNorm(2.0, r)(rand16) for r in (0.0, 0.5, 1.0, 2.0)]
     assert vals[0] == pytest.approx(riemann_lp(rand16.values, rand16.grid.dx, 2.0))
     assert vals[0] < vals[1] < vals[2] < vals[3]
 
@@ -112,7 +110,7 @@ def test_lp_weighted_norm_indicator_square_oracle():
     xm, wm = tg.xmesh(), tg.wmesh()
     inside = (xm >= -0.5) & (xm < 0.5) & (wm >= -0.5) & (wm < 0.5)
     field = TFField(tg, inside.astype(float))
-    got = lp_weighted_norm(field, 1.0, 2.0)
+    got = XpSigmaNorm(1.0, 2.0)(field)
     assert got == pytest.approx(7.0 / 6.0, rel=5e-2)
 
 
@@ -180,6 +178,17 @@ def test_frac_sobolev_fast_paths_agree(rand16):
     )
 
 
+def test_frac_sobolev_norm_is_sobolev_norm_object(rand16):
+    tg = tf_grid_of(make_grid(8.0, 64))
+    field = TFField(tg, np.exp(-np.pi * tg.radius() ** 2 + 2j * np.pi * tg.xmesh()))
+    for obj in (rand16, field):
+        for s, p, r in ((0.0, 2.0, 0.0), (0.7, 2.0, 0.0), (0.7, 2.0, 1.5),
+                        (1.0, 3.0, 0.5), (2, 2, 1)):
+            assert frac_sobolev_norm(obj, s, p, r) == SobolevNorm(s, p, r)(obj)
+        spec = NormSpec(s=0.5, p=2.0, r=1.0)
+        assert frac_sobolev_norm(obj, spec) == SobolevNorm(0.5, 2.0, 1.0)(obj)
+
+
 def test_field_l2_closed_form(grid16):
     tg = tf_grid_of(grid16)
     w = np.exp(-np.pi * (tg.xmesh() ** 2 + tg.wmesh() ** 2))
@@ -203,7 +212,9 @@ def test_norm_objects_and_labels(rand16):
     l2 = LqNorm(2.0)
     assert l2(f) == pytest.approx(riemann_lp(f.values, f.grid.dx, 2.0), rel=1e-14)
     x21 = XpSigmaNorm(2.0, 1.0)
-    assert x21(f) == pytest.approx(lp_weighted_norm(f, 2.0, 1.0), rel=1e-14)
+    bracket = japanese_bracket(np.abs(f.grid.points()))
+    assert x21(f) == pytest.approx(
+        riemann_lp(bracket * f.values, f.grid.dx, 2.0), rel=1e-14)
     w = SobolevNorm(0.5, 2.0, 1.0)
     assert w(f) == pytest.approx(frac_sobolev_norm(f, 0.5, 2.0, 1.0), rel=1e-14)
     both = IntersectionNorm([l2, x21])
@@ -265,12 +276,18 @@ def test_multiplier_idempotence_bitwise(grid16):
     assert np.array_equal(m4 * m2, m2)
 
 
+def _gaussian_field():
+    tg = tf_grid_of(make_grid(8.0, 64))
+    return TFField(tg, np.exp(-np.pi * (tg.xmesh() ** 2 + tg.wmesh() ** 2)))
+
+
 def test_band_partition(rand16):
-    low = lp_low(rand16, 2)
-    high = lp_high(rand16, 2)
-    assert np.array_equal(high.values, rand16.values - low.values)
-    rec = low.values + high.values
-    assert np.max(np.abs(rec - rand16.values)) < 1e-14 * np.max(np.abs(rand16.values))
+    for f in (rand16, _gaussian_field()):
+        for j in (1, 2, 3):
+            low, high = lp_low(f, j), lp_high(f, j)
+            assert type(low) is type(f) and type(high) is type(f)
+            rec = low.values + high.values
+            assert np.max(np.abs(rec - f.values)) < 1e-14 * np.max(np.abs(f.values))
 
 
 def test_projector_composition(rand16):
@@ -288,13 +305,6 @@ def test_lp_range_valid(grid16):
     # omega axis is the dual grid with nyquist 64
     assert lp_range_valid(tg, 6)
     assert not lp_range_valid(tg, 7)
-
-
-def test_lp_profile_rows(rand16):
-    rows = lp_profile(rand16, [1, 2, 3], 0.5, 2.0)
-    assert [r["j"] for r in rows] == [1, 2, 3]
-    for r in rows:
-        assert r["low"] >= 0 and r["high"] >= 0 and r["valid"]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +334,18 @@ def test_phase_distance_degenerate_orthogonal(grid16):
     assert res.method == "closed-form"
     want = riemann_lp(e0 - e1, grid16.dx, 2.0)
     assert res.distance == pytest.approx(want, rel=1e-12)
+
+
+def test_phase_distance_degenerate_near_orthogonal(grid16):
+    """|<f, g>| / (||f|| ||g||) is ~1e-18 on the signals and ~1e-16 on their
+    transforms: rounding noise, so every phase ties in L2."""
+    f, g = gaussian(grid16), hermite(grid16, 1)
+    for a, b in ((f, g), (stft(f), stft(g))):
+        ip, res = inner_l2(a, b), phase_inf_distance(a, b)
+        assert ip != 0 and res.degenerate and res.phase == ip / abs(ip)
+        assert res.distance == riemann_lp(a.values - res.phase * b.values, a.space.cell, 2.0)
+        assert res.distance == pytest.approx(np.sqrt(2.0), rel=1e-8)
+    assert not phase_inf_distance(f, Signal(grid16, f.values + g.values)).degenerate
 
 
 def test_phase_distance_scan_path(grid16):
@@ -442,9 +464,7 @@ def test_norm_spec_builders_and_threshold(grid16):
     assert isinstance(comp, LqNorm) and comp.q == 2.0
     assert frac_sobolev_norm(f, spec) == frac_sobolev_norm(f, 1.0, 2.0, 1.0)
     assert modulus_sobolev_ratio(f, spec) == modulus_sobolev_ratio(f, 1.0, 2.0, 1.0)
-    assert spec.weight_norm()(f) == pytest.approx(
-        lp_weighted_norm(f, 2.0, 1.0), rel=1e-14
-    )
+    assert spec.weight_norm()(f) == XpSigmaNorm(2.0, 1.0)(f)
 
 
 def test_norm_spec_modulus_threshold_flag():
@@ -462,26 +482,26 @@ def test_norm_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# littlewood_paley wrapper
+# band pieces at the edges (the pieces lp_low / lp_high, their scale check)
 
 
 def test_littlewood_paley_modes_partition(rand16):
-    low = littlewood_paley(rand16, 2, mode="below")
-    high = littlewood_paley(rand16, 2, mode="at_or_above")
-    assert np.array_equal(low.values, lp_low(rand16, 2).values)
-    assert np.array_equal(high.values, rand16.values - low.values)
+    # the high piece is f minus the low piece, bit for bit, on both spaces
+    for f in (rand16, _gaussian_field()):
+        for j in (1, 2, 3):
+            low, high = lp_low(f, j), lp_high(f, j)
+            assert np.array_equal(high.values, f.values - low.values)
 
 
 def test_littlewood_paley_rejects_out_of_range(rand16):
-    with pytest.raises(ValueError, match="Nyquist"):
-        littlewood_paley(rand16, 4, mode="below")
-    with pytest.raises(ValueError):
-        littlewood_paley(rand16, 2, mode="sideways")
+    # 2^4 = 16 exceeds the Nyquist frequency 8 of the 16/256 grid
+    assert lp_range_valid(rand16.space, 3)
+    assert not lp_range_valid(rand16.space, 4)
 
 
 def test_littlewood_paley_constant_passes_low(grid16):
     const = Signal(grid16, np.ones(grid16.count))
-    out = littlewood_paley(const, 1, mode="below")
+    out = lp_low(const, 1)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
 
 
@@ -489,8 +509,16 @@ def test_littlewood_paley_kills_far_high_wave(grid16):
     # wave at |xi0| = 8 = 2^3 sits beyond the j=1 cutoff band [2,4]
     x = grid16.points()
     wave = Signal(grid16, np.exp(2j * np.pi * 8.0 * x))
-    out = littlewood_paley(wave, 1, mode="below")
+    out = lp_low(wave, 1)
     assert riemann_lp(out.values, grid16.dx, 2.0) < 1e-8
+
+
+def test_lp_profile_rows(rand16):
+    # band-split Sobolev masses, one row per resolved scale
+    for j in (1, 2, 3):
+        low = frac_sobolev_norm(lp_low(rand16, j), 0.5, 2.0)
+        high = frac_sobolev_norm(lp_high(rand16, j), 0.5, 2.0)
+        assert low >= 0 and high >= 0 and lp_range_valid(rand16.space, j)
 
 
 # ---------------------------------------------------------------------------

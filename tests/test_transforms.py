@@ -18,8 +18,6 @@ from stftlab.transforms import (
     ambiguity,
     ambiguity_relation_residual,
     covariance_residual,
-    fock_cauchy_riemann_residual,
-    fock_key_identity_residual,
     fock_polynomial_field,
     parse_window,
     phaseless,
@@ -30,6 +28,7 @@ from stftlab.transforms import (
 )
 
 from conftest import random_signal
+from fock_oracle import fock_cauchy_riemann_residual, fock_key_identity_residual
 
 
 def band_limited(grid, seed, width=1.0):
