@@ -40,7 +40,7 @@ _EXPORTS = {
     "poincare_constant": "geometry", "stability_certificate": "geometry",
     # persistence
     "dump_signal": "io", "dump_field": "io", "dump_mask": "io",
-    "load": "io", "load_signal": "io", "load_field": "io",
+    "load": "io",
     # experiments
     "ExperimentManifest": "experiments", "run": "experiments",
     "default_manifest": "experiments", "experiment_ids": "experiments",

@@ -1,8 +1,9 @@
 """Command line front door.
 
-Twelve subcommands split into fixture generation (gen), single operations
-on dumped signals and fields (stft, norm, distance, instability, cheeger,
-poincare, glue, recover), and the experiment harness (run, list, verify).
+Eleven subcommands split into fixture generation (gen), single operations on
+dumped signals and fields (stft, norm, distance, cheeger, poincare, glue,
+recover), and the experiment harness (run, list, verify). The instability
+ratio ladder of the gaussian seed is `run prop21-gaussian-ratio`.
 
 Exit codes: 0 success, 1 failed assertion or computation, 2 usage error.
 Diagnostics go to stderr; data goes to stdout or to --out files. The only
@@ -90,23 +91,21 @@ def _load_dump(path: str, flag: str):
         raise _Usage(f"argument {flag}: {e}") from None
 
 
-def _load_operand(path: str, flag: str):
+def _load_operand(path: str, flag: str, kind: str = "signal or field"):
+    """A dump that must hold a `kind`: signal, field, "signal or field", or
+    mask (returned as a DomainMask)."""
+    from .grids import Signal, TFField
+
     obj = _load_dump(path, flag)
-    if isinstance(obj, tuple):
-        raise _Usage(f"argument {flag}: {path!r} holds a mask, "
-                     f"expected a signal or field dump")
+    want = {"signal": Signal, "field": TFField, "mask": tuple,
+            "signal or field": (Signal, TFField)}[kind]
+    if not isinstance(obj, want):
+        raise _Usage(f"argument {flag}: {path!r} is not a {kind} dump")
+    if kind == "mask":
+        from .geometry import DomainMask
+
+        return DomainMask(obj[1], obj[0])
     return obj
-
-
-def _load_mask(path: str, flag: str):
-    from .geometry import DomainMask
-    from .grids import TFGrid  # noqa: F401  (type of the second element)
-
-    obj = _load_dump(path, flag)
-    if not isinstance(obj, tuple):
-        raise _Usage(f"argument {flag}: {path!r} is not a mask dump")
-    values, tg = obj
-    return DomainMask(tg, values)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +148,7 @@ def _cmd_stft(args) -> int:
     from . import io
     from .transforms import parse_window, phaseless, stft
 
-    sig = _load_operand(args.signal, "signal")
-    from .grids import Signal
-
-    if not isinstance(sig, Signal):
-        raise _Usage(f"argument signal: {args.signal!r} is not a signal dump")
+    sig = _load_operand(args.signal, "signal", "signal")
     window = _flag("--window", parse_window, args.window)
     field = phaseless(sig, window) if args.phaseless else stft(sig, window)
     io.dump_field(field, args.out)
@@ -181,36 +176,10 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _cmd_instability(args) -> int:
-    from .forge import (assemble_pair, build_bumps, instability_ratio,
-                        normalize_seed, select_annulus_schedule)
-    from .grids import gaussian, make_grid
-    from .norms import XpSigmaNorm
-
-    grid = make_grid(args.L, args.N)
-    seed_sig = normalize_seed(gaussian(grid), args.p, args.q)
-    sched = select_annulus_schedule(seed_sig, args.sigma, args.p, args.q,
-                                    n_max=args.n)
-    bumps = build_bumps(sched)
-    den = XpSigmaNorm(args.p, args.sigma)
-    sys.stdout.write("n,j,ratio,target\n")
-    for n in range(args.n):
-        pair = assemble_pair(sched, bumps, args.delta, n)
-        r = instability_ratio(pair, args.q, den)
-        sys.stdout.write(f"{r.n},{sched.radii[r.n]},{r.ratio!r},"
-                         f"{r.target!r}\n")
-    return 0
-
-
 def _cmd_cheeger(args) -> int:
     from .geometry import cheeger_estimate
 
-    field = _load_operand(args.density, "density")
-    from .grids import TFField
-
-    if not isinstance(field, TFField):
-        raise _Usage(f"argument density: {args.density!r} is not a "
-                     f"field dump")
+    field = _load_operand(args.density, "density", "field")
     report = cheeger_estimate(field, thresholds=args.thresholds,
                               centers=args.centers, radii=args.radii,
                               directions=args.directions,
@@ -238,7 +207,7 @@ def _cmd_poincare(args) -> int:
         raise _Usage("argument mask: give a mask dump or --disk CX,CY,R "
                      "with --L/--N, not both")
     if args.mask is not None:
-        mask = _load_mask(args.mask, "mask")
+        mask = _load_operand(args.mask, "mask", "mask")
     else:
         center, radius = _flag("--disk", _parse_disk, args.disk)
         tg = tf_grid_of(make_grid(args.L, args.N))
@@ -246,7 +215,7 @@ def _cmd_poincare(args) -> int:
     weight = None
     if args.weight is not None:
         weight = _load_operand(args.weight, "--weight")
-    constant, report = poincare_constant(mask, weight, return_report=True)
+    constant, report = poincare_constant(mask, weight)
     _emit({"constant": constant, "mu1": report["mu1"]}, args.out)
     return 0
 
@@ -254,17 +223,11 @@ def _cmd_poincare(args) -> int:
 def _cmd_glue(args) -> int:
     from .geometry import connectivity, gluing_bound
 
-    if (args.lam is None) == (args.connectivity is None):
-        raise _Usage("argument --lam: give --lam or --connectivity W A B, "
-                     "not both")
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        wpath, apath, bpath = args.connectivity
-        field = _load_operand(wpath, "--connectivity")
-        a = _load_mask(apath, "--connectivity")
-        b = _load_mask(bpath, "--connectivity")
-        lam = connectivity(field, a, b)
+    wpath, apath, bpath = args.connectivity
+    field = _load_operand(wpath, "--connectivity", "field")
+    a = _load_operand(apath, "--connectivity", "mask")
+    b = _load_operand(bpath, "--connectivity", "mask")
+    lam = connectivity(field, a, b)
     bound = gluing_bound(args.ca, args.cb, lam)
     _emit({"lambda": lam, "bound": bound}, args.out)
     return 0
@@ -272,24 +235,15 @@ def _cmd_glue(args) -> int:
 
 def _cmd_recover(args) -> int:
     from . import io
-    from .grids import TFField
     from .norms import phase_inf_distance
     from .transforms import parse_window, recover
 
-    meas = _load_operand(args.measurement, "measurement")
-    if not isinstance(meas, TFField):
-        raise _Usage(f"argument measurement: {args.measurement!r} is not "
-                     f"a field dump")
+    meas = _load_operand(args.measurement, "measurement", "field")
     window = _flag("--window", parse_window, args.window)
     result = recover(meas, window, threshold=args.threshold)
     error = None
     if args.reference is not None:
-        ref = _load_operand(args.reference, "--reference")
-        from .grids import Signal
-
-        if not isinstance(ref, Signal):
-            raise _Usage(f"argument --reference: {args.reference!r} is not "
-                         f"a signal dump")
+        ref = _load_operand(args.reference, "--reference", "signal")
         res = phase_inf_distance(ref, result.signal)
         import numpy as np
 
@@ -304,6 +258,27 @@ def _cmd_recover(args) -> int:
 
 
 _CONFIG_KEYS = ("fixture", "params", "seed")
+
+
+def _json_kind(v) -> str:
+    for t, kind in ((bool, "a boolean"), (int, "an integer"),
+                    (float, "a number"), (str, "a string"),
+                    (list, "an array"), (dict, "an object")):
+        if isinstance(v, t):
+            return kind
+    return "null"
+
+
+def _check_config_type(name: str, default, value) -> None:
+    """A patched value must have the JSON type of the registered default;
+    an integer may stand for a number, a boolean never for an integer."""
+    want, got = _json_kind(default), _json_kind(value)
+    if want != got and (want, got) != ("a number", "an integer"):
+        raise _Usage(f"argument --config: {name} must be {want}, "
+                     f"got {json.dumps(value)}")
+    if want == "an array" and default:
+        for i, item in enumerate(value):
+            _check_config_type(f"{name}[{i}]", default[0], item)
 
 
 def _manifest_from_args(args):
@@ -341,6 +316,7 @@ def _manifest_from_args(args):
             if key not in base:
                 raise _Usage(f"argument --config: unknown {section} key "
                              f"{key!r} (allowed: {', '.join(base)})")
+            _check_config_type(f"{section}.{key}", base[key], patch[key])
     seed = raw.get("seed", manifest.seed)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _Usage("argument --config: seed must be an integer")
@@ -385,6 +361,8 @@ def _cmd_verify(args) -> int:
     except FileNotFoundError:
         raise _Usage(f"argument dir: {args.dir!r} is not a stored "
                      f"run") from None
+    except ValueError as e:
+        raise _Usage(f"argument dir: {e}") from None
     _emit(report, args.out)
     return 0 if report["ok"] else 1
 
@@ -442,17 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", default="l2", help="norm spec (default l2)")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
-    p = add("instability", "print the instability ratio ladder of the "
-            "gaussian seed", _cmd_instability)
-    p.add_argument("--L", type=float, default=256.0)
-    p.add_argument("--N", type=int, default=2048)
-    p.add_argument("--sigma", type=float, default=0.0,
-                   help="weight exponent of the denominator norm")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--n", type=int, default=4, help="number of rungs")
-
     p = add("cheeger", "estimate the Cheeger quotient of a density dump",
             _cmd_cheeger)
     p.add_argument("density", help="field dump with nonnegative values")
@@ -480,11 +447,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stability constant of the first patch")
     p.add_argument("--cb", type=float, required=True,
                    help="stability constant of the second patch")
-    p.add_argument("--lam", type=float,
-                   help="connectivity of the overlap")
-    p.add_argument("--connectivity", nargs=3,
+    p.add_argument("--connectivity", nargs=3, required=True,
                    metavar=("W", "A", "B"),
-                   help="density dump and two mask dumps; computes lam")
+                   help="density dump and two mask dumps; the overlap "
+                        "connectivity lam is computed from them")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("recover", "invert a phaseless measurement up to phase",

@@ -195,6 +195,10 @@ class BoundRow:
     sob_ratio: float
 
 
+# the implementation constant of the bump estimates
+_C_IMPL = 8.0
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Measured forms of the four bump estimates, one row per rung.
@@ -205,7 +209,7 @@ class BoundReport:
     """
 
     rows: list
-    c_impl: float = 8.0
+    c_impl = _C_IMPL
 
     def all_pass(self) -> bool:
         for r in self.rows:
@@ -238,8 +242,7 @@ class BoundReport:
         return out
 
 
-def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list,
-                       c_impl: float = 8.0) -> BoundReport:
+def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
     """Measure the four estimates the construction rests on.
 
     Per rung n: exact global L^p size of eps_n, its weighted size, the L^q
@@ -277,7 +280,7 @@ def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list,
 
         rows.append(BoundRow(n, float(j), gub_lp_ratio, gub_x_scaled,
                              mcb_product, mtb, mtb_ratio, sob, sob_ratio))
-    return BoundReport(rows, c_impl)
+    return BoundReport(rows)
 
 
 @dataclass(frozen=True)
@@ -375,8 +378,12 @@ def field_instability_ratio(a: Sampled, b: Sampled, n: int, q: float,
                        saturated=False, degenerate=False)
 
 
+# unit phases on which the far-phase floor is checked
+_FAR_PHASES = 64
+
+
 def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
-                    bumps: list, points: int = 64) -> dict:
+                    bumps: list) -> dict:
     """Far-phase lower bound: for |lam - 1| >= 1/2 the L^q distance
     ||k - lam k_n|| cannot dip below (1/2)||seed|| - 2 delta sum ||eps_j||.
 
@@ -386,7 +393,7 @@ def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
     q = schedule.q
     grid = pair.k.grid
     ev = LqNorm(q).pair_evaluator(pair.k, pair.k_n)
-    lams = np.exp(2j * np.pi * np.arange(points) / points)
+    lams = np.exp(2j * np.pi * np.arange(_FAR_PHASES) / _FAR_PHASES)
     far = [lam for lam in lams if abs(lam - 1.0) >= 0.5]
     measured = min(ev(lam) for lam in far)
     bump_mass = sum(riemann_lp(e.values, grid.dx, q) for e in bumps)
@@ -517,28 +524,32 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
                       float(delta), float(drift), spec)
 
 
-def lp_reduction_rows(diff, field_a, field_b, s: float, p: float,
-                      delta_prime: float = 0.25, js=range(2, 7)) -> list:
+# the smoothness gain d of the band split, and its dyadic scales j
+_LP_GAIN = 0.25
+_LP_SCALES = range(2, 7)
+
+
+def lp_reduction_rows(diff, field_a, field_b, s: float, p: float) -> list:
     """Band-split control of a modulus difference:
 
         ||D||_{W^{s,p}} <= C ( 2^{js} ||D||_{L^p}
                                + 2^{-j d} (||A||_{W^{s+d,p}} + ||B||_{W^{s+d,p}}) )
 
-    with d = delta_prime. One row per j with both sides and the constant the
+    with d = _LP_GAIN. One row per j with both sides and the constant the
     inequality would need; the harness pins max(constant) over j.
     """
     lhs = frac_sobolev_norm(diff, s, p)
-    high_a = frac_sobolev_norm(field_a, s + delta_prime, p)
-    high_b = frac_sobolev_norm(field_b, s + delta_prime, p)
+    high_a = frac_sobolev_norm(field_a, s + _LP_GAIN, p)
+    high_b = frac_sobolev_norm(field_b, s + _LP_GAIN, p)
     low = riemann_lp(diff.values, diff.space.cell, p)
     rows = []
-    for j in js:
-        rhs = 2.0 ** (j * s) * low + 2.0 ** (-j * delta_prime) * (high_a + high_b)
+    for j in _LP_SCALES:
+        rhs = 2.0 ** (j * s) * low + 2.0 ** (-j * _LP_GAIN) * (high_a + high_b)
         rows.append({
             "j": int(j),
             "lhs": float(lhs),
             "low_term": float(2.0 ** (j * s) * low),
-            "high_term": float(2.0 ** (-j * delta_prime) * (high_a + high_b)),
+            "high_term": float(2.0 ** (-j * _LP_GAIN) * (high_a + high_b)),
             "constant_needed": float(lhs / rhs) if rhs > 0 else float("inf"),
         })
     return rows

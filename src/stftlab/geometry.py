@@ -34,9 +34,7 @@ __all__ = [
     "cheeger_estimate",
     "connectivity",
     "gluing_bound",
-    "circle_average",
     "poincare_constant",
-    "log_concavity_violation",
     "stability_certificate",
 ]
 
@@ -47,12 +45,7 @@ __all__ = [
 
 @dataclass
 class DomainMask:
-    """Boolean region on a TF grid.
-
-    The boundary is the 0.5-isocontour of the indicator, traced by marching
-    squares: a full-grid mask therefore has boundary length 0 (the grid is
-    periodic; no outer frame is ever added).
-    """
+    """Boolean region on a TF grid."""
 
     tfgrid: TFGrid
     inside: np.ndarray
@@ -69,24 +62,8 @@ class DomainMask:
     def cell_count(self) -> int:
         return int(np.count_nonzero(self.inside))
 
-    @property
-    def area(self) -> float:
-        return self.cell_count * self.tfgrid.cell
-
     def is_empty(self) -> bool:
         return not self.inside.any()
-
-    def boundary_segments(self) -> np.ndarray:
-        """(K, 4) array of segments (x0, y0, x1, y1) tracing the mask edge."""
-        xs = self.tfgrid.xgrid.points()
-        ys = self.tfgrid.wgrid.points()
-        return marching_squares(xs, ys, self.inside.astype(float), 0.5)
-
-    def boundary_length(self) -> float:
-        seg = self.boundary_segments()
-        if seg.size == 0:
-            return 0.0
-        return float(np.hypot(seg[:, 2] - seg[:, 0], seg[:, 3] - seg[:, 1]).sum())
 
     @classmethod
     def full(cls, tfgrid: TFGrid) -> "DomainMask":
@@ -98,14 +75,6 @@ class DomainMask:
         w = tfgrid.wmesh()
         rr = (x - center.real) ** 2 + (w - center.imag) ** 2
         return cls(tfgrid, rr <= radius * radius)
-
-    @classmethod
-    def half_plane(cls, tfgrid: TFGrid, theta: float, offset: float) -> "DomainMask":
-        """Cells with <z, (cos theta, sin theta)> <= offset."""
-        x = tfgrid.xmesh()
-        w = tfgrid.wmesh()
-        proj = math.cos(theta) * x + math.sin(theta) * w
-        return cls(tfgrid, proj <= offset)
 
     @classmethod
     def rectangle(cls, tfgrid: TFGrid, x0: float, x1: float,
@@ -270,8 +239,7 @@ def _polyline_integral(xs, ys, wvals, px, py) -> float:
     return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * seg))
 
 
-def cheeger_estimate(W: TFField, families=("superlevel", "disk", "halfplane"),
-                     thresholds: int = 256, smoothing: float = 2.0,
+def cheeger_estimate(W: TFField, thresholds: int = 256, smoothing: float = 2.0,
                      centers: int = 9, radii: int = 16,
                      directions: int = 64, offsets: int = 33) -> CheegerReport:
     """Scan candidate domains for a small boundary-to-mass quotient of W.
@@ -321,69 +289,61 @@ def cheeger_estimate(W: TFField, families=("superlevel", "disk", "halfplane"),
         if feasible and (best is None or ratio < best[0]):
             best = (ratio, familyname, params, mask)
 
-    if "superlevel" in families:
-        sm = gaussian_filter(vals, sigma=smoothing, mode="constant")
-        top = sm.max()
-        for k in range(1, thresholds):
-            level = top * k / thresholds
-            segments = marching_squares(xs, ys, sm, level)
-            boundary = _segment_integral(xs, ys, vals, segments)
-            above = sm >= level
-            mass_above = float(vals[above].sum() * cell)
-            consider("superlevel", {"level": level}, boundary,
-                     mass_above, above)
-            consider("sublevel", {"level": level}, boundary,
-                     total - mass_above, ~above)
+    sm = gaussian_filter(vals, sigma=smoothing, mode="constant")
+    top = sm.max()
+    for k in range(1, thresholds):
+        level = top * k / thresholds
+        segments = marching_squares(xs, ys, sm, level)
+        boundary = _segment_integral(xs, ys, vals, segments)
+        above = sm >= level
+        mass_above = float(vals[above].sum() * cell)
+        consider("superlevel", {"level": level}, boundary, mass_above, above)
+        consider("sublevel", {"level": level}, boundary,
+                 total - mass_above, ~above)
 
-    if "disk" in families:
-        xm = tg.xmesh()
-        wm = tg.wmesh()
-        cxs = np.linspace(xlo, xhi, centers)
-        cys = np.linspace(ylo, yhi, centers)
-        rads = np.linspace(2.0 * max(dx, dy), 0.6 * diag, radii)
-        for cx in cxs:
-            for cy in cys:
-                rr = (xm - cx) ** 2 + (wm - cy) ** 2
-                for r in rads:
-                    npts = max(64, int(4.0 * math.pi * r / max(dx, dy)))
-                    th = np.linspace(0.0, 2.0 * math.pi, npts + 1)
-                    boundary = _polyline_integral(
-                        xs, ys, vals, cx + r * np.cos(th), cy + r * np.sin(th))
-                    inside = rr <= r * r
-                    mass = float(vals[inside].sum() * cell)
-                    consider("disk", {"cx": cx, "cy": cy, "r": r},
-                             boundary, mass, inside)
-                    consider("diskc", {"cx": cx, "cy": cy, "r": r},
-                             boundary, total - mass, ~inside)
-
-    if "halfplane" in families:
-        xm = tg.xmesh()
-        wm = tg.wmesh()
-        span = 0.75 * diag
-        tline = np.linspace(-span, span,
-                            max(129, int(4.0 * span / max(dx, dy))))
-        for k in range(directions):
-            theta = 2.0 * math.pi * k / directions
-            nx, ny = math.cos(theta), math.sin(theta)
-            corners = [nx * cx + ny * cy
-                       for cx in (xlo, xhi) for cy in (ylo, yhi)]
-            proj = nx * xm + ny * wm
-            cands = list(np.linspace(min(corners), max(corners), offsets))
-            # the best cut is usually the half-mass one, which falls between
-            # lattice offsets; add the largest feasible projection midpoint
-            order = np.argsort(proj, axis=None, kind="stable")
-            cum = np.cumsum(vals.ravel()[order]) * cell
-            split = int(np.searchsorted(cum, 0.5 * total, side="right"))
-            if 0 < split < order.size:
-                pv = proj.ravel()[order]
-                cands.append(0.5 * (pv[split - 1] + pv[split]))
-            for c in cands:
+    xm = tg.xmesh()
+    wm = tg.wmesh()
+    cxs = np.linspace(xlo, xhi, centers)
+    cys = np.linspace(ylo, yhi, centers)
+    rads = np.linspace(2.0 * max(dx, dy), 0.6 * diag, radii)
+    for cx in cxs:
+        for cy in cys:
+            rr = (xm - cx) ** 2 + (wm - cy) ** 2
+            for r in rads:
+                npts = max(64, int(4.0 * math.pi * r / max(dx, dy)))
+                th = np.linspace(0.0, 2.0 * math.pi, npts + 1)
                 boundary = _polyline_integral(
-                    xs, ys, vals, c * nx - tline * ny, c * ny + tline * nx)
-                inside = proj <= c
+                    xs, ys, vals, cx + r * np.cos(th), cy + r * np.sin(th))
+                inside = rr <= r * r
                 mass = float(vals[inside].sum() * cell)
-                consider("halfplane", {"theta": theta, "offset": c},
+                consider("disk", {"cx": cx, "cy": cy, "r": r},
                          boundary, mass, inside)
+                consider("diskc", {"cx": cx, "cy": cy, "r": r},
+                         boundary, total - mass, ~inside)
+
+    span = 0.75 * diag
+    tline = np.linspace(-span, span, max(129, int(4.0 * span / max(dx, dy))))
+    for k in range(directions):
+        theta = 2.0 * math.pi * k / directions
+        nx, ny = math.cos(theta), math.sin(theta)
+        corners = [nx * cx + ny * cy for cx in (xlo, xhi) for cy in (ylo, yhi)]
+        proj = nx * xm + ny * wm
+        cands = list(np.linspace(min(corners), max(corners), offsets))
+        # the best cut is usually the half-mass one, which falls between
+        # lattice offsets; add the largest feasible projection midpoint
+        order = np.argsort(proj, axis=None, kind="stable")
+        cum = np.cumsum(vals.ravel()[order]) * cell
+        split = int(np.searchsorted(cum, 0.5 * total, side="right"))
+        if 0 < split < order.size:
+            pv = proj.ravel()[order]
+            cands.append(0.5 * (pv[split - 1] + pv[split]))
+        for c in cands:
+            boundary = _polyline_integral(
+                xs, ys, vals, c * nx - tline * ny, c * ny + tline * nx)
+            inside = proj <= c
+            mass = float(vals[inside].sum() * cell)
+            consider("halfplane", {"theta": theta, "offset": c},
+                     boundary, mass, inside)
 
     if best is None:
         raise ValueError("no candidate satisfied the half-mass constraint")
@@ -435,40 +395,6 @@ def gluing_bound(c_a: float, c_b: float, lam: float) -> float:
     if lam <= 0:
         raise ValueError("connectivity must be positive")
     return math.hypot(c_a, c_b) * (1.0 / lam + math.sqrt(2.0))
-
-
-# Phases closer than 2^-40 (about 9.1e-13) count as equal, or as antipodal.
-# Rotation moves |tau_a -/+ tau_b| by a few ulps, so pairs that close to the
-# edge can change branch; a power of two keeps it off round inputs like 1e-12.
-_PHASE_TIE = 2.0**-40
-
-
-def circle_average(tau_a: complex, tau_b: complex,
-                   variant: str = "printed") -> complex:
-    """A unimodular representative between two unit phases.
-
-    The default follows the difference formula (tau_a - tau_b) /
-    |tau_a - tau_b| (antipodal inputs give i tau_a, equal inputs tau_a).
-    That point is NOT equidistant from the inputs in general; the geodesic
-    midpoint (tau_a + tau_b) / |tau_a + tau_b|, which is, sits behind
-    variant="midpoint".
-    """
-    for t in (tau_a, tau_b):
-        if abs(abs(t) - 1.0) > 1e-9:
-            raise ValueError(f"inputs must be unimodular, got |{t}|")
-    if variant not in ("printed", "midpoint"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if abs(tau_a - tau_b) < _PHASE_TIE:
-        return tau_a
-    if abs(tau_a + tau_b) < _PHASE_TIE:
-        return 1j * tau_a
-    # d / |d| = i sgn(sin(a - b)) s / |s|; normalise whichever of d, s is
-    # longer, since the shorter one loses its direction to cancellation
-    d, s = tau_a - tau_b, tau_a + tau_b
-    sgn = math.copysign(1.0, (tau_a * tau_b.conjugate()).imag)
-    if variant == "midpoint":
-        return s / abs(s) if abs(s) >= abs(d) else -1j * sgn * d / abs(d)
-    return d / abs(d) if abs(d) >= abs(s) else 1j * sgn * s / abs(s)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +452,10 @@ def _build_laplacian(mask: DomainMask, weights: np.ndarray):
     return lap, measure, adjacency
 
 
-def poincare_constant(mask: DomainMask, weight: TFField | None = None,
-                      return_report: bool = False):
-    """C = 1 / sqrt(mu_1) with mu_1 the smallest nonzero Neumann eigenvalue
-    of the weight-conducted grid Laplacian on the mask.
+def poincare_constant(mask: DomainMask,
+                      weight: TFField | None = None) -> tuple[float, dict]:
+    """(C, report) with C = 1 / sqrt(mu_1), mu_1 the smallest nonzero Neumann
+    eigenvalue of the weight-conducted grid Laplacian on the mask.
 
     Disconnected masks have mu_1 = 0 and are reported as C = inf rather than
     raised. Weights are clipped below at 1e-30 (count in the report).
@@ -551,14 +477,12 @@ def poincare_constant(mask: DomainMask, weight: TFField | None = None,
     if ncomp > 1:
         report["note"] = f"disconnected ({ncomp} components), C_poinc = inf"
         report["mu1"] = 0.0
-        value = float("inf")
-        return (value, report) if return_report else value
+        return float("inf"), report
 
     # normalize to an ordinary symmetric problem with D = diag(measure^{-1/2})
     if n == 1:
         report["mu1"] = float("inf")
-        value = 0.0
-        return (value, report) if return_report else value
+        return 0.0, report
 
     dval = 1.0 / np.sqrt(measure)
     if n <= 1024:
@@ -591,39 +515,7 @@ def poincare_constant(mask: DomainMask, weight: TFField | None = None,
         value = float("inf")
     else:
         value = 1.0 / math.sqrt(mu1)
-    return (value, report) if return_report else value
-
-
-def log_concavity_violation(density: TFField, floor: float = 1e-6) -> float:
-    """Largest negative curvature of -log(density) over the bulk region.
-
-    0.0 certifies the density is log-concave as far as the grid can see
-    (finite-difference Hessian positive semidefinite on the region where the
-    density exceeds floor * max, eroded so the stencil stays in-region).
-    """
-    vals = np.abs(density.values.real)
-    top = vals.max()
-    if top <= 0:
-        raise ValueError("zero density")
-    region = vals >= floor * top
-    phi = -np.log(np.maximum(vals, 1e-300))
-    dx = density.tfgrid.xgrid.dx
-    dy = density.tfgrid.wgrid.dx
-    gx, gy = np.gradient(phi, dx, dy)
-    hxx = np.gradient(gx, dx, axis=0)
-    hxy = np.gradient(gx, dy, axis=1)
-    hyy = np.gradient(gy, dy, axis=1)
-    # smallest eigenvalue of the symmetric 2x2 Hessian, pointwise
-    half_tr = 0.5 * (hxx + hyy)
-    radius = np.sqrt(0.25 * (hxx - hyy) ** 2 + hxy ** 2)
-    lam_min = half_tr - radius
-    from scipy.ndimage import binary_erosion
-
-    core = binary_erosion(region, iterations=2)
-    if not core.any():
-        raise ValueError("density support too small for a Hessian estimate")
-    worst = float(lam_min[core].min())
-    return max(0.0, -worst)
+    return value, report
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +590,13 @@ def _weighted_modulus(f: FockField) -> np.ndarray:
     return np.abs(f.field.values) * np.exp(-fock_exponent(f.field.tfgrid))
 
 
+# cells outside the excised zeros must keep |F| above this share of its max
+_WEIGHT_FLOOR = 1e-6
+
+
 def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
-                          p: float = 2.0, excise_cells: int = 3,
-                          weight_floor: float = 1e-6) -> CertificateReport:
+                          p: float = 2.0,
+                          excise_cells: int = 3) -> CertificateReport:
     """Measure the three-term stability estimate on a masked region.
 
     Zero cells of either field are dilated by excise_cells and removed,
@@ -735,10 +631,10 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
     if not dom.any():
         raise ValueError("domain empty after zero excision")
     floor_hits = int(np.count_nonzero(
-        dom & (m1 < weight_floor * float(m1[dom].max()))))
+        dom & (m1 < _WEIGHT_FLOOR * float(m1[dom].max()))))
     if floor_hits:
         raise ValueError(
-            f"field magnitude below {weight_floor:g} of max on "
+            f"field magnitude below {_WEIGHT_FLOOR:g} of max on "
             f"{floor_hits} cells outside the excised zeros")
 
     cell = tg.cell
@@ -768,9 +664,7 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
     distance = phase_inf_distance(c1, c2, LqNorm(p), domain=dom).distance
 
     cpoinc, preport = poincare_constant(
-        DomainMask(tg, dom), TFField(tg, (m1 ** p).astype(np.complex128)),
-        return_report=True,
-    )
+        DomainMask(tg, dom), TFField(tg, (m1 ** p).astype(np.complex128)))
     bound = cpoinc * (t1 + t2 + t3)
     sound = bound >= distance or (bound == 0.0 and distance == 0.0)
     return CertificateReport(

@@ -14,11 +14,11 @@ Claims about continuum objects are only meaningful for signals whose mass at the
 boundary is negligible; the constructors enforce a 1e-10 decay guard.
 
 Sample spaces: a Signal lives on a Grid1D and a TFField on a TFGrid. Both grids
-answer one protocol, so norms, distances and band projectors are written once
-for both sides of the transform: `cell` and `dual_cell` (the measure of one
-sample and of one spectral sample), `shape`, `radius()` (|x|, or |z| on the
-plane), `freq_radius()` (the same on the dual grid), and `fft(a)`/`ifft(a)`
-(the centred DFT over every axis and its inverse, without cell factors). Both
+answer one protocol, so norms and distances are written once for both sides
+of the transform: `cell` and `dual_cell` (the measure of one sample and of one
+spectral sample), `shape`, `radius()` (|x|, or |z| on the plane),
+`freq_radius()` (the same on the dual grid), and `fft(a)`/`ifft(a)` (the
+centred DFT over every axis and its inverse, without cell factors). Both
 objects derive from Sampled: `space` is their grid, `like(values)` rewraps.
 """
 
@@ -48,7 +48,6 @@ __all__ = [
     "translate",
     "modulate",
     "fourier",
-    "inverse_fourier",
     "cdft",
     "icdft",
     "cdft2",
@@ -165,9 +164,6 @@ class Signal(Sampled):
             raise ValueError("signal contains non-finite values")
         self.values = v
 
-    def copy(self) -> "Signal":
-        return Signal(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True)
 class TFGrid:
@@ -279,12 +275,6 @@ def icdft2(a: np.ndarray) -> np.ndarray:
 def fourier(f: Signal) -> Signal:
     """Forward transform onto the dual grid; unitary for Riemann-sum L2 norms."""
     return Signal(f.grid.dual(), cdft(f.values) * f.grid.dx)
-
-
-def inverse_fourier(F: Signal) -> Signal:
-    """Inverse of fourier; takes a spectrum on the dual grid back to the primal."""
-    primal = F.grid.dual()
-    return Signal(primal, icdft(F.values) / primal.dx)
 
 
 def boundary_decay(f: Signal) -> float:

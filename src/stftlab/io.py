@@ -15,12 +15,13 @@ CSV signal export has columns x, re, im.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid1D, Signal, TFField, TFGrid, make_grid
+from .grids import Signal, TFField, TFGrid, make_grid
 
 MAGIC = b"STFL1"
 
@@ -81,10 +82,11 @@ def dump_mask(mask_values: np.ndarray, tfgrid: TFGrid, path: str | Path) -> None
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    # the declared size is checked against the bytes left before any read,
+    # so a forged header cannot ask for more memory than the file holds
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("truncated container")
-    return buf
+    return fh.read(n)
 
 
 def load(path: str | Path):
@@ -108,31 +110,13 @@ def load(path: str | Path):
                 return TFField(tg, vals.reshape(nx, nw))
             first, n_runs = struct.unpack("<QQ", _read_exact(fh, 16))
             runs = np.frombuffer(_read_exact(fh, 8 * n_runs), dtype="<u8")
-            flat = np.zeros(nx * nw, dtype=bool)
-            pos = 0
-            val = bool(first)
-            for r in runs:
-                flat[pos : pos + int(r)] = val
-                pos += int(r)
-                val = not val
-            if pos != nx * nw:
+            if sum(runs.tolist()) != nx * nw:
                 raise ValueError("mask run lengths do not cover the grid")
+            # runs alternate between the first value and its negation
+            vals = (np.arange(runs.size) % 2 == 1) ^ bool(first)
+            flat = np.repeat(vals, runs.astype(np.intp))
             return flat.reshape(nx, nw), tg
         raise ValueError(f"unknown container kind {kind}")
-
-
-def load_signal(path: str | Path) -> Signal:
-    obj = load(path)
-    if not isinstance(obj, Signal):
-        raise ValueError(f"{path} does not hold a 1D signal")
-    return obj
-
-
-def load_field(path: str | Path) -> TFField:
-    obj = load(path)
-    if not isinstance(obj, TFField):
-        raise ValueError(f"{path} does not hold a TF field")
-    return obj
 
 
 def signal_to_csv(sig: Signal, path: str | Path) -> None:
@@ -141,13 +125,3 @@ def signal_to_csv(sig: Signal, path: str | Path) -> None:
         fh.write("x,re,im\n")
         for x, v in zip(xs, sig.values):
             fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def signal_from_csv(path: str | Path, grid: Grid1D | None = None) -> Signal:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    xs, re, im = rows[:, 0], rows[:, 1], rows[:, 2]
-    if grid is None:
-        n = len(xs)
-        dx = xs[1] - xs[0]
-        grid = make_grid(dx * n, n)
-    return Signal(grid, re + 1j * im)

@@ -1,4 +1,4 @@
-"""Weighted Lebesgue / fractional Sobolev norms and smooth frequency cutoffs.
+"""Weighted Lebesgue and fractional Sobolev norms, and the phase distance.
 
 All norms are Riemann sums over the grid. Sums of p-th powers are rescaled by
 the max magnitude before exponentiation so that values down near the smallest
@@ -8,13 +8,7 @@ p = 2.
 
 The fractional derivative <D>^s is the Fourier multiplier (1 + |xi|^2)^{s/2}
 in the cycles-per-unit frequency variable; the spatial weight is the bracket
-<x> = (1 + |x|^2)^{1/2} (radial |z| on two-dimensional fields). The smooth
-dyadic cutoff is
-
-    psi(t) = theta(2 - t) / (theta(2 - t) + theta(t - 1)),  theta(u) = e^{-1/u}
-
-which is exactly 1 for t <= 1 and exactly 0 for t >= 2 in floating point, so
-band projectors compose bit-exactly on nested bands.
+<x> = (1 + |x|^2)^{1/2} (radial |z| on two-dimensional fields).
 """
 
 from __future__ import annotations
@@ -41,11 +35,6 @@ __all__ = [
     "IntersectionNorm",
     "NormSpec",
     "parse_norm",
-    "lp_psi",
-    "lp_multiplier",
-    "lp_low",
-    "lp_high",
-    "lp_range_valid",
     "PhaseDistanceResult",
     "phase_inf_distance",
     "disjointness_witness",
@@ -132,14 +121,9 @@ def _derivative_term(obj: Sampled, s: float, p: float) -> tuple[np.ndarray, floa
     return bessel_potential(obj, s).values, sp.cell, p
 
 
-def frac_sobolev_norm(obj: Sampled, s, p: float = 2.0, r: float = 0.0) -> float:
-    """||<x>^r f||_p + ||<D>^s f||_p, the norm of SobolevNorm(s, p, r).
-
-    The smoothness argument may be a NormSpec bundle, which then supplies
-    s, p and r wholesale.
-    """
-    if isinstance(s, NormSpec):
-        s, p, r = s.s, s.p, s.r
+def frac_sobolev_norm(obj: Sampled, s: float, p: float = 2.0,
+                      r: float = 0.0) -> float:
+    """||<x>^r f||_p + ||<D>^s f||_p, the norm of SobolevNorm(s, p, r)."""
     return SobolevNorm(s, p, r)(obj)
 
 
@@ -239,39 +223,21 @@ class IntersectionNorm(Norm):
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Parameter bundle for the norms a comparison experiment needs.
-
-    s, p, r drive the Sobolev side; q is the plain comparison norm; sigma the
-    weighted-Lebesgue side. The modulus map |f| is bounded on W^{s,p} exactly
-    when s < 1 + 1/p; assertions above that threshold are flagged.
-    """
+    """Parameter bundle for the norms a comparison experiment needs: s, p, r
+    drive the Sobolev side and q is the plain comparison norm."""
 
     s: float = 0.0
     p: float = 2.0
     r: float = 0.0
     q: float = 2.0
-    sigma: float = 0.0
 
     def __post_init__(self):
-        if self.s < 0 or self.r < 0 or self.sigma < 0:
-            raise ValueError("s, r, sigma must be nonnegative")
+        if self.s < 0 or self.r < 0:
+            raise ValueError("s and r must be nonnegative")
         if self.p < 1 or not math.isfinite(self.p):
             raise ValueError("p must be a finite real >= 1")
         if self.q < 1:
             raise ValueError("q must be >= 1 or inf")
-
-    @property
-    def below_modulus_threshold(self) -> bool:
-        return self.s < 1.0 + 1.0 / self.p
-
-    def sobolev_norm(self) -> "SobolevNorm":
-        return SobolevNorm(self.s, self.p, self.r)
-
-    def comparison_norm(self) -> "LqNorm":
-        return LqNorm(self.q)
-
-    def weight_norm(self) -> "XpSigmaNorm":
-        return XpSigmaNorm(self.p, self.sigma)
 
 
 def parse_norm(text: str) -> Norm:
@@ -315,49 +281,6 @@ def parse_norm(text: str) -> Norm:
 
 
 # ---------------------------------------------------------------------------
-# smooth dyadic frequency cutoffs
-
-
-def _theta(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def lp_psi(t: np.ndarray | float) -> np.ndarray:
-    """Smooth cutoff: 1 for t <= 1, 0 for t >= 2, C^inf in between."""
-    t = np.asarray(t, dtype=np.float64)
-    a = _theta(2.0 - t)
-    b = _theta(t - 1.0)
-    return a / (a + b)
-
-
-def lp_multiplier(space, j: int) -> np.ndarray:
-    """psi(|xi| / 2^j) sampled on the dual frequencies of a grid."""
-    return lp_psi(space.freq_radius() / 2.0**j)
-
-
-def lp_low(obj: Sampled, j: int) -> Sampled:
-    """Low-frequency piece: spectrum times psi(|xi| / 2^j)."""
-    sp = obj.space
-    return obj.like(sp.ifft(lp_multiplier(sp, j) * sp.fft(obj.values)))
-
-
-def lp_high(obj: Sampled, j: int) -> Sampled:
-    """High-frequency piece, defined as f minus the low piece so the two
-    always sum back to f bit-exactly."""
-    low = lp_low(obj, j)
-    return obj.like(np.asarray(obj.values, dtype=np.complex128) - low.values)
-
-
-def lp_range_valid(space, j: int) -> bool:
-    """Whether the band scale 2^j is resolved: 2^j <= largest axis Nyquist."""
-    return 2.0**j <= space.nyquist
-
-
-# ---------------------------------------------------------------------------
 # phase-invariant distance
 
 
@@ -373,6 +296,10 @@ class PhaseDistanceResult:
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the scan path: coarse angles on the circle, then golden-section refinement
+# of the best one down to this angular width
+_SCAN_ANGLES = 720
+_SCAN_TOL = 1e-10
 
 
 def _golden_min(fun, a: float, b: float, tol: float) -> tuple[float, float, int]:
@@ -401,23 +328,16 @@ def _apply_domain(obj, domain):
     return obj.like(np.where(mask, v, 0.0))
 
 
-def phase_inf_distance(
-    f,
-    g,
-    norm: Norm | None = None,
-    domain=None,
-    *,
-    coarse: int = 720,
-    tol: float = 1e-10,
-) -> PhaseDistanceResult:
+def phase_inf_distance(f, g, norm: Norm | None = None,
+                       domain=None) -> PhaseDistanceResult:
     """Minimize ||f - lambda g|| over unimodular lambda.
 
     The L2 case has the closed form lambda = <f, g> / |<f, g>| (lambda = 1 for
     an inner product of exactly zero). The pair is tagged degenerate when
     |<f, g>| <= n eps ||f||_2 ||g||_2 with n the sample count: the inner
     product is then rounding noise, every phase ties in L2, and the reported
-    phase means nothing. Other norms get a coarse circle scan followed by golden-section
-    refinement of the angle to within tol. An optional domain mask restricts
+    phase means nothing. Other norms get a coarse circle scan followed by
+    golden-section refinement of the angle. An optional domain mask restricts
     both operands (values zeroed outside) before any norm is taken.
     """
     if norm is None:
@@ -437,18 +357,18 @@ def phase_inf_distance(
         return PhaseDistanceResult(ev(lam), lam, "closed-form", degenerate, 1)
 
     ev = norm.pair_evaluator(f, g)
-    angles = 2.0 * np.pi * np.arange(coarse) / coarse
+    angles = 2.0 * np.pi * np.arange(_SCAN_ANGLES) / _SCAN_ANGLES
     vals = [ev(complex(np.exp(1j * th))) for th in angles]
     i0 = int(np.argmin(vals))
-    step = 2.0 * np.pi / coarse
+    step = 2.0 * np.pi / _SCAN_ANGLES
     lo = angles[i0] - step
     hi = angles[i0] + step
-    theta, best, n = _golden_min(lambda th: ev(complex(np.exp(1j * th))), lo, hi, tol)
+    theta, best, n = _golden_min(lambda th: ev(complex(np.exp(1j * th))),
+                                 lo, hi, _SCAN_TOL)
     if vals[i0] < best:
         theta, best = float(angles[i0]), vals[i0]
-    return PhaseDistanceResult(
-        best, complex(np.exp(1j * theta)), "scan+refine", False, coarse + n
-    )
+    return PhaseDistanceResult(best, complex(np.exp(1j * theta)),
+                               "scan+refine", False, _SCAN_ANGLES + n)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +407,9 @@ def disjointness_witness(f, g, h, norm: Norm | None = None) -> float:
     return norm(overlap) / den
 
 
-def modulus_sobolev_ratio(obj, s, p: float = 2.0, r: float = 0.0) -> float:
-    """||  |f|  ||_{W^{s,p}_r} / || f ||_{W^{s,p}_r}.
-
-    Accepts a NormSpec in place of s, like frac_sobolev_norm.
-    """
+def modulus_sobolev_ratio(obj: Sampled, s: float, p: float = 2.0,
+                          r: float = 0.0) -> float:
+    """||  |f|  ||_{W^{s,p}_r} / || f ||_{W^{s,p}_r}."""
     den = frac_sobolev_norm(obj, s, p, r)
     if den == 0.0:
         raise ValueError("zero input has no modulus ratio")

@@ -1,7 +1,47 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import stftlab
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# public names that only tests call, each kept for a reason
+TEST_ONLY = {
+    "fourier": "tests pin the DFT convention through it",
+    "to_fock": "tests pin the Bargmann convention through it",
+}
+
+
+def _public_names() -> set:
+    names = set(stftlab._EXPORTS)
+    for info in pkgutil.iter_modules(stftlab.__path__):
+        mod = importlib.import_module(f"stftlab.{info.name}")
+        names.update(getattr(mod, "__all__", ()))
+    return names
+
+
+def _references() -> set:
+    """Every name read or attribute taken in the package and the benchmark,
+    plus the names the benchmark's tracer wraps (its TARGETS strings).
+    Definitions, imports and the string entries of __all__ and _EXPORTS are
+    not references."""
+    seen = set()
+    files = [*(ROOT / "src" / "stftlab").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                seen.update(c.value.split(".")[0] for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant)
+                            and isinstance(c.value, str))
+    return seen
 
 
 def test_exported_and_all_names_resolve():
@@ -13,3 +53,10 @@ def test_exported_and_all_names_resolve():
         mod = importlib.import_module(f"stftlab.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"stftlab.{info.name}.{name}"
+
+
+def test_every_public_name_has_a_caller():
+    unused = _public_names() - _references() - set(TEST_ONLY)
+    assert not unused, f"public names nothing in src or perfbench calls: " \
+                       f"{sorted(unused)}"
+    assert not set(TEST_ONLY) & _references(), "a TEST_ONLY name is now called"

@@ -77,32 +77,40 @@ def test_recover_reports_error_and_fraction(tmp_path, capsys):
     assert payload["threshold"] > 0.0
     from stftlab import io
 
-    assert io.load_signal(rec).grid.count == 256
+    assert io.load(rec).grid.count == 256
 
 
-def test_poincare_disk_and_glue(capsys):
+def test_poincare_disk_and_glue(tmp_path, capsys):
+    from stftlab import io
+    from stftlab.geometry import DomainMask, connectivity, gluing_bound
+
     code, out, _ = run_cli(capsys, "poincare", "--disk", "0,0,2.0",
                            "--L", "16", "--N", "256")
     assert code == 0
     payload = json.loads(out)
     assert payload["constant"] > 0.0
     assert payload["mu1"] > 0.0
-    code, out, _ = run_cli(capsys, "glue", "--ca", "1.0", "--cb", "1.0",
-                           "--lam", "0.5")
+    f, w, a, b = (str(tmp_path / n) for n in ("f.bin", "w.bin", "a.bin",
+                                              "b.bin"))
+    run_cli(capsys, "gen", "gaussian", "--out", f)
+    run_cli(capsys, "stft", f, "--phaseless", "--out", w)
+    field = io.load(w)
+    tg = field.tfgrid
+    ma = DomainMask.rectangle(tg, -8.0, 0.5, -8.0, 8.0)
+    mb = DomainMask.rectangle(tg, -0.5, 8.0, -8.0, 8.0)
+    io.dump_mask(ma.inside, tg, a)
+    io.dump_mask(mb.inside, tg, b)
+    code, out, _ = run_cli(capsys, "glue", "--ca", "1.0", "--cb", "2.0",
+                           "--connectivity", w, a, b)
     assert code == 0
-    bound = json.loads(out)["bound"]
-    assert bound == pytest.approx(math.sqrt(2.0) * (2.0 + math.sqrt(2.0)))
-
-
-def test_instability_ladder_csv(capsys):
-    code, out, _ = run_cli(capsys, "instability", "--L", "64", "--N", "512",
-                           "--n", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,j,ratio,target"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 2
-    assert float(rows[1][2]) > float(rows[0][2]) > 1.0
+    payload = json.loads(out)
+    lam = connectivity(field, ma, mb)
+    assert payload["lambda"] == lam
+    assert payload["bound"] == gluing_bound(1.0, 2.0, lam)
+    # the connectivity triple is the only way to give lambda
+    for argv in (["--lam", "0.5"], []):
+        code, _, err = run_cli(capsys, "glue", "--ca", "1", "--cb", "1", *argv)
+        assert code == 2 and "--connectivity" in err
 
 
 def test_cheeger_on_phaseless_density(tmp_path, capsys):
@@ -152,7 +160,15 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
                            "--config", str(cfg))
     assert code == 2
     assert "'trils'" in err
-    cfg.write_text('{"params": {"trials": 2}, "seed": 5}')
+    for patch, name in (('{"params": {"trials": "a"}}', "params.trials"),
+                        ('{"fixture": {"count": 1e12}}', "fixture.count"),
+                        ('{"params": {"trials": true}}', "params.trials")):
+        cfg.write_text(patch)
+        code, _, err = run_cli(capsys, "run", "isometry-sweep",
+                               "--config", str(cfg))
+        assert code == 2
+        assert name in err and "must be an integer" in err
+    cfg.write_text('{"params": {"trials": 2, "tol": 1}, "seed": 5}')
     out_dir = str(tmp_path / "patched")
     code, out, _ = run_cli(capsys, "run", "isometry-sweep",
                            "--config", str(cfg), "--out", out_dir)

@@ -107,6 +107,19 @@ def test_verify_detects_edited_table(tmp_path):
     assert broken and broken[0]["stored"]
 
 
+def test_verify_names_unknown_check_and_table(tmp_path):
+    ex.write_result(ex.run(ex.default_manifest("covariance-lattice")),
+                    tmp_path)
+    path = tmp_path / "summary.json"
+    stored = path.read_text()
+    for key, value in (("check", "col_close_col"), ("table", "gone")):
+        summary = json.loads(stored)
+        summary["assertions"][0][key] = value
+        path.write_text(json.dumps(summary))
+        with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
+            ex.verify_run(tmp_path)
+
+
 def test_plot_long_format(tmp_path):
     res = ex.run(ex.default_manifest("lp-reduction"))
     ex.write_result(res, tmp_path)
@@ -123,7 +136,6 @@ def test_plot_long_format(tmp_path):
 def test_infinite_values_survive_the_round_trip(tmp_path):
     res = ex.run(ex.default_manifest("prop21-gaussian-ratio"))
     ex.write_result(res, tmp_path)
-    header, rows = ex.verify_run, None
     text = (tmp_path / "ratios.csv").read_text()
     assert "inf" in text
     report = ex.verify_run(tmp_path)

@@ -1,17 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
-from stftlab.grids import Signal, TFField, make_grid, tf_grid_of
-from stftlab.io import (
-    dump_field,
-    dump_mask,
-    dump_signal,
-    load,
-    load_field,
-    load_signal,
-    signal_from_csv,
-    signal_to_csv,
-)
+from stftlab import cli
+from stftlab.grids import TFField, make_grid, tf_grid_of
+from stftlab.io import MAGIC, dump_field, dump_mask, dump_signal, load, signal_to_csv
 
 from conftest import random_signal
 
@@ -20,7 +14,7 @@ def test_signal_roundtrip(tmp_path, grid8):
     f = random_signal(grid8, seed=1)
     p = tmp_path / "sig.stfl"
     dump_signal(f, p)
-    g = load_signal(p)
+    g = load(p)
     assert g.grid == f.grid
     assert np.array_equal(g.values, f.values)
 
@@ -32,7 +26,7 @@ def test_field_roundtrip(tmp_path):
     field = TFField(tg, w)
     p = tmp_path / "field.stfl"
     dump_field(field, p)
-    back = load_field(p)
+    back = load(p)
     assert back.tfgrid == tg
     assert np.array_equal(back.values, field.values)
 
@@ -53,11 +47,12 @@ def test_mask_roundtrip(tmp_path, fill):
     assert np.array_equal(back, mask)
 
 
-def test_kind_mismatch_raises(tmp_path, grid8):
+def test_kind_mismatch_raises(tmp_path, grid8, capsys):
+    # a signal dump where a field is expected is a usage error
     p = tmp_path / "sig.stfl"
     dump_signal(random_signal(grid8), p)
-    with pytest.raises(ValueError):
-        load_field(p)
+    assert cli.main(["cheeger", str(p)]) == 2
+    assert "is not a field dump" in capsys.readouterr().err
 
 
 def test_bad_magic_raises(tmp_path):
@@ -76,22 +71,44 @@ def test_truncated_raises(tmp_path, grid8):
         load(p)
 
 
+def test_forged_header_is_refused_before_reading(tmp_path, capsys):
+    # 45 bytes that declare a 2^20 x 2^20 field (16 TiB of payload)
+    p = tmp_path / "huge.bin"
+    big = 2**20
+    p.write_bytes(MAGIC + struct.pack("<QQQdd", 2, big, big, 16.0, 16.0))
+    assert p.stat().st_size == 45
+    with pytest.raises(ValueError, match="truncated"):
+        load(p)
+    assert cli.main(["norm", str(p)]) == 2
+    assert "truncated container" in capsys.readouterr().err
+
+
+def test_mask_run_list_is_checked(tmp_path):
+    tg = tf_grid_of(make_grid(8.0, 64))
+    head = MAGIC + struct.pack("<QQQdd", 3, 64, 64, 8.0, 8.0)
+    p = tmp_path / "mask.bin"
+    # a run list longer than the file
+    p.write_bytes(head + struct.pack("<QQ", 1, 2**40))
+    with pytest.raises(ValueError, match="truncated"):
+        load(p)
+    # runs that do not sum to the cell count
+    p.write_bytes(head + struct.pack("<QQQQ", 1, 2, 100, 200))
+    with pytest.raises(ValueError, match="cover"):
+        load(p)
+    # runs that alternate from a first value of 1
+    p.write_bytes(head + struct.pack("<QQQQ", 1, 2, 100, 64 * 64 - 100))
+    mask, tg2 = load(p)
+    assert tg2 == tg
+    assert mask.ravel()[:100].all() and not mask.ravel()[100:].any()
+
+
 def test_csv_roundtrip(tmp_path, grid8):
     f = random_signal(grid8, seed=9)
     p = tmp_path / "sig.csv"
     signal_to_csv(f, p)
     header = p.read_text().splitlines()[0]
     assert header == "x,re,im"
-    back = signal_from_csv(p, grid=grid8)
+    x, re, im = np.loadtxt(p, delimiter=",", skiprows=1, unpack=True)
     # repr round-trips doubles exactly
-    assert np.array_equal(back.values, f.values)
-
-
-def test_csv_infers_grid(tmp_path, grid8):
-    f = Signal(grid8, np.exp(-grid8.points() ** 2))
-    p = tmp_path / "sig.csv"
-    signal_to_csv(f, p)
-    back = signal_from_csv(p)
-    assert back.grid.count == grid8.count
-    assert abs(back.grid.length - grid8.length) < 1e-9
-    assert np.max(np.abs(back.values - f.values)) == 0.0
+    assert np.array_equal(x, grid8.points())
+    assert np.array_equal(re + 1j * im, f.values)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stftlab.grids import Signal, TFField, cdft, fourier, gaussian, hermite, make_grid, tf_grid_of
+from stftlab.grids import Signal, TFField, cdft, gaussian, hermite, make_grid, tf_grid_of
 from stftlab.norms import (
     IntersectionNorm,
     LqNorm,
@@ -20,11 +20,6 @@ from stftlab.norms import (
     frac_sobolev_norm,
     inner_l2,
     japanese_bracket,
-    lp_high,
-    lp_low,
-    lp_multiplier,
-    lp_psi,
-    lp_range_valid,
     masked_h1_norm,
     modulus,
     modulus_sobolev_ratio,
@@ -185,8 +180,6 @@ def test_frac_sobolev_norm_is_sobolev_norm_object(rand16):
         for s, p, r in ((0.0, 2.0, 0.0), (0.7, 2.0, 0.0), (0.7, 2.0, 1.5),
                         (1.0, 3.0, 0.5), (2, 2, 1)):
             assert frac_sobolev_norm(obj, s, p, r) == SobolevNorm(s, p, r)(obj)
-        spec = NormSpec(s=0.5, p=2.0, r=1.0)
-        assert frac_sobolev_norm(obj, spec) == SobolevNorm(0.5, 2.0, 1.0)(obj)
 
 
 def test_field_l2_closed_form(grid16):
@@ -251,60 +244,6 @@ def test_pair_evaluator_matches_direct_assembly(grid16):
 def test_pair_evaluator_rejects_mismatched_grids(grid16, grid8):
     with pytest.raises(ValueError):
         LqNorm(2.0).pair_evaluator(random_signal(grid16), random_signal(grid8))
-
-
-# ---------------------------------------------------------------------------
-# smooth dyadic cutoffs
-
-
-def test_lp_psi_plateaus_are_exact():
-    t = np.array([0.0, 0.25, 0.5, 1.0])
-    assert np.all(lp_psi(t) == 1.0)
-    t = np.array([2.0, 2.5, 10.0])
-    assert np.all(lp_psi(t) == 0.0)
-    # near t = 1 the transition term is ~1e-44 and the ratio rounds to 1.0;
-    # test strict interior behavior where both branches are representable
-    mid = lp_psi(np.linspace(1.2, 1.9, 57))
-    assert np.all((mid > 0) & (mid < 1))
-    assert np.all(np.diff(mid) < 0)
-
-
-def test_multiplier_idempotence_bitwise(grid16):
-    m2 = lp_multiplier(grid16, 2)
-    m4 = lp_multiplier(grid16, 4)
-    # the wider band is exactly 1 on the support of the narrower one
-    assert np.array_equal(m4 * m2, m2)
-
-
-def _gaussian_field():
-    tg = tf_grid_of(make_grid(8.0, 64))
-    return TFField(tg, np.exp(-np.pi * (tg.xmesh() ** 2 + tg.wmesh() ** 2)))
-
-
-def test_band_partition(rand16):
-    for f in (rand16, _gaussian_field()):
-        for j in (1, 2, 3):
-            low, high = lp_low(f, j), lp_high(f, j)
-            assert type(low) is type(f) and type(high) is type(f)
-            rec = low.values + high.values
-            assert np.max(np.abs(rec - f.values)) < 1e-14 * np.max(np.abs(f.values))
-
-
-def test_projector_composition(rand16):
-    # P_{<4} acts as the identity on P_{<2} output, up to fft rounding
-    p2 = lp_low(rand16, 2)
-    p42 = lp_low(p2, 4)
-    assert np.max(np.abs(p42.values - p2.values)) <= 1e-13 * np.max(np.abs(p2.values))
-
-
-def test_lp_range_valid(grid16):
-    # nyquist of the 16/256 grid is 8
-    assert lp_range_valid(grid16, 3)
-    assert not lp_range_valid(grid16, 4)
-    tg = tf_grid_of(make_grid(16.0, 2048))
-    # omega axis is the dual grid with nyquist 64
-    assert lp_range_valid(tg, 6)
-    assert not lp_range_valid(tg, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -454,71 +393,11 @@ def test_inner_l2_hermite_orthogonality(grid16):
 # NormSpec parameter bundle
 
 
-def test_norm_spec_builders_and_threshold(grid16):
-    spec = NormSpec(s=1.0, p=2.0, r=1.0, q=2.0, sigma=1.0)
-    f = random_signal(grid16, seed=61)
-    assert spec.sobolev_norm()(f) == pytest.approx(
-        frac_sobolev_norm(f, 1.0, 2.0, 1.0), rel=1e-14
-    )
-    comp = spec.comparison_norm()
-    assert isinstance(comp, LqNorm) and comp.q == 2.0
-    assert frac_sobolev_norm(f, spec) == frac_sobolev_norm(f, 1.0, 2.0, 1.0)
-    assert modulus_sobolev_ratio(f, spec) == modulus_sobolev_ratio(f, 1.0, 2.0, 1.0)
-    assert spec.weight_norm()(f) == XpSigmaNorm(2.0, 1.0)(f)
-
-
-def test_norm_spec_modulus_threshold_flag():
-    assert NormSpec(s=1.4, p=2.0).below_modulus_threshold
-    assert not NormSpec(s=1.5, p=2.0).below_modulus_threshold
-    assert NormSpec(s=1.9, p=1.0).below_modulus_threshold
-    assert not NormSpec(s=2.0, p=1.0).below_modulus_threshold
-
-
 def test_norm_spec_validation():
     for bad in (dict(p=0.5), dict(p=math.inf), dict(q=0.0), dict(s=-1.0),
-                dict(r=-0.5), dict(sigma=-1.0)):
+                dict(r=-0.5)):
         with pytest.raises(ValueError):
             NormSpec(**bad)
-
-
-# ---------------------------------------------------------------------------
-# band pieces at the edges (the pieces lp_low / lp_high, their scale check)
-
-
-def test_littlewood_paley_modes_partition(rand16):
-    # the high piece is f minus the low piece, bit for bit, on both spaces
-    for f in (rand16, _gaussian_field()):
-        for j in (1, 2, 3):
-            low, high = lp_low(f, j), lp_high(f, j)
-            assert np.array_equal(high.values, f.values - low.values)
-
-
-def test_littlewood_paley_rejects_out_of_range(rand16):
-    # 2^4 = 16 exceeds the Nyquist frequency 8 of the 16/256 grid
-    assert lp_range_valid(rand16.space, 3)
-    assert not lp_range_valid(rand16.space, 4)
-
-
-def test_littlewood_paley_constant_passes_low(grid16):
-    const = Signal(grid16, np.ones(grid16.count))
-    out = lp_low(const, 1)
-    assert np.max(np.abs(out.values - 1.0)) < 1e-12
-
-
-def test_littlewood_paley_kills_far_high_wave(grid16):
-    # wave at |xi0| = 8 = 2^3 sits beyond the j=1 cutoff band [2,4]
-    x = grid16.points()
-    wave = Signal(grid16, np.exp(2j * np.pi * 8.0 * x))
-    out = lp_low(wave, 1)
-    assert riemann_lp(out.values, grid16.dx, 2.0) < 1e-8
-
-
-def test_lp_profile_rows(rand16):
-    # band-split Sobolev masses, one row per resolved scale
-    for j in (1, 2, 3):
-        low = frac_sobolev_norm(lp_low(rand16, j), 0.5, 2.0)
-        high = frac_sobolev_norm(lp_high(rand16, j), 0.5, 2.0)
-        assert low >= 0 and high >= 0 and lp_range_valid(rand16.space, j)
 
 
 # ---------------------------------------------------------------------------
