@@ -114,32 +114,35 @@ def _load_operand(path: str, flag: str, kind: str = "signal or field"):
 
 def _cmd_gen(args) -> int:
     from . import io
-    from .grids import gaussian, hermite, make_grid, modulate, random, translate
+    from .grids import gaussian, make_grid, modulate, random, translate
     from .rng import SplitMix64
+    from .transforms import parse_window
 
     grid = _flag("--L/--N", lambda _: make_grid(args.L, args.N), None)
-    kind, _, arg = args.kind.partition(":")
-    if kind == "gaussian" and not arg:
-        sig = gaussian(grid, center=args.center, modulation=args.modulation)
-    elif kind == "hermite":
-        order = _flag("kind", int, arg or "0")
-        sig = hermite(grid, order)
-        if args.center:
-            sig = translate(sig, args.center)
-        if args.modulation:
-            sig = modulate(sig, args.modulation)
-    elif kind == "random" and not arg:
-        sig = random(grid, SplitMix64(args.seed))
+    ignored = ("center", "modulation") if args.kind == "random" else ("seed",)
+    for flag in ignored:
+        if getattr(args, flag) is not None:
+            raise _Usage(f"argument --{flag}: not used by kind {args.kind}")
+    if args.kind == "random":
+        sig = random(grid, SplitMix64(args.seed or 0))
     else:
-        raise _Usage(f"argument kind: unknown fixture {args.kind!r}; "
-                     f"expected gaussian, hermite:N or random")
+        try:
+            spec = parse_window(args.kind)
+        except ValueError as e:
+            raise _Usage(f"argument kind: {e}; expected gaussian, hermite:N "
+                         f"or random") from None
+        center, modulation = args.center or 0.0, args.modulation or 0.0
+        if spec.kind == "gaussian":
+            sig = gaussian(grid, center=center, modulation=modulation)
+        else:
+            sig = spec.build(grid)
+            if center:
+                sig = translate(sig, center)
+            if modulation:
+                sig = modulate(sig, modulation)
     if args.format == "bin":
-        if args.out is None:
-            raise _Usage("argument --out: required for binary output")
         io.dump_signal(sig, args.out)
     else:
-        if args.out is None:
-            raise _Usage("argument --out: required for csv output")
         io.signal_to_csv(sig, args.out)
     return 0
 
@@ -182,9 +185,7 @@ def _cmd_cheeger(args) -> int:
     field = _load_operand(args.density, "density", "field")
     report = cheeger_estimate(field, thresholds=args.thresholds,
                               centers=args.centers, radii=args.radii,
-                              directions=args.directions,
-                              offsets=args.offsets,
-                              smoothing=args.smoothing)
+                              directions=args.directions, offsets=args.offsets)
     _emit({"value": report.value, "family": report.family,
            "params": report.params, "total_mass": report.total_mass},
           args.out)
@@ -235,7 +236,7 @@ def _cmd_glue(args) -> int:
 
 def _cmd_recover(args) -> int:
     from . import io
-    from .norms import phase_inf_distance
+    from .norms import phase_inf_distance, riemann_lp
     from .transforms import parse_window, recover
 
     meas = _load_operand(args.measurement, "measurement", "field")
@@ -245,10 +246,7 @@ def _cmd_recover(args) -> int:
     if args.reference is not None:
         ref = _load_operand(args.reference, "--reference", "signal")
         res = phase_inf_distance(ref, result.signal)
-        import numpy as np
-
-        scale = float(np.sqrt(np.sum(np.abs(ref.values) ** 2)
-                              * ref.grid.dx))
+        scale = riemann_lp(ref.values, ref.grid.dx, 2.0)
         error = res.distance / scale if scale > 0 else float("inf")
     if args.out is not None:
         io.dump_signal(result.signal, args.out)
@@ -390,12 +388,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="period of the grid (default 16)")
     p.add_argument("--N", type=int, default=256,
                    help="sample count (default 256)")
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--modulation", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for kind random")
+    p.add_argument("--center", type=float,
+                   help="on-grid shift of gaussian and hermite:N (default 0)")
+    p.add_argument("--modulation", type=float,
+                   help="on-grid modulation of gaussian and hermite:N "
+                        "(default 0)")
+    p.add_argument("--seed", type=int,
+                   help="seed of kind random (default 0)")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
-    p.add_argument("--out", help="output path")
+    p.add_argument("--out", required=True, help="output path")
 
     p = add("stft", "transform a signal dump to a field dump", _cmd_stft)
     p.add_argument("signal", help="signal dump")
@@ -428,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=int, default=16)
     p.add_argument("--directions", type=int, default=64)
     p.add_argument("--offsets", type=int, default=33)
-    p.add_argument("--smoothing", type=float, default=2.0)
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("poincare", "weighted Poincare constant of a domain",

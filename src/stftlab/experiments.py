@@ -53,13 +53,14 @@ from .grids import (
     translate,
 )
 from .norms import (
-    LqNorm,
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,
     disjointness_witness,
     japanese_bracket,
     masked_h1_norm,
+    modulus,
+    modulus_difference,
     modulus_sobolev_ratio,
     phase_inf_distance,
     riemann_lp,
@@ -489,10 +490,6 @@ def _l2(obj) -> float:
     return riemann_lp(obj.values, obj.space.cell, 2.0)
 
 
-def _modulus_field(fld: TFField) -> TFField:
-    return TFField(fld.tfgrid, np.abs(fld.values).astype(np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # runners
 #
@@ -570,7 +567,7 @@ def _recovery_rows(grid, signals, window, noise=None, threshold=None):
         if noise is not None:
             m = noise(m, sname)
         rec = recover(m, window, threshold=threshold)
-        err = phase_inf_distance(rec.signal, f, LqNorm(2.0)).distance
+        err = phase_inf_distance(rec.signal, f).distance
         rows.append([sname, err / _l2(f), rec.masked_fraction,
                      rec.threshold])
     return rows
@@ -629,17 +626,17 @@ def _run_recover_noisy(manifest, fx, pr):
     return tables, specs, {"snr_db": snr}
 
 
-def _ladder_schedule(fx, pr):
-    grid = _grid(fx)
-    p, q, sigma = pr["p"], pr["q"], fx["sigma"]
-    seed_sig = normalize_seed(gaussian(grid), p, q)
+def _ladder_schedule(fx, pr, sigma):
+    """The annulus ladder of the normalized gaussian seed, and its bumps."""
+    p, q = pr["p"], pr["q"]
+    seed_sig = normalize_seed(gaussian(_grid(fx)), p, q)
     sched = select_annulus_schedule(seed_sig, sigma, p, q,
                                     n_max=pr["n_max"])
     return sched, build_bumps(sched)
 
 
 def _run_gaussian_ratio(manifest, fx, pr):
-    sched, bumps = _ladder_schedule(fx, pr)
+    sched, bumps = _ladder_schedule(fx, pr, fx["sigma"])
     p, q, delta = pr["p"], pr["q"], pr["delta"]
     den = XpSigmaNorm(p, fx["sigma"])
     results = []
@@ -702,14 +699,9 @@ def _run_gaussian_ratio(manifest, fx, pr):
 
 
 def _run_bump_bounds(manifest, fx, pr):
-    p, q = pr["p"], pr["q"]
-    grid = _grid(fx)
     bound_rows, slope_rows, report_rows = [], [], []
     for sigma in fx["sigmas"]:
-        seed_sig = normalize_seed(gaussian(grid), p, q)
-        sched = select_annulus_schedule(seed_sig, sigma, p, q,
-                                        n_max=pr["n_max"])
-        bumps = build_bumps(sched)
+        sched, bumps = _ladder_schedule(fx, pr, sigma)
         report = verify_bump_bounds(sched, bumps)
         for r in report.rows:
             bound_rows.append([sigma, r.n, r.j, r.gub_lp_ratio,
@@ -766,7 +758,7 @@ def _run_sobolev_ratio(manifest, fx, pr):
                                   pr["n_max"], pr["delta"])
     den = SobolevNorm(pr["s"], pr["p"], pr["r"])
     va = stft(fam.perturbed, w)
-    ratio_rows, lp_rows = [], []
+    ratio_rows = []
     members = [("base", fam.base)] + [
         (f"flip{k}", fam.flipped[k]) for k in range(pr["n_max"])]
     for k in range(pr["n_max"]):
@@ -775,21 +767,12 @@ def _run_sobolev_ratio(manifest, fx, pr):
         ratio_rows.append([k, fam.ladder[k], fam.scales[k], res.ratio,
                            res.target, int(res.saturated),
                            int(res.degenerate)])
-    am = _modulus_field(va)
-    for label, sig in members:
-        bm = _modulus_field(stft(sig, w))
-        for row in lp_reduction_rows(field_difference(bm, am), am, bm,
-                                     pr["s"], pr["p"]):
-            lp_rows.append([label, row["j"], row["lhs"], row["low_term"],
-                            row["high_term"], row["constant_needed"],
-                            pr["lp_cap"]])
     tables = {
         "ratios": (["k", "a", "scale", "ratio", "target", "saturated",
                     "degenerate"], ratio_rows),
         "closeness": (["closeness", "cap"],
                       [[fam.closeness, pr["closeness"]]]),
-        "band_split": (["pair", "j", "lhs", "low_term", "high_term",
-                        "constant_needed", "cap"], lp_rows),
+        "band_split": _band_split_table(modulus(va), members, w, pr),
     }
     specs = [
         _assertion("forge.sobolev-ratio",
@@ -808,6 +791,21 @@ def _run_sobolev_ratio(manifest, fx, pr):
     return tables, specs, extra
 
 
+def _band_split_table(am, members, window, pr):
+    """lp_reduction_rows of |V sig| against the modulus field am, one block
+    of rows per (label, sig) member."""
+    rows = []
+    for label, sig in members:
+        bm = modulus(stft(sig, window))
+        for row in lp_reduction_rows(field_difference(bm, am), am, bm,
+                                     pr["s"], pr["p"]):
+            rows.append([label, row["j"], row["lhs"], row["low_term"],
+                         row["high_term"], row["constant_needed"],
+                         pr["lp_cap"]])
+    return (["pair", "j", "lhs", "low_term", "high_term", "constant_needed",
+             "cap"], rows)
+
+
 def _run_lp_reduction(manifest, fx, pr):
     grid = _grid(fx)
     w = parse_window(fx["window"])
@@ -818,17 +816,8 @@ def _run_lp_reduction(manifest, fx, pr):
         ("shifted", translate(base, pr["shift"])),
         ("modulated", modulate(base, pr["modulation"])),
     ]
-    am = _modulus_field(stft(base, w))
-    rows = []
-    for label, sig in others:
-        bm = _modulus_field(stft(sig, w))
-        for row in lp_reduction_rows(field_difference(bm, am), am, bm,
-                                     pr["s"], pr["p"]):
-            rows.append([label, row["j"], row["lhs"], row["low_term"],
-                         row["high_term"], row["constant_needed"],
-                         pr["lp_cap"]])
-    tables = {"band_split": (["pair", "j", "lhs", "low_term", "high_term",
-                              "constant_needed", "cap"], rows)}
+    tables = {"band_split": _band_split_table(modulus(stft(base, w)), others,
+                                              w, pr)}
     specs = [_assertion(
         "norms.band-split",
         "band-split constants stay under the pinned cap on modulus pairs",
@@ -882,13 +871,13 @@ def _run_cheeger_gaussian(manifest, fx, pr):
 
 
 def _run_cheeger_trend(manifest, fx, pr):
-    sched, bumps = _ladder_schedule(fx, pr)
+    sched, bumps = _ladder_schedule(fx, pr, fx["sigma"])
     delta = pr["delta"]
     sweep = pr["sweep"]
     rows = []
     for n in range(pr["n_max"] + 1):
         sig = assemble_pair(sched, bumps, delta, n).core if n else sched.seed
-        W = _modulus_field(stft(sig))
+        W = modulus(stft(sig))
         rep = cheeger_estimate(W, **sweep)
         rows.append([n, rep.value, rep.family])
     tables = {"trend": (["n", "value", "family"], rows)}
@@ -924,13 +913,10 @@ def _half_masks(tg: TFGrid, omega: DomainMask, axis: str, overlap: float):
 
 def _stability_lower_bound(vf, adversary_fields, mask, r):
     best = 0.0
+    vf_on = vf.restrict(mask.inside)
     for vg in adversary_fields:
-        num = phase_inf_distance(vf, vg, LqNorm(2.0),
-                                 domain=mask.inside).distance
-        diff = TFField(vf.tfgrid,
-                       (np.abs(vf.values)
-                        - np.abs(vg.values)).astype(np.complex128))
-        den = masked_h1_norm(diff, mask.inside, r=r)
+        num = phase_inf_distance(vf_on, vg.restrict(mask.inside)).distance
+        den = masked_h1_norm(modulus_difference(vf, vg), mask.inside, r=r)
         if den > 0.0:
             best = max(best, num / den)
     return best
@@ -1139,7 +1125,7 @@ def _run_modulus_threshold(manifest, fx, pr):
 
 
 def _run_disjointness(manifest, fx, pr):
-    sched, bumps = _ladder_schedule(fx, pr)
+    sched, bumps = _ladder_schedule(fx, pr, fx["sigma"])
     delta, c_link = pr["delta"], pr["c_link"]
     rows, gapless_rows = [], []
     # the witness regime needs an annulus gap between core and tail; at
@@ -1155,8 +1141,7 @@ def _run_disjointness(manifest, fx, pr):
     grid = sched.seed.grid
     g = gaussian(grid)
     half = grid.points() < 0.0
-    left = Signal(grid, np.where(half, g.values, 0.0))
-    right = Signal(grid, np.where(~half, g.values, 0.0))
+    left, right = g.restrict(half), g.restrict(~half)
     # case labels name the contract in the disjointness_witness docstring
     edge_rows = [
         ["disjoint",

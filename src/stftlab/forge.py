@@ -28,6 +28,7 @@ from .norms import (
     ball_lp,
     frac_sobolev_norm,
     japanese_bracket,
+    modulus_difference,
     phase_inf_distance,
     riemann_lp,
     tail_weighted_lp,
@@ -178,10 +179,6 @@ def _intersection_norm(schedule: AnnulusSchedule) -> Norm:
     ])
 
 
-def _masked(sig: Signal, keep: np.ndarray) -> Signal:
-    return Signal(sig.grid, np.where(keep, sig.values, 0.0))
-
-
 @dataclass(frozen=True)
 class BoundRow:
     n: int
@@ -265,16 +262,16 @@ def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
         gub_lp_ratio = lp / (scale * h_lp)
         gub_x_scaled = xnorm(eps) * 2.0 ** n
 
-        mcb = riemann_lp(np.where(mask, eps.values, 0.0), grid.dx, schedule.q)
+        mcb = riemann_lp(eps.restrict(mask).values, grid.dx, schedule.q)
         mcb_product = mcb * 2.0 ** n * bracket_sig
 
-        mtb = xnorm(_masked(eps, ~mask))
+        mtb = xnorm(eps.restrict(~mask))
         mtb_bound = 2.0 ** (-4 * n) / bracket_sig
         mtb_ratio = mtb / mtb_bound
 
         sob = 0.0
         for earlier in bumps[:m]:
-            sob = max(sob, xnorm(_masked(earlier, mask)))
+            sob = max(sob, xnorm(earlier.restrict(mask)))
         sob_bound = 2.0 ** (-3 * n) / bracket_sig
         sob_ratio = sob / sob_bound
 
@@ -366,7 +363,7 @@ def field_instability_ratio(a: Sampled, b: Sampled, n: int, q: float,
     instability statement can be extracted: degenerate.
     """
     num = phase_inf_distance(a, b, LqNorm(q)).distance
-    den = denominator(a.like(np.abs(a.values) - np.abs(b.values)))
+    den = denominator(modulus_difference(a, b))
     target = 2.0 ** n
     if den == 0.0:
         if num == 0.0:
@@ -481,8 +478,7 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
                              spec.p, spec.q)
     schedule = select_annulus_schedule(profile, spec.r, spec.p, spec.q, n_max)
     ladder = tuple(1.5 * j for j in schedule.radii)
-    scales = tuple(2.0 ** (-(m + 1)) * japanese_bracket(float(j)) ** (-spec.r)
-                   for m, j in enumerate(schedule.radii))
+    scales = schedule.scales
 
     strong = IntersectionNorm([
         SobolevNorm(spec.s + 0.25, spec.p, spec.r),

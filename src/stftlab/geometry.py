@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from .grids import TFField, TFGrid
-from .norms import field_gradient, riemann_lp
+from .norms import field_gradient, modulus, phase_inf_distance, riemann_lp
 from .transforms import FockField, fock_exponent
 
 __all__ = [
@@ -239,7 +239,11 @@ def _polyline_integral(xs, ys, wvals, px, py) -> float:
     return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * seg))
 
 
-def cheeger_estimate(W: TFField, thresholds: int = 256, smoothing: float = 2.0,
+# width in cells of the Gaussian filter behind the level-set family
+_SMOOTHING = 2.0
+
+
+def cheeger_estimate(W: TFField, thresholds: int = 256,
                      centers: int = 9, radii: int = 16,
                      directions: int = 64, offsets: int = 33) -> CheegerReport:
     """Scan candidate domains for a small boundary-to-mass quotient of W.
@@ -249,7 +253,7 @@ def cheeger_estimate(W: TFField, thresholds: int = 256, smoothing: float = 2.0,
     half-planes over a direction-by-offset lattice. Boundary integrals use
     bilinear interpolation of the raw W along the candidate boundary; mass
     integrals are Riemann sums of raw W over the candidate; only candidates
-    holding at most half the total mass count. smoothing is in cells.
+    holding at most half the total mass count.
     """
     vals = np.ascontiguousarray(W.values.real, dtype=float)
     if (vals < -1e-12 * max(vals.max(), 1.0)).any():
@@ -289,7 +293,7 @@ def cheeger_estimate(W: TFField, thresholds: int = 256, smoothing: float = 2.0,
         if feasible and (best is None or ratio < best[0]):
             best = (ratio, familyname, params, mask)
 
-    sm = gaussian_filter(vals, sigma=smoothing, mode="constant")
+    sm = gaussian_filter(vals, sigma=_SMOOTHING, mode="constant")
     top = sm.max()
     for k in range(1, thresholds):
         level = top * k / thresholds
@@ -362,10 +366,6 @@ def cheeger_estimate(W: TFField, thresholds: int = 256, smoothing: float = 2.0,
 # connectivity and gluing
 
 
-def _masked_l2(vals: np.ndarray, cell: float, mask: np.ndarray) -> float:
-    return riemann_lp(np.where(mask, vals, 0.0), cell, 2.0)
-
-
 def connectivity(W: TFField, A: DomainMask, B: DomainMask) -> float:
     """Overlap quotient ||W||_{L2(A and B)} / (||W||_{L2(A)} + ||W||_{L2(B)}).
 
@@ -375,13 +375,15 @@ def connectivity(W: TFField, A: DomainMask, B: DomainMask) -> float:
     """
     if A.tfgrid != W.tfgrid or B.tfgrid != W.tfgrid:
         raise ValueError("masks and field live on different grids")
-    vals = np.abs(W.values)
-    cell = W.tfgrid.cell
-    overlap = A.inside & B.inside
-    num = _masked_l2(vals, cell, overlap)
+    mod = modulus(W)
+
+    def l2_on(region):
+        return riemann_lp(mod.restrict(region).values, W.tfgrid.cell, 2.0)
+
+    num = l2_on(A.inside & B.inside)
     if num == 0.0:
         raise ValueError("overlap carries no mass")
-    den = _masked_l2(vals, cell, A.inside) + _masked_l2(vals, cell, B.inside)
+    den = l2_on(A.inside) + l2_on(B.inside)
     # a masked sum can exceed its superset by rounding only; the quotient is
     # capped at the exact upper end of its range
     return min(num / den, 0.5)
@@ -526,7 +528,7 @@ def poincare_constant(mask: DomainMask,
 class CertificateReport:
     """Measured ingredients of the region-stability estimate.
 
-    t1, t2, t3 are the Gaussian-weighted L^p sizes of the modulus difference,
+    t1, t2, t3 are the Gaussian-weighted L^2 sizes of the modulus difference,
     the gradient difference, and the log-derivative coupling term; bound is
     poincare * (t1 + t2 + t3) and sound records whether the measured phase
     distance stayed below it.
@@ -584,18 +586,11 @@ def _winding_zero_cells(values: np.ndarray) -> np.ndarray:
     return zeros
 
 
-def _weighted_modulus(f: FockField) -> np.ndarray:
-    """|F| e^{-pi |z|^2 / 2}, recovered exactly even where the stored field
-    was exponent-clamped (the clamp cancels)."""
-    return np.abs(f.field.values) * np.exp(-fock_exponent(f.field.tfgrid))
-
-
 # cells outside the excised zeros must keep |F| above this share of its max
 _WEIGHT_FLOOR = 1e-6
 
 
 def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
-                          p: float = 2.0,
                           excise_cells: int = 3) -> CertificateReport:
     """Measure the three-term stability estimate on a masked region.
 
@@ -603,7 +598,8 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
     mirroring the reduction to the zero-free case: the phase difference the
     estimate controls is only single-valued when neither field winds inside
     the domain. All terms are evaluated with the Gaussian weight folded in:
-    the substitutions m = |F| e^{-pi|z|^2/2},
+    the substitutions m = |F| e^{-pi|z|^2/2} (exact even where the stored
+    field was exponent-clamped: the clamp cancels),
     grad|F| e^{-pi|z|^2/2} = grad m + pi z m and grad|F|/|F| =
     grad log m + pi z make every ingredient finite-precision-safe and equal
     to its weighted-measure counterpart exactly.
@@ -612,11 +608,10 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
         raise ValueError("fields live on different grids")
     if mask.tfgrid != f1.field.tfgrid:
         raise ValueError("mask lives on a different grid")
-    if p < 1:
-        raise ValueError("p must be >= 1")
     tg = mask.tfgrid
-    m1 = _weighted_modulus(f1)
-    m2 = _weighted_modulus(f2)
+    damp = np.exp(-fock_exponent(tg))
+    m1 = np.abs(f1.field.values) * damp
+    m2 = np.abs(f2.field.values) * damp
     omega = mask.inside
     if not omega.any():
         raise ValueError("empty domain mask")
@@ -649,22 +644,19 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
     lx, ly = field_gradient(TFField(tg, logm1))
     log_deriv = np.hypot(lx + math.pi * x, ly + math.pi * w)
 
-    def lp_over(arr):
-        return riemann_lp(np.where(dom, arr, 0.0), cell, p)
+    def l2_over(arr):
+        return riemann_lp(TFField(tg, arr).restrict(dom).values, cell, 2.0)
 
-    t1 = lp_over(diff)
-    t2 = lp_over(grad_term)
-    t3 = lp_over(log_deriv * np.abs(diff))
+    t1 = l2_over(diff)
+    t2 = l2_over(grad_term)
+    t3 = l2_over(log_deriv * np.abs(diff))
 
-    from .norms import LqNorm, phase_inf_distance
-
-    damp = np.exp(-fock_exponent(tg))
-    c1 = TFField(tg, f1.field.values * damp)
-    c2 = TFField(tg, f2.field.values * damp)
-    distance = phase_inf_distance(c1, c2, LqNorm(p), domain=dom).distance
+    c1 = TFField(tg, f1.field.values * damp).restrict(dom)
+    c2 = TFField(tg, f2.field.values * damp).restrict(dom)
+    distance = phase_inf_distance(c1, c2).distance
 
     cpoinc, preport = poincare_constant(
-        DomainMask(tg, dom), TFField(tg, (m1 ** p).astype(np.complex128)))
+        DomainMask(tg, dom), TFField(tg, (m1 ** 2).astype(np.complex128)))
     bound = cpoinc * (t1 + t2 + t3)
     sound = bound >= distance or (bound == 0.0 and distance == 0.0)
     return CertificateReport(

@@ -19,7 +19,8 @@ of the transform: `cell` and `dual_cell` (the measure of one sample and of one
 spectral sample), `shape`, `radius()` (|x|, or |z| on the plane),
 `freq_radius()` (the same on the dual grid), and `fft(a)`/`ifft(a)` (the
 centred DFT over every axis and its inverse, without cell factors). Both
-objects derive from Sampled: `space` is their grid, `like(values)` rewraps.
+objects derive from Sampled: `space` is their grid, `like(values)` rewraps,
+and `restrict(mask)` zeroes the values outside a region.
 """
 
 from __future__ import annotations
@@ -141,6 +142,14 @@ class Sampled:
     def like(self, values: np.ndarray) -> "Sampled":
         """The same kind of object on the same space, carrying new values."""
         return type(self)(self.space, values)
+
+    def restrict(self, mask: np.ndarray) -> "Sampled":
+        """Values zeroed outside a region: the one restriction to a subset."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.space.shape:
+            raise ValueError(f"mask shape {mask.shape} does not match the "
+                             f"sample space {self.space.shape}")
+        return self.like(np.where(mask, self.values, 0.0))
 
 
 @dataclass
@@ -286,6 +295,14 @@ def boundary_decay(f: Signal) -> float:
     return float(max(v[0], v[-1]) / peak)
 
 
+def _unit_norm(sig: Signal, tol: float, what: str) -> Signal:
+    """sig, once its Riemann L2 norm is 1 within tol (a coarse grid fails)."""
+    norm = np.sqrt(sig.grid.dx * np.sum(np.abs(sig.values) ** 2))
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"grid too coarse for {what} (measured norm {norm!r})")
+    return sig
+
+
 def gaussian(grid: Grid1D, center: float = 0.0, modulation: float = 0.0) -> Signal:
     """Unit L2-norm Gaussian 2^{1/4} exp(-pi (x-c)^2) exp(2 pi i eta x).
 
@@ -302,13 +319,7 @@ def gaussian(grid: Grid1D, center: float = 0.0, modulation: float = 0.0) -> Sign
     vals = 2.0**0.25 * np.exp(-np.pi * (x - center) ** 2) * np.exp(
         2j * np.pi * modulation * x
     )
-    sig = Signal(grid, vals)
-    norm = np.sqrt(grid.dx * np.sum(np.abs(vals) ** 2))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(
-            f"grid too coarse for a unit-norm gaussian (measured norm {norm!r})"
-        )
-    return sig
+    return _unit_norm(Signal(grid, vals), 1e-8, "a unit-norm gaussian")
 
 
 def hermite(grid: Grid1D, n: int) -> Signal:
@@ -332,12 +343,7 @@ def hermite(grid: Grid1D, n: int) -> Signal:
             f"hermite order {n} does not decay below {BOUNDARY_DECAY_TOL} at the "
             f"grid boundary (edge ratio {boundary_decay(sig):.3e}); enlarge the grid"
         )
-    norm = np.sqrt(grid.dx * np.sum(np.abs(vals) ** 2))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(
-            f"grid too coarse for hermite({n}) (measured norm {norm!r})"
-        )
-    return sig
+    return _unit_norm(sig, 1e-6, f"hermite({n})")
 
 
 def random(grid: Grid1D, rng: SplitMix64) -> Signal:

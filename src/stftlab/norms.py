@@ -39,6 +39,7 @@ __all__ = [
     "phase_inf_distance",
     "disjointness_witness",
     "modulus",
+    "modulus_difference",
     "modulus_sobolev_ratio",
     "field_gradient",
     "masked_h1_norm",
@@ -86,14 +87,14 @@ def inner_l2(f: Sampled, g: Sampled) -> complex:
 def ball_lp(obj: Sampled, p: float, radius: float = 1.0) -> float:
     """L^p norm restricted to the centered ball of the given radius."""
     sp = obj.space
-    return riemann_lp(np.where(sp.radius() <= radius, obj.values, 0.0), sp.cell, p)
+    return riemann_lp(obj.restrict(sp.radius() <= radius).values, sp.cell, p)
 
 
 def tail_weighted_lp(obj: Sampled, p: float, sigma: float, cutoff: float) -> float:
     """||<x>^sigma f||_p over the tail region |x| >= cutoff."""
     sp = obj.space
-    w = _weighted(obj.values, sp, sigma)
-    return riemann_lp(np.where(sp.radius() >= cutoff, w, 0.0), sp.cell, p)
+    tail = obj.restrict(sp.radius() >= cutoff).values
+    return riemann_lp(_weighted(tail, sp, sigma), sp.cell, p)
 
 
 def bessel_potential(obj: Sampled, s: float) -> Sampled:
@@ -320,16 +321,7 @@ def _golden_min(fun, a: float, b: float, tol: float) -> tuple[float, float, int]
     return (c, fc, n) if fc <= fd else (d, fd, n)
 
 
-def _apply_domain(obj, domain):
-    mask = np.asarray(getattr(domain, "inside", domain), dtype=bool)
-    v = np.asarray(obj.values)
-    if mask.shape != v.shape:
-        raise ValueError("domain mask shape does not match the operand")
-    return obj.like(np.where(mask, v, 0.0))
-
-
-def phase_inf_distance(f, g, norm: Norm | None = None,
-                       domain=None) -> PhaseDistanceResult:
+def phase_inf_distance(f, g, norm: Norm | None = None) -> PhaseDistanceResult:
     """Minimize ||f - lambda g|| over unimodular lambda.
 
     The L2 case has the closed form lambda = <f, g> / |<f, g>| (lambda = 1 for
@@ -337,15 +329,12 @@ def phase_inf_distance(f, g, norm: Norm | None = None,
     |<f, g>| <= n eps ||f||_2 ||g||_2 with n the sample count: the inner
     product is then rounding noise, every phase ties in L2, and the reported
     phase means nothing. Other norms get a coarse circle scan followed by
-    golden-section refinement of the angle. An optional domain mask restricts
-    both operands (values zeroed outside) before any norm is taken.
+    golden-section refinement of the angle. The distance on a region is the
+    distance of the restricted operands, f.restrict(mask) and g.restrict(mask).
     """
     if norm is None:
         norm = LqNorm(2.0)
     _same_geometry(f, g)
-    if domain is not None:
-        f = _apply_domain(f, domain)
-        g = _apply_domain(g, domain)
     if isinstance(norm, LqNorm) and norm.q == 2.0:
         ip = inner_l2(f, g)
         lam = ip / abs(ip) if ip != 0 else 1.0 + 0.0j
@@ -380,10 +369,16 @@ def modulus(obj: Sampled) -> Sampled:
     return obj.like(np.abs(np.asarray(obj.values)))
 
 
-def disjointness_witness(f, g, h, norm: Norm | None = None) -> float:
+def modulus_difference(a: Sampled, b: Sampled) -> Sampled:
+    """|a| - |b| on the space of a: the modulus distance every stability
+    constant divides by."""
+    return a.like(np.abs(a.values) - np.abs(b.values))
+
+
+def disjointness_witness(f, g, h) -> float:
     """Overlap witness for a decomposition f = g + h:
 
-        rho = || min(|g|, |h|) || / min(||g||, ||h||).
+        rho = || min(|g|, |h|) ||_2 / min(||g||_2, ||h||_2).
 
     A tiny rho certifies that the parts barely share support, which is the
     raw material of a local phase-retrieval instability (flip the sign of one
@@ -391,8 +386,7 @@ def disjointness_witness(f, g, h, norm: Norm | None = None) -> float:
     exactly for disjoint supports. The decomposition must actually sum to f
     and neither part may vanish.
     """
-    if norm is None:
-        norm = LqNorm(2.0)
+    norm = LqNorm(2.0)
     _same_geometry(f, g)
     _same_geometry(g, h)
     vf, vg, vh = f.values, g.values, h.values

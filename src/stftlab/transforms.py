@@ -90,12 +90,6 @@ class WindowSpec:
             raise ValueError("sampled window lives on a different grid")
         return self.sample
 
-    @property
-    def label(self) -> str:
-        if self.kind == "hermite":
-            return f"hermite({self.order})"
-        return self.kind
-
 
 def parse_window(text: str) -> WindowSpec:
     """"gaussian" or "hermite:N"."""
@@ -112,16 +106,6 @@ def parse_window(text: str) -> WindowSpec:
     raise ValueError(f"bad window spec {text!r}")
 
 
-def _window_signal(window, grid: Grid1D) -> Signal:
-    if isinstance(window, WindowSpec):
-        return window.build(grid)
-    if isinstance(window, Signal):
-        if window.grid != grid:
-            raise ValueError("window lives on a different grid")
-        return window
-    raise TypeError("window must be a WindowSpec or a Signal")
-
-
 def _stft_values(fv: np.ndarray, wv: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Rows indexed by window center x_i, columns by frequency."""
     n = grid.count
@@ -134,23 +118,20 @@ def _stft_values(fv: np.ndarray, wv: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
-def stft(f: Signal, window=WindowSpec("gaussian"), tf: TFGrid | None = None) -> TFField:
+def stft(f: Signal, window: WindowSpec = WindowSpec("gaussian")) -> TFField:
     """V_w f(x, omega) = integral of f(t) conj(w(t-x)) e^{-2 pi i t omega} dt.
 
     Row x is the Fourier transform of the windowed slice, so the whole field
     costs one batched FFT pass. With a unit window the map is an L2 isometry
-    up to the boundary mass of the fixtures.
+    up to the boundary mass of the fixtures. The field lives on
+    tf_grid_of(f.grid).
     """
     grid = f.grid
-    if tf is None:
-        tf = tf_grid_of(grid)
-    elif tf.xgrid != grid or tf.wgrid != grid.dual():
-        raise ValueError("TF grid incompatible with the signal grid")
-    w = _window_signal(window, grid)
-    return TFField(tf, _stft_values(f.values, w.values, grid))
+    w = window.build(grid)
+    return TFField(tf_grid_of(grid), _stft_values(f.values, w.values, grid))
 
 
-def covariance_residual(f: Signal, window, u: float, eta: float) -> float:
+def covariance_residual(f: Signal, window: WindowSpec, u: float, eta: float) -> float:
     """Sup-norm defect of V(T_u M_eta f) = e^{-2 pi i u omega} V f(.-u, .-eta).
 
     Shifts must be on-grid; then both sides are exact index rolls and the
@@ -175,7 +156,7 @@ def ambiguity(f: Signal) -> TFField:
     return TFField(tf, twist * v)
 
 
-def phaseless(f: Signal, window=WindowSpec("gaussian")) -> TFField:
+def phaseless(f: Signal, window: WindowSpec = WindowSpec("gaussian")) -> TFField:
     """|V_w f|^2, the measurement a phase-retrieval problem starts from."""
     v = stft(f, window)
     return TFField(v.tfgrid, np.abs(v.values) ** 2)
@@ -203,7 +184,7 @@ def _measurement_fourier_side(m: TFField) -> np.ndarray:
 
 def ambiguity_relation_residual(f: Signal, window=WindowSpec("gaussian")) -> float:
     """Relative sup defect of F(|V_w f|^2)(omega, -x) = A f . conj(A w)."""
-    w = _window_signal(window, f.grid)
+    w = window.build(f.grid)
     m = phaseless(f, window)
     _require_self_dual(m.tfgrid, "the ambiguity relation")
     lhs = _measurement_fourier_side(m)
@@ -230,7 +211,6 @@ class FockField:
 
     field: TFField
     trust: np.ndarray
-    weight: str = "exp(-pi|z|^2/2)"
 
     def __post_init__(self):
         if self.trust.shape != self.field.values.shape:
@@ -282,7 +262,7 @@ def fock_polynomial_field(roots, tf: TFGrid) -> tuple[FockField, TFField]:
         if abs(root.real) >= half_x or abs(root.imag) >= half_w:
             raise ValueError(f"root {root} outside the grid interior")
         vals = vals * (z - root)
-    weighted = vals * np.exp(-np.pi * (x * x + w * w) / 2.0)
+    weighted = vals * np.exp(-fock_exponent(tf))
     peak = float(np.max(np.abs(weighted)))
     edge = np.zeros(tf.shape, dtype=bool)
     edge[0, :] = edge[-1, :] = True
@@ -307,7 +287,7 @@ class RecoveryResult:
     threshold: float
 
 
-def recover(measurement: TFField, window=WindowSpec("gaussian"),
+def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
             threshold: float | None = None) -> RecoveryResult:
     """Invert |V_w f|^2 up to a global phase.
 
@@ -326,7 +306,7 @@ def recover(measurement: TFField, window=WindowSpec("gaussian"),
     if not np.any(m):
         raise ValueError("zero measurement")
     grid = tf.xgrid
-    w = _window_signal(window, grid)
+    w = window.build(grid)
     amb_w = ambiguity(w).values
     origin = grid.count // 2
     peak = abs(amb_w[origin, origin])

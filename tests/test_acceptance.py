@@ -65,8 +65,6 @@ def test_criterion_03_ambiguity_relation():
 
 
 def test_criterion_04_noiseless_recovery():
-    import numpy as np
-
     from stftlab.grids import make_grid
     from stftlab.transforms import ambiguity, parse_window
 

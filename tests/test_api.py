@@ -60,3 +60,29 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names nothing in src or perfbench calls: " \
                        f"{sorted(unused)}"
     assert not set(TEST_ONLY) & _references(), "a TEST_ONLY name is now called"
+
+
+def _unread_imports(tree: ast.AST) -> list:
+    """Names a module imports but never reads; __future__ imports are exempt.
+    A dotted `import a.b` binds `a`; a name read in a nested scope counts."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_every_import_is_read():
+    found = []
+    for folder in (ROOT / "src" / "stftlab", ROOT / "tests", ROOT / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            for line, name in _unread_imports(ast.parse(path.read_text())):
+                found.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not found, f"imported but never read: {found}"

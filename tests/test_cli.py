@@ -62,6 +62,23 @@ def test_gen_csv_format(tmp_path, capsys):
     assert len(f.read_text().splitlines()) == 65
 
 
+def test_gen_refuses_flags_its_kind_ignores(tmp_path, capsys):
+    f = tmp_path / "f.bin"
+    base = ["gen", "random", "--seed", "3", "--out", str(f)]
+    code, _, err = run_cli(capsys, *base, "--center", "2")
+    assert code == 2 and "--center" in err
+    code, _, err = run_cli(capsys, *base, "--modulation", "1")
+    assert code == 2 and "--modulation" in err
+    code, _, err = run_cli(capsys, "gen", "gaussian", "--seed", "3",
+                           "--out", str(f))
+    assert code == 2 and "--seed" in err
+    assert not f.exists()
+    # kinds follow the window grammar: hermite needs its order
+    code, _, err = run_cli(capsys, "gen", "hermite", "--out", str(f))
+    assert code == 2 and "'hermite'" in err
+    assert run_cli(capsys, *base)[0] == 0
+
+
 def test_recover_reports_error_and_fraction(tmp_path, capsys):
     f = str(tmp_path / "f.bin")
     meas = str(tmp_path / "meas.bin")

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from stftlab.forge import (
-    AnnulusSchedule,
     InstabilityPair,
     RatioResult,
     assemble_pair,
@@ -32,7 +31,6 @@ from stftlab.grids import (
     translate,
 )
 from stftlab.norms import (
-    LqNorm,
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,

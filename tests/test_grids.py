@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stftlab.grids import (
-    Grid1D,
     Signal,
     TFField,
     TFGrid,
@@ -237,6 +236,27 @@ def test_signal_and_field_share_space_and_like(grid16):
     assert type(twice) is Signal and np.array_equal(twice.values, 2.0 * f.values)
     real = field.like(np.zeros(tg.shape))
     assert type(real) is TFField and real.values.dtype == np.float64
+
+
+def test_restrict_is_the_where_it_replaced(grid16):
+    f = random_signal(grid16, seed=6)
+    left = grid16.points() < 1.0
+    cut = f.restrict(left)
+    assert type(cut) is Signal and cut.grid is f.grid
+    assert np.array_equal(cut.values, np.where(left, f.values, 0.0))
+    tg = TFGrid(make_grid(8.0, 64), make_grid(4.0, 32))  # not square
+    rng = np.random.default_rng(3)
+    for vals in (rng.normal(size=tg.shape),
+                 rng.normal(size=tg.shape) + 1j * rng.normal(size=tg.shape)):
+        field = TFField(tg, vals)
+        disk = tg.radius() <= 1.5
+        cut = field.restrict(disk)
+        assert type(cut) is TFField and cut.values.dtype == vals.dtype
+        assert np.array_equal(cut.values, np.where(disk, vals, 0.0))
+    with pytest.raises(ValueError, match="does not match"):
+        field.restrict(disk.T)
+    with pytest.raises(ValueError, match="does not match"):
+        f.restrict(left[:-2])
 
 
 @settings(max_examples=25, deadline=None)
