@@ -236,7 +236,8 @@ def _cmd_glue(args) -> int:
 
 def _cmd_recover(args) -> int:
     from . import io
-    from .norms import phase_inf_distance, riemann_lp
+    from .grids import riemann_lp
+    from .norms import phase_inf_distance
     from .transforms import parse_window, recover
 
     meas = _load_operand(args.measurement, "measurement", "field")

@@ -54,6 +54,7 @@ __all__ = [
     "cdft2",
     "icdft2",
     "boundary_decay",
+    "riemann_lp",
 ]
 
 
@@ -295,9 +296,24 @@ def boundary_decay(f: Signal) -> float:
     return float(max(v[0], v[-1]) / peak)
 
 
+def riemann_lp(values: np.ndarray, cell: float, p: float) -> float:
+    """Riemann-sum L^p norm, max-rescaled to keep deep tails measurable."""
+    if p != math.inf and p < 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p!r}")
+    a = np.abs(np.asarray(values)).ravel()
+    if a.size == 0:
+        return 0.0
+    m = float(a.max())
+    if m == 0.0:
+        return 0.0
+    if p == math.inf:
+        return m
+    return m * float(cell * np.sum((a / m) ** p)) ** (1.0 / p)
+
+
 def _unit_norm(sig: Signal, tol: float, what: str) -> Signal:
     """sig, once its Riemann L2 norm is 1 within tol (a coarse grid fails)."""
-    norm = np.sqrt(sig.grid.dx * np.sum(np.abs(sig.values) ** 2))
+    norm = riemann_lp(sig.values, sig.grid.dx, 2.0)
     if abs(norm - 1.0) > tol:
         raise ValueError(f"grid too coarse for {what} (measured norm {norm!r})")
     return sig

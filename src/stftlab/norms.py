@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Sampled, TFField
+from .grids import Sampled, TFField, riemann_lp
 
 __all__ = [
-    "riemann_lp",
     "japanese_bracket",
     "inner_l2",
     "ball_lp",
@@ -44,21 +43,6 @@ __all__ = [
     "field_gradient",
     "masked_h1_norm",
 ]
-
-
-def riemann_lp(values: np.ndarray, cell: float, p: float) -> float:
-    """Riemann-sum L^p norm, max-rescaled to keep deep tails measurable."""
-    if p != math.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p!r}")
-    a = np.abs(np.asarray(values)).ravel()
-    if a.size == 0:
-        return 0.0
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    if p == math.inf:
-        return m
-    return m * float(cell * np.sum((a / m) ** p)) ** (1.0 / p)
 
 
 def japanese_bracket(x: np.ndarray | float) -> np.ndarray | float:

@@ -22,10 +22,11 @@ from .grids import (
     hermite,
     icdft,
     modulate,
+    riemann_lp,
     tf_grid_of,
     translate,
 )
-from .norms import japanese_bracket, riemann_lp
+from .norms import japanese_bracket
 
 __all__ = [
     "WindowSpec",
@@ -217,11 +218,16 @@ class FockField:
             raise ValueError("trust mask shape mismatch")
 
 
+def _raw_fock_exponent(tf: TFGrid) -> np.ndarray:
+    """pi |z|^2 / 2 on the grid, unclamped."""
+    x, w = tf.xmesh(), tf.wmesh()
+    return np.pi * (x * x + w * w) / 2.0
+
+
 def fock_exponent(tf: TFGrid) -> np.ndarray:
     """pi |z|^2 / 2 on the grid, clamped at 700 so that e^{+-exponent} stays
     representable: the exponent of the Fock weight e^{pi|z|^2/2}."""
-    x, w = tf.xmesh(), tf.wmesh()
-    return np.minimum(np.pi * (x * x + w * w) / 2.0, _FOCK_EXP_CLAMP)
+    return np.minimum(_raw_fock_exponent(tf), _FOCK_EXP_CLAMP)
 
 
 def to_fock(g: TFField, window: WindowSpec = WindowSpec("gaussian")) -> FockField:
@@ -239,9 +245,10 @@ def to_fock(g: TFField, window: WindowSpec = WindowSpec("gaussian")) -> FockFiel
     x, w = tf.xmesh(), tf.wmesh()
     vals = np.exp(fock_exponent(tf)) * np.exp(-1j * np.pi * x * w) * flipped
     mag = np.abs(flipped)
+    # the clamp hides whether a cell was above it, so the trust test reads
+    # the raw exponent: a cell at exactly 700 still carries its exact weight
     trust = (mag >= 1e-6 * float(np.max(mag))) & (
-        np.pi * (x * x + w * w) / 2.0 <= _FOCK_EXP_CLAMP
-    )
+        _raw_fock_exponent(tf) <= _FOCK_EXP_CLAMP)
     return FockField(TFField(tf, vals), trust)
 
 

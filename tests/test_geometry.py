@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.ndimage import gaussian_filter
 
+from contour_oracle import full_grid_marching_squares
+from stftlab import geometry
 from stftlab.grids import Signal, TFField, TFGrid, gaussian, make_grid, tf_grid_of
 from stftlab.transforms import FockField, fock_polynomial_field, stft, to_fock
 from stftlab.geometry import (
@@ -117,10 +120,26 @@ def test_contour_of_linear_field_is_a_straight_cut(tfg):
     assert np.allclose(xs, level, atol=1e-12)
 
 
+def _same_contour(xs, ys, vals, level):
+    fast = marching_squares(xs, ys, vals, level)
+    slow = full_grid_marching_squares(xs, ys, vals, level)
+    assert fast.shape == slow.shape
+    assert np.array_equal(fast, slow)
+    return fast
+
+
 def test_no_contour_when_level_misses_the_range(tfg):
     xm = tfg.xmesh() * np.ones(tfg.shape)
     segs = marching_squares(tfg.xgrid.points(), tfg.wgrid.points(), xm, 100.0)
     assert segs.shape == (0, 4)
+    xs = np.linspace(0.0, 1.0, 9)
+    ys = np.linspace(0.0, 2.0, 5)
+    ramp = np.add.outer(xs, ys)
+    for level in (-1.0, 3.0 + 1e-12):
+        assert _same_contour(xs, ys, ramp, level).shape == (0, 4)
+    const = np.full((9, 5), 0.25)
+    for level in (0.0, 0.25, 0.5):
+        assert _same_contour(xs, ys, const, level).shape == (0, 4)
 
 
 def test_saddle_plaquette_emits_two_segments():
@@ -129,6 +148,31 @@ def test_saddle_plaquette_emits_two_segments():
     vals = np.array([[1.0, 0.0], [0.0, 1.0]])
     segs = marching_squares(xs, ys, vals, 0.5)
     assert segs.shape[0] == 2
+    # both orientations, with the center above, exactly at and below the
+    # level, and levels on the corner values
+    ys = np.array([-1.0, 0.5])
+    for vals in ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                 [[0.9, 0.2], [0.1, 0.7]], [[0.3, 1.0], [0.8, 0.0]]):
+        vals = np.array(vals)
+        for level in (0.4, 0.5, 0.6, *vals.ravel()):
+            _same_contour(xs, ys, vals, level)
+        assert _same_contour(xs, ys, vals, 0.45).shape[0] == 2
+
+
+def test_contour_is_the_full_grid_contour_on_random_fields():
+    rng = np.random.default_rng(20251218)
+    for nx, ny in ((17, 23), (40, 9), (64, 48), (2, 31)):
+        xs = np.sort(rng.uniform(-3.0, 3.0, nx))
+        ys = np.sort(rng.uniform(-1.0, 5.0, ny))
+        smooth = gaussian_filter(rng.normal(size=(nx, ny)), 1.5)
+        # small integers put many corners exactly on the level and many
+        # saddle centers exactly at it
+        ties = rng.integers(0, 4, size=(nx, ny)).astype(float)
+        for vals in (smooth, ties):
+            levels = [*np.quantile(vals, (0.1, 0.5, 0.9)), vals[1, 0],
+                      vals[nx // 2, ny // 2], vals.max(), 1.0, 2.0]
+            for level in levels:
+                _same_contour(xs, ys, vals, float(level))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +258,74 @@ def test_cheeger_rejects_zero_and_negative_fields(tfg):
     neg = TFField(tfg, -np.ones(tfg.shape, dtype=np.complex128))
     with pytest.raises(ValueError):
         cheeger_estimate(neg)
+
+
+def test_cheeger_table_matches_candidates_computed_one_at_a_time():
+    """Every row of the table, rebuilt from its own candidate: the boundary
+    from the full-grid contour or a lone path integral, the mass from a
+    full-grid mask. Batched boundaries must not reorder a single sum."""
+    g = make_grid(8.0, 64)
+    tg = TFGrid(g, g)
+    xm, wm = tg.xmesh(), tg.wmesh()
+    vals = (np.exp(-math.pi * ((xm + 1.5) ** 2 + wm ** 2))
+            + 0.5 * np.exp(-math.pi * ((xm - 1.5) ** 2 + (wm - 0.5) ** 2)))
+    vals = vals * np.ones(tg.shape)
+    sweep = {"thresholds": 32, "centers": 4, "radii": 5, "directions": 8,
+             "offsets": 9}
+    rep = cheeger_estimate(TFField(tg, vals.astype(np.complex128)), **sweep)
+
+    xs, ys, cell = g.points(), g.points(), tg.cell
+    dx = dy = g.dx
+    total = float(vals.sum() * cell)
+    assert rep.total_mass == total
+    sm = gaussian_filter(vals, sigma=geometry._SMOOTHING, mode="constant")
+    bi, bj = np.nonzero(vals >= 1e-3 * vals.max())
+    diag = math.hypot(xs[bi.max()] - xs[bi.min()], ys[bj.max()] - ys[bj.min()])
+    span = 0.75 * diag
+    tline = np.linspace(-span, span, max(129, int(4.0 * span / max(dx, dy))))
+
+    def path(px, py):
+        seg = np.hypot(np.diff(px), np.diff(py))
+        v = geometry._bilinear(xs, ys, vals, px, py)
+        return float(np.sum(0.5 * (v[1:] + v[:-1]) * seg))
+
+    def candidate(row):
+        fam = row["family"]
+        if fam in ("superlevel", "sublevel"):
+            segs = full_grid_marching_squares(xs, ys, sm, row["level"])
+            boundary = geometry._segment_integral(xs, ys, vals, segs)
+            inside = sm >= row["level"]
+        elif fam in ("disk", "diskc"):
+            cx, cy, r = row["cx"], row["cy"], row["r"]
+            npts = max(64, int(4.0 * math.pi * r / max(dx, dy)))
+            th = np.linspace(0.0, 2.0 * math.pi, npts + 1)
+            boundary = path(cx + r * np.cos(th), cy + r * np.sin(th))
+            inside = (xm - cx) ** 2 + (wm - cy) ** 2 <= r * r
+        else:
+            nx, ny = math.cos(row["theta"]), math.sin(row["theta"])
+            c = row["offset"]
+            boundary = path(c * nx - tline * ny, c * ny + tline * nx)
+            inside = nx * xm + ny * wm <= c
+        mass = float(vals[inside].sum() * cell)
+        if fam in ("sublevel", "diskc"):
+            return boundary, total - mass, ~inside
+        return boundary, mass, inside
+
+    assert {row["family"] for row in rep.table} == {
+        "superlevel", "sublevel", "disk", "diskc", "halfplane"}
+    best = None
+    for row in rep.table:
+        boundary, mass, inside = candidate(row)
+        assert row["boundary"] == boundary, row
+        assert row["mass"] == mass, row
+        ratio = boundary / mass if mass > 0 else float("inf")
+        assert row["ratio"] == ratio, row
+        assert row["feasible"] == (0.0 < mass <= 0.5 * total * (1.0 + 1e-6))
+        if row["feasible"] and (best is None or ratio < best[0]):
+            best = (ratio, row, inside)
+    ratio, row, inside = best
+    assert rep.value == ratio and rep.family == row["family"]
+    assert np.array_equal(rep.witness.inside, inside)
 
 
 # ---------------------------------------------------------------------------

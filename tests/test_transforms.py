@@ -9,9 +9,10 @@ from stftlab.grids import (
     hermite,
     icdft2,
     make_grid,
+    riemann_lp,
     tf_grid_of,
 )
-from stftlab.norms import field_gradient, japanese_bracket, riemann_lp
+from stftlab.norms import field_gradient, japanese_bracket
 from stftlab.transforms import (
     FockField,
     WindowSpec,
@@ -307,6 +308,29 @@ def test_fock_trust_mask_excludes_far_field(grid16):
     fock = to_fock(stft(gaussian(grid16)))
     assert fock.trust[grid16.count // 2, grid16.count // 2]
     assert not fock.trust.all()
+
+
+def test_fock_view_is_the_two_exponent_form_it_replaced(grid16):
+    """The clamp and the trust test read one exponent; the field and the
+    trust mask stay bit-equal to the form that computed it twice, also on a
+    grid whose corners pass the clamp."""
+    far = tf_grid_of(make_grid(48.0, 256))
+    rng = np.random.default_rng(3)
+    noise = rng.normal(size=far.shape) + 1j * rng.normal(size=far.shape)
+    for g in (stft(gaussian(grid16)), TFField(far, noise)):
+        tf = g.tfgrid
+        n = tf.shape[1]
+        flipped = g.values[:, (n - np.arange(n)) % n]
+        x, w = tf.xmesh(), tf.wmesh()
+        expo = np.pi * (x * x + w * w) / 2.0
+        vals = (np.exp(np.minimum(expo, 700.0)) * np.exp(-1j * np.pi * x * w)
+                * flipped)
+        mag = np.abs(flipped)
+        trust = (mag >= 1e-6 * float(np.max(mag))) & (expo <= 700.0)
+        fock = to_fock(g)
+        assert np.array_equal(fock.field.values, vals)
+        assert np.array_equal(fock.trust, trust)
+    assert (expo > 700.0).any() and not fock.trust.all()
 
 
 def test_fock_field_shape_guard(grid16):
