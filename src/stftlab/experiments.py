@@ -472,8 +472,12 @@ def _smooth_signal(grid, rng: SplitMix64, kmax: int, decay: float) -> Signal:
     """Random trigonometric polynomial with geometrically damped modes."""
     x = grid.points()
     vals = np.zeros(grid.count, dtype=np.complex128)
-    for k in range(-kmax, kmax + 1):
-        c = rng.complex_normal() * math.exp(-decay * abs(k))
+    # one (re, im) pair per mode; each part is divided on its own, since a
+    # complex-by-real array division would multiply by the reciprocal
+    pairs = rng.normals(2 * (2 * kmax + 1))
+    re, im = pairs[0::2] / math.sqrt(2.0), pairs[1::2] / math.sqrt(2.0)
+    for k, a, b in zip(range(-kmax, kmax + 1), re, im):
+        c = complex(a, b) * math.exp(-decay * abs(k))
         vals += c * np.exp(2j * np.pi * k * x / grid.length)
     return Signal(grid, vals)
 
@@ -606,7 +610,7 @@ def _run_recover_noisy(manifest, fx, pr):
             stream = rng.spawn(1000 * _t + sum(map(ord, sname)))
             sigma = math.sqrt(float(np.mean(np.abs(m.values) ** 2)))
             sigma *= 10.0 ** (-snr / 20.0)
-            noise = sigma * np.array(stream.normals(m.values.size))
+            noise = sigma * stream.normals(m.values.size)
             vals = np.maximum(m.values.real + noise.reshape(m.values.shape),
                               0.0)
             return TFField(m.tfgrid, vals.astype(np.complex128))

@@ -365,8 +365,8 @@ def hermite(grid: Grid1D, n: int) -> Signal:
 def random(grid: Grid1D, rng: SplitMix64) -> Signal:
     """Complex white noise (re + i im) / sqrt(2) with standard normal parts
     drawn from a SplitMix64 stream: real parts first, then imaginary parts."""
-    re = np.array(rng.normals(grid.count))
-    im = np.array(rng.normals(grid.count))
+    parts = rng.normals(2 * grid.count)
+    re, im = parts[:grid.count], parts[grid.count:]
     return Signal(grid, (re + 1j * im) / math.sqrt(2.0))
 
 

@@ -29,6 +29,11 @@ _KIND_SIGNAL = 1
 _KIND_FIELD = 2
 _KIND_MASK = 3
 
+# Largest mask grid `load` decodes: a run list of a few bytes can declare any
+# cell count, and decoding allocates one byte per cell. 4096^2 cells (16 MiB)
+# is twice the side of the largest TF grid an experiment builds (2048^2).
+MAX_MASK_CELLS = 4096 * 4096
+
 
 def _interleave(values: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
@@ -108,6 +113,9 @@ def load(path: str | Path):
             if kind == _KIND_FIELD:
                 vals = _deinterleave(_read_exact(fh, 16 * nx * nw), nx * nw)
                 return TFField(tg, vals.reshape(nx, nw))
+            if nx * nw > MAX_MASK_CELLS:
+                raise ValueError(f"mask declares {nx}x{nw} cells, above the "
+                                 f"limit of {MAX_MASK_CELLS}")
             first, n_runs = struct.unpack("<QQ", _read_exact(fh, 16))
             runs = np.frombuffer(_read_exact(fh, 8 * n_runs), dtype="<u8")
             if sum(runs.tolist()) != nx * nw:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from stftlab.grids import Signal, make_grid
@@ -18,8 +17,8 @@ def grid8():
 
 def random_signal(grid, seed=1):
     rng = SplitMix64(seed)
-    re = np.array(rng.normals(grid.count))
-    im = np.array(rng.normals(grid.count))
+    re = rng.normals(grid.count)
+    im = rng.normals(grid.count)
     return Signal(grid, re + 1j * im)
 
 

@@ -1,9 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stftlab import cli
+from stftlab import cli, experiments, io
 from stftlab.grids import TFField, make_grid, tf_grid_of
 from stftlab.io import MAGIC, dump_field, dump_mask, dump_signal, load, signal_to_csv
 
@@ -100,6 +104,48 @@ def test_mask_run_list_is_checked(tmp_path):
     mask, tg2 = load(p)
     assert tg2 == tg
     assert mask.ravel()[:100].all() and not mask.ravel()[100:].any()
+
+
+_LOAD_RSS_GROWTH = """
+import resource, sys
+from stftlab.io import load
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    load(sys.argv[1])
+except ValueError as e:
+    print(e)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before)
+"""
+
+
+def test_mask_grid_is_bounded_before_decoding(tmp_path, capsys):
+    # 69 bytes: a 2^20 x 2^20 mask in one run, which would decode to 1 TiB
+    p = tmp_path / "huge_mask.bin"
+    big = 2**20
+    p.write_bytes(MAGIC + struct.pack("<QQQddQQQ", 3, big, big, 16.0, 16.0,
+                                      1, 1, big * big))
+    assert p.stat().st_size == 69
+    with pytest.raises(ValueError, match="limit"):
+        load(p)
+    # in a fresh process, so that the peak RSS is not an earlier test's
+    done = subprocess.run([sys.executable, "-c", _LOAD_RSS_GROWTH, str(p)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(Path(io.__file__).parents[1])})
+    message, growth_kib = done.stdout.splitlines()
+    assert "limit" in message
+    assert int(growth_kib) <= 1024
+    assert cli.main(["poincare", str(p)]) == 2
+    assert "limit" in capsys.readouterr().err
+
+
+def test_mask_limit_covers_every_experiment_grid():
+    # a TF grid is count x count; cheeger-gaussian lists several counts
+    fixtures = [experiments.default_manifest(e["id"]).fixture
+                for e in experiments.list_experiments()]
+    side = max(max(fx.get("counts", [fx.get("count", 0)])) for fx in fixtures)
+    assert io.MAX_MASK_CELLS >= side * side
 
 
 def test_csv_roundtrip(tmp_path, grid8):
