@@ -76,9 +76,6 @@ class Grid1D:
     def points(self) -> np.ndarray:
         return (np.arange(self.count) - self.count // 2) * self.dx
 
-    def frequencies(self) -> np.ndarray:
-        return (np.arange(self.count) - self.count // 2) * self.dxi
-
     def dual(self) -> "Grid1D":
         # extent N * dxi = N / L, same count; dual of the dual is the original grid
         return Grid1D(self.count / self.length, self.count)
@@ -97,10 +94,6 @@ class Grid1D:
                 "only on-grid values are supported"
             )
         return int(k) + self.count // 2
-
-    @property
-    def nyquist(self) -> float:
-        return (self.count // 2) * self.dxi
 
     # sample-space protocol (shared with TFGrid)
     @property
@@ -187,10 +180,6 @@ class TFGrid:
 
     def wmesh(self) -> np.ndarray:
         return self.wgrid.points()[None, :]
-
-    @property
-    def nyquist(self) -> float:
-        return max(self.xgrid.nyquist, self.wgrid.nyquist)
 
     # sample-space protocol (shared with Grid1D), built from the two axes
     @property

@@ -6,7 +6,8 @@ Layout (all little-endian):
     kind   u64      1 = 1D signal, 2 = TF field, 3 = boolean mask
     dims   u64...   signal: N        field/mask: Nx, Nw
     meta   f64...   signal: L        field/mask: Lx, Lw
-    data            signal/field: interleaved re/im f64 (row-major for fields)
+    data            signal/field: interleaved re/im f64, which is numpy's "<c16"
+                    layout (row-major for fields)
                     mask: u64 first_value (0/1), u64 n_runs, then n_runs u64
                     run lengths of alternating values over the flattened array
 
@@ -35,17 +36,13 @@ _KIND_MASK = 3
 MAX_MASK_CELLS = 4096 * 4096
 
 
-def _interleave(values: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
-    out = np.empty(2 * flat.size, dtype="<f8")
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.tobytes()
+def _sample_bytes(values: np.ndarray) -> bytes:
+    return np.asarray(values, dtype="<c16").tobytes()
 
 
-def _deinterleave(buf: bytes, n: int) -> np.ndarray:
-    raw = np.frombuffer(buf, dtype="<f8", count=2 * n)
-    return raw[0::2] + 1j * raw[1::2]
+def _samples(buf: bytes) -> np.ndarray:
+    # astype copies out of the read-only buffer, so loaded arrays are writable
+    return np.frombuffer(buf, dtype="<c16").astype(np.complex128)
 
 
 def dump_signal(sig: Signal, path: str | Path) -> None:
@@ -53,7 +50,7 @@ def dump_signal(sig: Signal, path: str | Path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", _KIND_SIGNAL, sig.grid.count))
         fh.write(struct.pack("<d", sig.grid.length))
-        fh.write(_interleave(sig.values))
+        fh.write(_sample_bytes(sig.values))
 
 
 def dump_field(field: TFField, path: str | Path) -> None:
@@ -62,7 +59,7 @@ def dump_field(field: TFField, path: str | Path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQQ", _KIND_FIELD, tg.xgrid.count, tg.wgrid.count))
         fh.write(struct.pack("<dd", tg.xgrid.length, tg.wgrid.length))
-        fh.write(_interleave(field.values))
+        fh.write(_sample_bytes(field.values))
 
 
 def dump_mask(mask_values: np.ndarray, tfgrid: TFGrid, path: str | Path) -> None:
@@ -104,14 +101,14 @@ def load(path: str | Path):
         if kind == _KIND_SIGNAL:
             (count,) = struct.unpack("<Q", _read_exact(fh, 8))
             (length,) = struct.unpack("<d", _read_exact(fh, 8))
-            vals = _deinterleave(_read_exact(fh, 16 * count), count)
+            vals = _samples(_read_exact(fh, 16 * count))
             return Signal(make_grid(length, count), vals)
         if kind in (_KIND_FIELD, _KIND_MASK):
             nx, nw = struct.unpack("<QQ", _read_exact(fh, 16))
             lx, lw = struct.unpack("<dd", _read_exact(fh, 16))
             tg = TFGrid(make_grid(lx, nx), make_grid(lw, nw))
             if kind == _KIND_FIELD:
-                vals = _deinterleave(_read_exact(fh, 16 * nx * nw), nx * nw)
+                vals = _samples(_read_exact(fh, 16 * nx * nw))
                 return TFField(tg, vals.reshape(nx, nw))
             if nx * nw > MAX_MASK_CELLS:
                 raise ValueError(f"mask declares {nx}x{nw} cells, above the "

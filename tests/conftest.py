@@ -1,6 +1,6 @@
 import pytest
 
-from stftlab.grids import Signal, make_grid
+from stftlab.grids import make_grid, random
 from stftlab.rng import SplitMix64
 
 
@@ -16,10 +16,8 @@ def grid8():
 
 
 def random_signal(grid, seed=1):
-    rng = SplitMix64(seed)
-    re = rng.normals(grid.count)
-    im = rng.normals(grid.count)
-    return Signal(grid, re + 1j * im)
+    """The program's white noise, grids.random, on a fresh seeded stream."""
+    return random(grid, SplitMix64(seed))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -22,25 +23,51 @@ def _public_names() -> set:
     return names
 
 
+def _public_members() -> set:
+    """"Class.name" for every public method and property of the classes
+    defined in the package's modules; dataclass fields are data, not API
+    that needs a caller."""
+    members = set()
+    for info in pkgutil.iter_modules(stftlab.__path__):
+        mod = importlib.import_module(f"stftlab.{info.name}")
+        for cname, cls in vars(mod).items():
+            if not inspect.isclass(cls) or cls.__module__ != mod.__name__:
+                continue
+            for name, attr in vars(cls).items():
+                if not name.startswith("_") and (inspect.isfunction(attr) or
+                        isinstance(attr, (property, classmethod,
+                                          staticmethod))):
+                    members.add(f"{cname}.{name}")
+    return members
+
+
 def _references() -> set:
     """Every name read or attribute taken in the package and the benchmark,
     plus the names the benchmark's tracer wraps (its TARGETS strings).
     Definitions, imports and the string entries of __all__ and _EXPORTS are
-    not references."""
+    not references, and neither is a use inside a definition of the same
+    name (recursion, or a method that forwards to its namesake on a part)."""
     seen = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            seen.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            seen.update({node.attr} - inside)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            seen.update(c.value.split(".")[0] for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant)
+                        and isinstance(c.value, str))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
     files = [*(ROOT / "src" / "stftlab").glob("*.py"),
              *(ROOT / "perfbench").glob("*.py")]
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                seen.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                seen.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) == "TARGETS" for t in node.targets):
-                seen.update(c.value.split(".")[0] for c in ast.walk(node.value)
-                            if isinstance(c, ast.Constant)
-                            and isinstance(c.value, str))
+        visit(ast.parse(path.read_text()), frozenset())
     return seen
 
 
@@ -60,6 +87,14 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names nothing in src or perfbench calls: " \
                        f"{sorted(unused)}"
     assert not set(TEST_ONLY) & _references(), "a TEST_ONLY name is now called"
+
+
+def test_every_public_method_has_a_caller():
+    members = _public_members()
+    assert "Sampled.restrict" in members and "Grid1D.dx" in members
+    unused = {m for m in members if m.split(".")[1] not in _references()}
+    assert not unused, f"public methods and properties nothing in src or " \
+                       f"perfbench calls: {sorted(unused)}"
 
 
 def _unread_imports(tree: ast.AST) -> list:

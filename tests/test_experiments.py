@@ -107,6 +107,25 @@ def test_verify_detects_edited_table(tmp_path):
     assert broken and broken[0]["stored"]
 
 
+def test_verify_rederives_the_far_phase_floor(tmp_path):
+    ex.write_result(ex.run(ex.default_manifest("prop21-gaussian-ratio",
+                                               reduced=True)), tmp_path)
+    assert ex.verify_run(tmp_path)["ok"]
+    csv = tmp_path / "dichotomy.csv"
+    header, *rows = csv.read_text().splitlines()
+    names, cells = header.split(","), rows[0].split(",")
+    assert float(cells[names.index("min_far_distance")]) < 1e6
+    cells[names.index("floor")] = "1000000.0"
+    rows[0] = ",".join(cells)
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    report = ex.verify_run(tmp_path)
+    assert not report["ok"]
+    broken = [a for a in report["assertions"] if not a["recheck"]]
+    assert [(a["invariant"], a["check"]) for a in broken] == [
+        ("forge.far-phase-floor", "col_ge_col")]
+    assert broken[0]["stored"]
+
+
 def test_verify_names_unknown_check_and_table(tmp_path):
     ex.write_result(ex.run(ex.default_manifest("covariance-lattice")),
                     tmp_path)

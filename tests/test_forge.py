@@ -212,15 +212,19 @@ def test_bump_mass_outside_annulus_bounded_by_tail(schedule, bumps):
 # bound report
 
 
-def test_bound_report_all_pass(schedule, bumps):
-    rep = verify_bump_bounds(schedule, bumps)
-    assert rep.all_pass()
+def _assert_bump_estimates_hold(rep):
+    """The five bump-estimate predicates of lemma22-bounds, on every rung."""
+    assert rep.rows
     for row in rep.rows:
         assert row.gub_lp_ratio == pytest.approx(1.0, abs=1e-10)
         assert row.mcb_product >= 1.0 - 1e-9
         assert row.mtb_ratio <= rep.c_impl
         assert row.sob_ratio <= rep.c_impl
         assert row.gub_x_scaled <= rep.c_impl
+
+
+def test_bound_report_all_pass(schedule, bumps):
+    _assert_bump_estimates_hold(verify_bump_bounds(schedule, bumps))
 
 
 def test_bound_report_tail_decay_rate(schedule, bumps):
@@ -231,8 +235,7 @@ def test_bound_report_tail_decay_rate(schedule, bumps):
 
 def test_bound_report_weighted_seed(seed):
     sch = select_annulus_schedule(seed, 1.0, 2.0, 2.0, 5)
-    rep = verify_bump_bounds(sch, build_bumps(sch))
-    assert rep.all_pass()
+    _assert_bump_estimates_hold(verify_bump_bounds(sch, build_bumps(sch)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +344,16 @@ def test_disjointness_link_decays_geometrically(schedule, bumps):
 def test_dichotomy_floor(schedule, bumps):
     pair = assemble_pair(schedule, bumps, 0.1, 2)
     out = dichotomy_check(pair, schedule, bumps)
-    assert out["passed"]
+    # measurements only: the verdict is the caller's predicate over them
+    assert set(out) == {"min_far_distance", "floor"}
     assert out["floor"] > 0.25
     assert out["min_far_distance"] >= out["floor"]
     # a delta this large eats the floor
     loose = dichotomy_check(assemble_pair(schedule, bumps, 0.3, 2),
                             schedule, bumps)
     assert loose["floor"] < 0.0
-    assert not loose["passed"]
+    assert not (loose["floor"] > 0.0
+                and loose["min_far_distance"] >= loose["floor"])
 
 
 # ---------------------------------------------------------------------------

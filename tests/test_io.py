@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stftlab import cli, experiments, io
-from stftlab.grids import TFField, make_grid, tf_grid_of
+from stftlab.grids import Signal, TFField, make_grid, tf_grid_of
 from stftlab.io import MAGIC, dump_field, dump_mask, dump_signal, load, signal_to_csv
 
 from conftest import random_signal
@@ -33,6 +33,26 @@ def test_field_roundtrip(tmp_path):
     back = load(p)
     assert back.tfgrid == tg
     assert np.array_equal(back.values, field.values)
+
+
+def test_signed_zeros_roundtrip_bit_for_bit(tmp_path, grid8):
+    vals = random_signal(grid8, seed=2).values.copy()
+    vals[:4] = [complex(-0.0, 1.0), complex(2.0, -0.0),
+                complex(-0.0, -0.0), complex(0.0, 0.0)]
+    f = Signal(grid8, vals)
+    field = TFField(tf_grid_of(grid8),
+                    np.broadcast_to(vals, (grid8.count, grid8.count)))
+    for dump, obj in ((dump_signal, f), (dump_field, field)):
+        p = tmp_path / "zeros.stfl"
+        dump(obj, p)
+        # the data block is interleaved little-endian re/im f64
+        body = b"".join(struct.pack("<dd", v.real, v.imag)
+                        for v in obj.values.ravel())
+        assert p.read_bytes().endswith(body)
+        back = load(p)
+        assert np.array_equal(back.values.view(np.uint64),
+                              obj.values.view(np.uint64))
+        assert back.values.flags.writeable
 
 
 @pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
