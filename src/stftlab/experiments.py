@@ -22,7 +22,6 @@ from .forge import (
     assemble_pair,
     build_bumps,
     dichotomy_check,
-    field_difference,
     field_instability_ratio,
     instability_ratio,
     lp_reduction_rows,
@@ -217,8 +216,8 @@ def _check_max_gt(rows, args):
     return max(_col(rows, args["col"])) > args["bound"]
 
 
-def _check_all_true(rows, args):
-    return all(v == 1 for v in _col(rows, args["col"]))
+def _check_all_inf(rows, args):
+    return all(v == math.inf for v in _col(rows, args["col"]))
 
 
 def _check_all_finite(rows, args):
@@ -272,7 +271,7 @@ CHECKS = {
     "all_gt": _check_all_gt,
     "max_lt": _check_max_lt,
     "max_gt": _check_max_gt,
-    "all_true": _check_all_true,
+    "all_inf": _check_all_inf,
     "all_finite": _check_all_finite,
     "nonincreasing": _check_nonincreasing,
     "geometric_decay": _check_geometric_decay,
@@ -759,23 +758,13 @@ def _run_sobolev_ratio(manifest, fx, pr):
     f = parse_window(fx["signal"]).build(grid)
     fam = stft_instability_family(f, w, pr["closeness"], spec,
                                   pr["n_max"], pr["delta"])
-    den = SobolevNorm(pr["s"], pr["p"], pr["r"])
-    va = stft(fam.perturbed, w)
-    ratio_rows = []
-    members = [("base", fam.base)] + [
-        (f"flip{k}", fam.flipped[k]) for k in range(pr["n_max"])]
-    for k in range(pr["n_max"]):
-        vb = stft(fam.flipped[k], w)
-        res = field_instability_ratio(va, vb, k, pr["q"], den)
-        ratio_rows.append([k, fam.ladder[k], fam.scales[k], res.ratio,
-                           res.target, int(res.saturated),
-                           int(res.degenerate)])
+    ratio_rows, am, members = _sobolev_ratio_rows(fam, w, pr)
     tables = {
         "ratios": (["k", "a", "scale", "ratio", "target", "saturated",
                     "degenerate"], ratio_rows),
         "closeness": (["closeness", "cap"],
                       [[fam.closeness, pr["closeness"]]]),
-        "band_split": _band_split_table(modulus(va), members, w, pr),
+        "band_split": _band_split_table(am, members, pr),
     }
     specs = [
         _assertion("forge.sobolev-ratio",
@@ -794,19 +783,28 @@ def _run_sobolev_ratio(manifest, fx, pr):
     return tables, specs, extra
 
 
-def _band_split_table(am, members, window, pr):
-    """lp_reduction_rows of |V sig| against the modulus field am, one block
-    of rows per (label, sig) member."""
+def _sobolev_ratio_rows(fam, window, pr):
+    """Transform each member once: the ratio rows against V perturbed, then
+    |V perturbed| and the (label, modulus) members of the band split."""
+    den = SobolevNorm(pr["s"], pr["p"], pr["r"])
+    va = stft(fam.perturbed, window)
     rows = []
-    for label, sig in members:
-        bm = modulus(stft(sig, window))
-        for row in lp_reduction_rows(field_difference(bm, am), am, bm,
-                                     pr["s"], pr["p"]):
-            rows.append([label, row["j"], row["lhs"], row["low_term"],
-                         row["high_term"], row["constant_needed"],
-                         pr["lp_cap"]])
-    return (["pair", "j", "lhs", "low_term", "high_term", "constant_needed",
-             "cap"], rows)
+    members = [("base", modulus(stft(fam.base, window)))]
+    for k in range(pr["n_max"]):
+        vb = stft(fam.flipped[k], window)
+        res = field_instability_ratio(va, vb, k, pr["q"], den)
+        rows.append([k, fam.ladder[k], fam.scales[k], res.ratio, res.target,
+                     int(res.saturated), int(res.degenerate)])
+        members.append((f"flip{k}", modulus(vb)))
+    return rows, modulus(va), members
+
+
+def _band_split_table(am, members, pr):
+    """The band-split table of the (label, modulus) members against am."""
+    header = ["pair", "j", "lhs", "low_term", "high_term", "constant_needed"]
+    rows = [[row[h] for h in header] + [pr["lp_cap"]]
+            for row in lp_reduction_rows(am, members, pr["s"], pr["p"])]
+    return header + ["cap"], rows
 
 
 def _run_lp_reduction(manifest, fx, pr):
@@ -819,8 +817,9 @@ def _run_lp_reduction(manifest, fx, pr):
         ("shifted", translate(base, pr["shift"])),
         ("modulated", modulate(base, pr["modulation"])),
     ]
-    tables = {"band_split": _band_split_table(modulus(stft(base, w)), others,
-                                              w, pr)}
+    members = [(label, modulus(stft(sig, w))) for label, sig in others]
+    tables = {"band_split": _band_split_table(modulus(stft(base, w)),
+                                              members, pr)}
     specs = [_assertion(
         "norms.band-split",
         "band-split constants stay under the pinned cap on modulus pairs",
@@ -991,11 +990,11 @@ def _run_poincare_square(manifest, fx, pr):
     right = DomainMask.rectangle(tg, 3.0, 4.0, 0.0, 1.0)
     split = DomainMask(tg, left.inside | right.inside)
     c2, rep2 = poincare_constant(split)
-    disc_rows = [[int(math.isinf(c2)), rep2["mu1"]]]
+    disc_rows = [[c2, rep2["mu1"]]]
     tables = {
         "square": (["cells", "expected_cells", "mu1", "target", "rel_err",
                     "tol"], square_rows),
-        "disconnected": (["is_inf", "mu1"], disc_rows),
+        "disconnected": (["constant", "mu1"], disc_rows),
     }
     specs = [
         _assertion("geometry.neumann-gap",
@@ -1008,7 +1007,7 @@ def _run_poincare_square(manifest, fx, pr):
                    {"lhs": "cells", "rhs": "expected_cells"}),
         _assertion("geometry.disconnected-inf",
                    "a split domain reports an infinite constant",
-                   "disconnected", "all_true", {"col": "is_inf"}),
+                   "disconnected", "all_inf", {"col": "constant"}),
     ]
     return tables, specs, {"constant": c, "side": side}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, Sampled, Signal, TFField, modulate, translate
+from .grids import Grid1D, Sampled, Signal, modulate, translate
 from .norms import (
     IntersectionNorm,
     LqNorm,
@@ -51,7 +51,6 @@ __all__ = [
     "field_instability_ratio",
     "dichotomy_check",
     "verified_window",
-    "field_difference",
     "stft_instability_family",
     "lp_reduction_rows",
 ]
@@ -409,13 +408,6 @@ def verified_window(results: list) -> tuple | None:
 # transform-level family
 
 
-def field_difference(a: TFField, b: TFField) -> TFField:
-    """b - a as a field on their (shared) grid."""
-    if a.tfgrid != b.tfgrid:
-        raise ValueError("fields live on different grids")
-    return TFField(a.tfgrid, b.values - a.values)
-
-
 @dataclass(frozen=True)
 class StftFamily:
     """Signals realizing the bump ladder in frequency.
@@ -424,7 +416,8 @@ class StftFamily:
     first k bumps with plus and the rest with minus (flipped[-1] is
     perturbed); truncations[n] carries only the first n bumps (truncations[0]
     is the base). All members are genuine signals, so their transforms are
-    exact transform-side families.
+    exact transform-side families; a caller transforms each member it needs
+    once. closeness is ||V perturbed - V base|| in W^{s+1/4,p}_r cap L^q.
     """
 
     base: Signal
@@ -435,7 +428,6 @@ class StftFamily:
     scales: tuple
     delta: float
     closeness: float
-    spec: NormSpec
 
 
 def _omega_profile(field_values: np.ndarray, wgrid: Grid1D) -> Signal:
@@ -479,7 +471,7 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
             vals = vals + b
         perturbed = Signal(f.grid, vals)
         moved = stft(perturbed, window)
-        drift = strong(field_difference(base_field, moved))
+        drift = strong(moved.like(moved.values - base_field.values))
         if drift < closeness:
             break
         delta *= 0.5
@@ -502,7 +494,7 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
         truncations.append(Signal(f.grid, vals))
 
     return StftFamily(f, perturbed, flipped, truncations, ladder, scales,
-                      float(delta), float(drift), spec)
+                      float(delta), float(drift))
 
 
 # the smoothness gain d of the band split, and its dyadic scales j
@@ -510,27 +502,31 @@ _LP_GAIN = 0.25
 _LP_SCALES = range(2, 7)
 
 
-def lp_reduction_rows(diff, field_a, field_b, s: float, p: float) -> list:
-    """Band-split control of a modulus difference:
+def lp_reduction_rows(a: Sampled, members: list, s: float, p: float) -> list:
+    """Band-split control of D = |A| - |B| (modulus_difference) for each
+    (label, B) member against the one reference modulus field A:
 
         ||D||_{W^{s,p}} <= C ( 2^{js} ||D||_{L^p}
                                + 2^{-j d} (||A||_{W^{s+d,p}} + ||B||_{W^{s+d,p}}) )
 
-    with d = _LP_GAIN. One row per j with both sides and the constant the
-    inequality would need; the harness pins max(constant) over j.
+    with d = _LP_GAIN; ||A||_{W^{s+d,p}} is taken once for all members.
+    One row per member and j, labelled "pair", with both sides and the
+    constant the inequality would need; the harness pins max(constant).
     """
-    lhs = frac_sobolev_norm(diff, s, p)
-    high_a = frac_sobolev_norm(field_a, s + _LP_GAIN, p)
-    high_b = frac_sobolev_norm(field_b, s + _LP_GAIN, p)
-    low = riemann_lp(diff.values, diff.space.cell, p)
+    high_a = frac_sobolev_norm(a, s + _LP_GAIN, p)
     rows = []
-    for j in _LP_SCALES:
-        rhs = 2.0 ** (j * s) * low + 2.0 ** (-j * _LP_GAIN) * (high_a + high_b)
-        rows.append({
-            "j": int(j),
-            "lhs": float(lhs),
-            "low_term": float(2.0 ** (j * s) * low),
-            "high_term": float(2.0 ** (-j * _LP_GAIN) * (high_a + high_b)),
-            "constant_needed": float(lhs / rhs) if rhs > 0 else float("inf"),
-        })
+    for label, b in members:
+        diff = modulus_difference(a, b)
+        lhs = frac_sobolev_norm(diff, s, p)
+        high = high_a + frac_sobolev_norm(b, s + _LP_GAIN, p)
+        low = riemann_lp(diff.values, diff.space.cell, p)
+        for j in _LP_SCALES:
+            low_term = 2.0 ** (j * s) * low
+            high_term = 2.0 ** (-j * _LP_GAIN) * high
+            rhs = low_term + high_term
+            rows.append({"pair": label, "j": j, "lhs": lhs,
+                         "low_term": float(low_term),
+                         "high_term": float(high_term),
+                         "constant_needed":
+                             float(lhs / rhs) if rhs > 0 else math.inf})
     return rows

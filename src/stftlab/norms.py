@@ -356,6 +356,7 @@ def modulus(obj: Sampled) -> Sampled:
 def modulus_difference(a: Sampled, b: Sampled) -> Sampled:
     """|a| - |b| on the space of a: the modulus distance every stability
     constant divides by."""
+    _same_geometry(a, b)
     return a.like(np.abs(a.values) - np.abs(b.values))
 
 

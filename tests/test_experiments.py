@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,56 @@ def test_verify_rederives_the_far_phase_floor(tmp_path):
     assert [(a["invariant"], a["check"]) for a in broken] == [
         ("forge.far-phase-floor", "col_ge_col")]
     assert broken[0]["stored"]
+
+
+def test_verify_rederives_the_disconnected_constant(tmp_path):
+    ex.write_result(ex.run(ex.default_manifest("poincare-square",
+                                               reduced=True)), tmp_path)
+    assert ex.verify_run(tmp_path)["ok"]
+    assert "Infinity" not in (tmp_path / "summary.json").read_text()
+    csv = tmp_path / "disconnected.csv"
+    header, row = csv.read_text().splitlines()
+    names, cells = header.split(","), row.split(",")
+    assert cells[names.index("constant")] == "inf"
+    cells[names.index("constant")] = "12.5"
+    csv.write_text("\n".join([header, ",".join(cells)]) + "\n")
+    report = ex.verify_run(tmp_path)
+    assert not report["ok"]
+    broken = [a for a in report["assertions"] if not a["recheck"]]
+    assert [(a["invariant"], a["check"]) for a in broken] == [
+        ("geometry.disconnected-inf", "all_inf")]
+    assert broken[0]["stored"]
+
+
+def test_thm15_transforms_each_member_once(monkeypatch):
+    mf = ex.default_manifest("thm15-sobolev-ratio", reduced=True)
+    stft = ex.stft
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return stft(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "stft", counted)
+    assert ex.run(mf).passed
+    # V perturbed, V base and one transform per flipped member
+    assert len(calls) == mf.params["n_max"] + 2 == 4
+
+
+def test_every_check_and_invariant_is_asserted():
+    tree = ast.parse(Path(ex.__file__).read_text())
+    invariants, checks = set(), set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_assertion"):
+            continue
+        invariant, _, _, check = node.args[:4]
+        assert isinstance(invariant, ast.Constant), node.lineno
+        assert isinstance(check, ast.Constant), node.lineno
+        invariants.add(invariant.value)
+        checks.add(check.value)
+    assert sorted(set(ex.CHECKS) - checks) == []
+    assert sorted(set(ex.INVARIANTS) - invariants) == []
 
 
 def test_verify_names_unknown_check_and_table(tmp_path):

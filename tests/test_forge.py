@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from stftlab import forge
 from stftlab.forge import (
     InstabilityPair,
     RatioResult,
     assemble_pair,
     build_bumps,
     dichotomy_check,
-    field_difference,
     field_instability_ratio,
     instability_ratio,
     lp_reduction_rows,
@@ -36,8 +36,11 @@ from stftlab.norms import (
     XpSigmaNorm,
     ball_lp,
     disjointness_witness,
+    frac_sobolev_norm,
     inner_l2,
     japanese_bracket,
+    modulus,
+    modulus_difference,
     riemann_lp,
 )
 from stftlab.transforms import WindowSpec, stft
@@ -485,22 +488,55 @@ def test_lp_reduction_rows_structure_and_constant():
         F = stft(sig, w)
         return TFField(F.tfgrid, np.abs(F.values).astype(np.complex128))
 
-    pairs = [
-        (modfield(gaussian(grid)), modfield(hermite(grid, 2))),
-        (modfield(gaussian(grid)), modfield(translate(gaussian(grid), 1.0))),
-    ]
-    for a, b in pairs:
-        diff = field_difference(b, a)
-        rows = lp_reduction_rows(diff, a, b, 1.0, 2.0)
-        assert [r["j"] for r in rows] == [2, 3, 4, 5, 6]
-        for r in rows:
-            rhs = r["low_term"] + r["high_term"]
-            assert r["constant_needed"] == pytest.approx(r["lhs"] / rhs)
-            assert r["constant_needed"] <= 4.0
+    a = modfield(gaussian(grid))
+    members = [("hermite2", modfield(hermite(grid, 2))),
+               ("shifted", modfield(translate(gaussian(grid), 1.0)))]
+    rows = lp_reduction_rows(a, members, 1.0, 2.0)
+    assert [r["pair"] for r in rows] == ["hermite2"] * 5 + ["shifted"] * 5
+    assert [r["j"] for r in rows] == [2, 3, 4, 5, 6] * 2
+    for r in rows:
+        rhs = r["low_term"] + r["high_term"]
+        assert r["constant_needed"] == pytest.approx(r["lhs"] / rhs)
+        assert r["constant_needed"] <= 4.0
 
 
-def test_field_difference_checks_grids():
-    a = stft(gaussian(make_grid(16.0, 256)), WindowSpec("gaussian"))
-    b = stft(gaussian(make_grid(8.0, 64)), WindowSpec("gaussian"))
+def test_lp_reduction_rows_takes_the_reference_norm_once(monkeypatch):
+    grid = make_grid(16.0, 256)
+    w = WindowSpec("gaussian")
+    a = modulus(stft(gaussian(grid), w))
+    members = [(f"hermite{n}", modulus(stft(hermite(grid, n), w)))
+               for n in (1, 2, 3)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return frac_sobolev_norm(*args, **kwargs)
+
+    monkeypatch.setattr(forge, "frac_sobolev_norm", counted)
+    rows = lp_reduction_rows(a, members, 1.0, 2.0)
+    assert len(calls) == 2 * len(members) + 1
+    # the reference A at order s + 1/4 once, then D and B per member
+    assert calls == [1.25] + [1.0, 1.25] * len(members)
+    monkeypatch.undo()
+    # each row is the band split of D = A - B, bit for bit
+    high_a = frac_sobolev_norm(a, 1.25, 2.0)
+    for i, (label, b) in enumerate(members):
+        diff = TFField(a.tfgrid, a.values - b.values)
+        high = high_a + frac_sobolev_norm(b, 1.25, 2.0)
+        low = riemann_lp(diff.values, diff.space.cell, 2.0)
+        for r in rows[5 * i:5 * i + 5]:
+            assert r["pair"] == label
+            assert r["lhs"] == frac_sobolev_norm(diff, 1.0, 2.0)
+            assert r["low_term"] == 2.0 ** r["j"] * low
+            assert r["high_term"] == 2.0 ** (-0.25 * r["j"]) * high
+
+
+def test_modulus_difference_checks_grids():
+    w = WindowSpec("gaussian")
+    a = modulus(stft(gaussian(make_grid(16.0, 256)), w))
+    b = modulus(stft(gaussian(make_grid(8.0, 256)), w))
+    assert a.values.shape == b.values.shape
     with pytest.raises(ValueError, match="different grids"):
-        field_difference(a, b)
+        modulus_difference(a, b)
+    with pytest.raises(ValueError, match="different grids"):
+        lp_reduction_rows(a, [("coarse", b)], 1.0, 2.0)
