@@ -243,8 +243,6 @@ def _check_growth_ge(rows, args):
     """Consecutive ratios must grow by the given factor; a jump from a
     finite value to a saturated (infinite) one counts as growth."""
     vals = _col(rows, args["col"])
-    if not vals:
-        return False
     for a, b in zip(vals, vals[1:]):
         if math.isinf(b) and not math.isinf(a):
             continue
@@ -389,26 +387,6 @@ def _read_csv(path: Path) -> tuple:
     return header, rows
 
 
-def _long_rows(tables: dict) -> list:
-    """Plot-ready (series, x, y) rows: first numeric column of each table
-    is the abscissa, every other numeric column one series."""
-    out = []
-    for name, (header, rows) in tables.items():
-        if not rows:
-            continue
-        numeric = [i for i, v in enumerate(rows[0])
-                   if isinstance(v, (int, float, np.integer, np.floating))
-                   and not isinstance(v, bool)]
-        if len(numeric) < 2:
-            continue
-        xi = numeric[0]
-        for ci in numeric[1:]:
-            series = f"{name}.{header[ci]}"
-            for row in rows:
-                out.append([series, float(row[xi]), float(row[ci])])
-    return out
-
-
 def write_result(result: ExperimentResult, out_dir: str | Path) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -417,9 +395,6 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> list:
         p = out / f"{name}.csv"
         p.write_text(_csv_text(header, rows))
         written.append(p)
-    p = out / "plot.csv"
-    p.write_text(_csv_text(["series", "x", "y"], _long_rows(result.tables)))
-    written.append(p)
     p = out / "summary.json"
     p.write_text(json.dumps(result.summary_dict(), indent=2) + "\n")
     written.append(p)
@@ -481,10 +456,8 @@ def _smooth_signal(grid, rng: SplitMix64, kmax: int, decay: float) -> Signal:
     return Signal(grid, vals)
 
 
-def _named_signal(name: str, grid, rng: SplitMix64 | None = None) -> Signal:
+def _named_signal(name: str, grid, rng: SplitMix64) -> Signal:
     if name == "random":
-        if rng is None:
-            raise ValueError("random signal needs a seeded stream")
         return random(grid, rng)
     return parse_window(name).build(grid)
 
@@ -906,10 +879,8 @@ _GLUE_TRIPLES = [
 
 def _half_masks(tg: TFGrid, omega: DomainMask, axis: str, overlap: float):
     proj = tg.xmesh() if axis == "x" else tg.wmesh()
-    lo = omega.inside & (np.broadcast_to(proj, omega.inside.shape)
-                         <= overlap)
-    hi = omega.inside & (np.broadcast_to(proj, omega.inside.shape)
-                         >= -overlap)
+    lo = omega.inside & (proj <= overlap)
+    hi = omega.inside & (proj >= -overlap)
     return DomainMask(tg, lo), DomainMask(tg, hi)
 
 
@@ -1442,7 +1413,7 @@ def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,
 def run(manifest: ExperimentManifest) -> ExperimentResult:
     """Execute one experiment and evaluate its assertions.
 
-    Writes tables, plot data, and the summary when the manifest carries an
+    Writes tables and the summary when the manifest carries an
     output directory. Raises ValueError for unknown ids or infeasible
     fixtures; assertion failures never raise, they are recorded.
     """

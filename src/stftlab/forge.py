@@ -80,7 +80,7 @@ class AnnulusSchedule:
     scales[n] = 2^{-(n+1)} <j_n>^{-sigma} is the bump amplitude; tails[n] is
     the seed's measured mass outside |x| >= j_n / 2 in the doubly-weighted
     norm, certified <= 2^{-3(n+1)} during construction. Lists are 0-based;
-    rung m corresponds to level n = m + 1.
+    list index m is rung n = m + 1.
     """
 
     seed: Signal
@@ -95,14 +95,9 @@ class AnnulusSchedule:
     def n_max(self) -> int:
         return len(self.radii)
 
-    def level(self, n: int) -> int:
-        """1-based rung -> list index, with range check."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"rung {n} outside 1..{self.n_max}")
-        return n - 1
-
-    def annulus_mask(self, n: int) -> np.ndarray:
-        j = self.radii[self.level(n)]
+    def annulus_mask(self, m: int) -> np.ndarray:
+        """Indicator of the annulus at list index m (rung m + 1)."""
+        j = self.radii[m]
         r = self.seed.grid.radius()
         return (r >= j) & (r <= 2 * j)
 
@@ -187,7 +182,6 @@ class BoundRow:
     mcb_product: float
     mtb_measured: float
     mtb_ratio: float
-    sob_measured: float
     sob_ratio: float
 
 
@@ -241,7 +235,7 @@ def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
         j = schedule.radii[m]
         scale = schedule.scales[m]
         bracket_sig = japanese_bracket(float(j)) ** schedule.sigma
-        mask = schedule.annulus_mask(n)
+        mask = schedule.annulus_mask(m)
 
         lp = riemann_lp(eps.values, grid.dx, schedule.p)
         gub_lp_ratio = lp / (scale * h_lp)
@@ -261,7 +255,7 @@ def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
         sob_ratio = sob / sob_bound
 
         rows.append(BoundRow(n, float(j), gub_lp_ratio, gub_x_scaled,
-                             mcb_product, mtb, mtb_ratio, sob, sob_ratio))
+                             mcb_product, mtb, mtb_ratio, sob_ratio))
     return BoundReport(rows)
 
 
@@ -276,7 +270,6 @@ class InstabilityPair:
     delta: float
     core: Signal
     tail: Signal
-    target: float
 
     def __post_init__(self):
         if not np.array_equal(self.k.values, self.core.values + self.tail.values):
@@ -311,7 +304,6 @@ def assemble_pair(schedule: AnnulusSchedule, bumps: list, delta: float,
         delta=delta,
         core=Signal(grid, core),
         tail=Signal(grid, tail),
-        target=2.0 ** n,
     )
 
 
@@ -436,6 +428,16 @@ def _omega_profile(field_values: np.ndarray, wgrid: Grid1D) -> Signal:
     return Signal(wgrid, prof.astype(np.complex128))
 
 
+def _member(f: Signal, bumps: list, signs: list) -> Signal:
+    """f plus each bump with its sign (+1, -1, or 0 to leave it out), added
+    in ladder order."""
+    vals = f.values.copy()
+    for b, sign in zip(bumps, signs):
+        if sign:
+            vals = vals + (b if sign > 0 else -b)
+    return Signal(f.grid, vals)
+
+
 def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
                             spec: NormSpec, n_max: int,
                             delta: float = 0.1) -> StftFamily:
@@ -466,10 +468,7 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
 
     for _ in range(60):
         bumps = [delta * s * m.values for s, m in zip(scales, mods)]
-        vals = f.values.copy()
-        for b in bumps:
-            vals = vals + b
-        perturbed = Signal(f.grid, vals)
+        perturbed = _member(f, bumps, [1] * n_max)
         moved = stft(perturbed, window)
         drift = strong(moved.like(moved.values - base_field.values))
         if drift < closeness:
@@ -480,18 +479,10 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
             f"could not meet closeness {closeness:g}; achieved {drift:g}"
         )
 
-    flipped = []
-    for k in range(n_max + 1):
-        vals = f.values.copy()
-        for idx, b in enumerate(bumps):
-            vals = vals + (b if idx < k else -b)
-        flipped.append(Signal(f.grid, vals))
-    truncations = []
-    for n in range(n_max + 1):
-        vals = f.values.copy()
-        for b in bumps[:n]:
-            vals = vals + b
-        truncations.append(Signal(f.grid, vals))
+    flipped = [_member(f, bumps, [1] * k + [-1] * (n_max - k))
+               for k in range(n_max + 1)]
+    truncations = [_member(f, bumps, [1] * n + [0] * (n_max - n))
+                   for n in range(n_max + 1)]
 
     return StftFamily(f, perturbed, flipped, truncations, ladder, scales,
                       float(delta), float(drift))

@@ -224,8 +224,6 @@ class CheegerReport:
 
 
 def _segment_integral(xs, ys, wvals, segments) -> float:
-    if segments.size == 0:
-        return 0.0
     mx = 0.5 * (segments[:, 0] + segments[:, 2])
     my = 0.5 * (segments[:, 1] + segments[:, 3])
     lengths = np.hypot(segments[:, 2] - segments[:, 0],
@@ -498,19 +496,14 @@ def poincare_constant(mask: DomainMask,
         report["mu1"] = 0.0
         return float("inf"), report
 
-    # normalize to an ordinary symmetric problem with D = diag(measure^{-1/2})
     if n == 1:
         report["mu1"] = float("inf")
         return 0.0, report
 
-    dval = 1.0 / np.sqrt(measure)
-    if n <= 1024:
-        from scipy.linalg import eigh
-
-        sym = lap.toarray() * dval[:, None] * dval[None, :]
-        sym = 0.5 * (sym + sym.T)
-        evals = eigh(sym, eigvals_only=True, subset_by_index=[0, 1])
-        mu1 = float(evals[1])
+    if n == 2:
+        # one edge of conductance c: the spectrum of A u = mu M u is
+        # {0, c (1/m1 + 1/m2)}, and ARPACK needs more vertices than k = 2
+        mu1 = float(-lap[0, 1] * (1.0 / measure[0] + 1.0 / measure[1]))
     else:
         # shift so the constant mode sits at a known positive level, then
         # take the second-smallest eigenvalue by shift-invert at zero

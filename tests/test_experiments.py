@@ -86,8 +86,7 @@ def test_write_then_verify_roundtrip(tmp_path):
                                      reduced=True))
     ex.write_result(res, tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
-    assert names == {f"{t}.csv" for t in res.tables} | {"plot.csv",
-                                                        "summary.json"}
+    assert names == {f"{t}.csv" for t in res.tables} | {"summary.json"}
     report = ex.verify_run(tmp_path)
     assert report["ok"]
     assert report["id"] == "certificate-polynomial"
@@ -189,19 +188,6 @@ def test_verify_names_unknown_check_and_table(tmp_path):
         path.write_text(json.dumps(summary))
         with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
             ex.verify_run(tmp_path)
-
-
-def test_plot_long_format(tmp_path):
-    res = ex.run(ex.default_manifest("lp-reduction"))
-    ex.write_result(res, tmp_path)
-    lines = (tmp_path / "plot.csv").read_text().splitlines()
-    assert lines[0] == "series,x,y"
-    assert len(lines) > 1
-    for line in lines[1:]:
-        series, x, y = line.split(",")
-        table = series.split(".")[0]
-        assert table in res.tables
-        float(x), float(y)
 
 
 def test_infinite_values_survive_the_round_trip(tmp_path):

@@ -28,6 +28,7 @@ from stftlab.grids import (
     gaussian,
     hermite,
     make_grid,
+    modulate,
     translate,
 )
 from stftlab.norms import (
@@ -172,11 +173,12 @@ def test_schedule_rejects_bad_n_max(seed):
 
 
 def test_annulus_mask_geometry(schedule):
-    mask = schedule.annulus_mask(2)
+    # list index 1 is rung 2
+    mask = schedule.annulus_mask(1)
     r = np.abs(schedule.seed.grid.points())
     assert np.array_equal(mask, (r >= 6) & (r <= 12))
-    with pytest.raises(ValueError, match="rung"):
-        schedule.annulus_mask(6)
+    with pytest.raises(IndexError):
+        schedule.annulus_mask(5)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +206,7 @@ def test_bump_mass_outside_annulus_bounded_by_tail(schedule, bumps):
     """The annulus complement sits inside the translated tail region, so the
     leakage of eps_n is at most scale_n times the certified seed tail."""
     for m, eps in enumerate(bumps):
-        mask = schedule.annulus_mask(m + 1)
+        mask = schedule.annulus_mask(m)
         outside = riemann_lp(np.where(mask, 0.0, eps.values),
                              eps.grid.dx, 2.0)
         cap = schedule.scales[m] * schedule.tails[m]
@@ -249,7 +251,6 @@ def test_assemble_pair_exact_sums(schedule, bumps):
     pair = assemble_pair(schedule, bumps, 0.1, 2)
     assert np.array_equal(pair.k.values, pair.core.values + pair.tail.values)
     assert np.array_equal(pair.k_n.values, pair.core.values - pair.tail.values)
-    assert pair.target == 4.0
     # core carries the seed plus the first two bumps
     expect = schedule.seed.values + 0.1 * bumps[0].values
     expect = expect + 0.1 * bumps[1].values
@@ -262,7 +263,7 @@ def test_pair_constructor_rejects_tampering(schedule, bumps):
         InstabilityPair(
             k=Signal(pair.k.grid, pair.k.values * 1.0000001),
             k_n=pair.k_n, n=1, delta=0.1,
-            core=pair.core, tail=pair.tail, target=2.0,
+            core=pair.core, tail=pair.tail,
         )
 
 
@@ -446,6 +447,28 @@ def test_family_member_structure(family):
     # flipping every sign mirrors the perturbation around the base
     mirrored = 2.0 * family.base.values - family.perturbed.values
     assert np.allclose(family.flipped[0].values, mirrored, atol=1e-15)
+
+
+def test_family_members_match_the_ladder_loops(family):
+    """Every member is bit-identical to its own loop: the bumps added to the
+    base in ladder order, + or - per sign, the truncations stopping at n."""
+    f = family.base
+    bumps = [family.delta * s * modulate(f, a).values
+             for s, a in zip(family.scales, family.ladder)]
+    vals = f.values.copy()
+    for b in bumps:
+        vals = vals + b
+    assert np.array_equal(family.perturbed.values, vals)
+    for k, member in enumerate(family.flipped):
+        vals = f.values.copy()
+        for idx, b in enumerate(bumps):
+            vals = vals + (b if idx < k else -b)
+        assert np.array_equal(member.values, vals)
+    for n, member in enumerate(family.truncations):
+        vals = f.values.copy()
+        for b in bumps[:n]:
+            vals = vals + b
+        assert np.array_equal(member.values, vals)
 
 
 def test_family_field_ratios_clear_targets(family):

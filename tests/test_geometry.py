@@ -7,6 +7,7 @@ from scipy.ndimage import gaussian_filter, label
 from scipy.sparse.csgraph import connected_components
 
 from contour_oracle import full_grid_marching_squares
+from poincare_oracle import dense_mu1
 from stftlab import geometry
 from stftlab.grids import Signal, TFField, TFGrid, gaussian, make_grid, tf_grid_of
 from stftlab.transforms import FockField, fock_polynomial_field, stft, to_fock
@@ -461,6 +462,34 @@ def test_single_cell_domain_has_zero_constant(tfg):
     one = DomainMask.rectangle(tfg, 0.0, 0.01, 0.0, 0.01)
     assert one.cell_count == 1
     assert poincare_constant(one)[0] == 0.0
+
+
+def _grown_mask(tg, rng, count: int) -> DomainMask:
+    """A connected mask of `count` cells, grown from the centre by adding a
+    random 4-neighbour of a random cell already inside."""
+    inside = np.zeros(tg.shape, dtype=bool)
+    cells = [(tg.shape[0] // 2, tg.shape[1] // 2)]
+    inside[cells[0]] = True
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    while len(cells) < count:
+        i, j = cells[rng.integers(len(cells))]
+        di, dj = steps[rng.integers(4)]
+        if not inside[i + di, j + dj]:
+            inside[i + di, j + dj] = True
+            cells.append((i + di, j + dj))
+    return DomainMask(tg, inside)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 25, 600])
+def test_poincare_gap_matches_the_dense_solve(tfg, count):
+    rng = np.random.default_rng(count)
+    mask = _grown_mask(tfg, rng, count)
+    weights = rng.uniform(0.1, 10.0, tfg.shape)
+    val, rep = poincare_constant(mask, TFField(tfg, weights.astype(np.complex128)))
+    ref = dense_mu1(mask, weights)
+    assert rep["vertices"] == count
+    assert rep["mu1"] == pytest.approx(ref, rel=1e-9)
+    assert val == 1.0 / math.sqrt(rep["mu1"])
 
 
 def test_poincare_weight_clipping_is_reported(tfg):
