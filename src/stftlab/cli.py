@@ -211,7 +211,8 @@ def _cmd_poincare(args) -> int:
         mask = _load_operand(args.mask, "mask", "mask")
     else:
         center, radius = _flag("--disk", _parse_disk, args.disk)
-        tg = tf_grid_of(make_grid(args.L, args.N))
+        tg = tf_grid_of(_flag("--L/--N", lambda _: make_grid(args.L, args.N),
+                              None))
         mask = DomainMask.disk(tg, center, radius)
     weight = None
     if args.weight is not None:

@@ -35,6 +35,10 @@ from .rng import SplitMix64
 
 BOUNDARY_DECAY_TOL = 1e-10
 
+# Largest sample count of one grid axis: twice the largest count an
+# experiment builds (2048), and a 4096^2 complex field is 256 MiB.
+MAX_COUNT = 4096
+
 __all__ = [
     "Grid1D",
     "Signal",
@@ -122,11 +126,14 @@ class Grid1D:
 
 
 def make_grid(length: float, count: int) -> Grid1D:
-    """Validated Grid1D constructor: L > 0, N even and at least 8."""
+    """Validated Grid1D constructor: L > 0, N even, 8 <= N <= MAX_COUNT."""
     if not np.isfinite(length) or length <= 0:
         raise ValueError(f"grid length must be positive, got {length!r}")
     if int(count) != count or count < 8 or count % 2 != 0:
         raise ValueError(f"grid count must be an even integer >= 8, got {count!r}")
+    if count > MAX_COUNT:
+        raise ValueError(f"grid count {count!r} is above the limit of "
+                         f"{MAX_COUNT}")
     return Grid1D(float(length), int(count))
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Signal, TFField, TFGrid, make_grid
+from .grids import MAX_COUNT, Signal, TFField, TFGrid, make_grid
 
 MAGIC = b"STFL1"
 
@@ -32,8 +32,8 @@ _KIND_MASK = 3
 
 # Largest mask grid `load` decodes: a run list of a few bytes can declare any
 # cell count, and decoding allocates one byte per cell. 4096^2 cells (16 MiB)
-# is twice the side of the largest TF grid an experiment builds (2048^2).
-MAX_MASK_CELLS = 4096 * 4096
+# is the square of the largest grid side make_grid accepts.
+MAX_MASK_CELLS = MAX_COUNT ** 2
 
 
 def _sample_bytes(values: np.ndarray) -> bytes:
@@ -103,13 +103,14 @@ def load(path: str | Path):
             (length,) = struct.unpack("<d", _read_exact(fh, 8))
             vals = _samples(_read_exact(fh, 16 * count))
             return Signal(make_grid(length, count), vals)
-        if kind in (_KIND_FIELD, _KIND_MASK):
-            nx, nw = struct.unpack("<QQ", _read_exact(fh, 16))
-            lx, lw = struct.unpack("<dd", _read_exact(fh, 16))
+        if kind == _KIND_FIELD:
+            nx, nw, lx, lw = struct.unpack("<QQdd", _read_exact(fh, 32))
+            vals = _samples(_read_exact(fh, 16 * nx * nw))
             tg = TFGrid(make_grid(lx, nx), make_grid(lw, nw))
-            if kind == _KIND_FIELD:
-                vals = _samples(_read_exact(fh, 16 * nx * nw))
-                return TFField(tg, vals.reshape(nx, nw))
+            return TFField(tg, vals.reshape(nx, nw))
+        if kind == _KIND_MASK:
+            nx, nw, lx, lw = struct.unpack("<QQdd", _read_exact(fh, 32))
+            tg = TFGrid(make_grid(lx, nx), make_grid(lw, nw))
             if nx * nw > MAX_MASK_CELLS:
                 raise ValueError(f"mask declares {nx}x{nw} cells, above the "
                                  f"limit of {MAX_MASK_CELLS}")

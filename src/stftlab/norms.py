@@ -55,6 +55,15 @@ def _weighted(values: np.ndarray, space, r: float) -> np.ndarray:
     return values if r == 0 else japanese_bracket(space.radius()) ** r * values
 
 
+def _parameter(name: str, value: float, low: float = -math.inf) -> float:
+    """float(value), once it is a number (not NaN) and at least low."""
+    value = float(value)
+    if math.isnan(value) or value < low:
+        bound = f" >= {low:g}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be a number{bound}, got {value!r}")
+    return value
+
+
 def _same_geometry(f: Sampled, g: Sampled) -> None:
     if type(f) is not type(g):
         raise ValueError("operands live on different sample spaces")
@@ -96,10 +105,28 @@ def _derivative_term(obj: Sampled, s: float, p: float) -> tuple[np.ndarray, floa
     For p = 2 the norm is evaluated on the frequency side (Parseval is exact on
     the grid, and one transform is cheaper than a round trip); s = 0 needs no
     transform at all.
+
+    A real field needs only half of its spectrum. The centred DFT is
+    fftshift(fft(ifftshift(a))): the inner ifftshift multiplies the spectrum by
+    a unimodular phase and the outer fftshift permutes it, so |cdft2(a)| is
+    |fft2(a)| reordered, and the multiplier is laid out in fft order by
+    ifftshift of each axis's freq_radius(). A real a has a Hermitian spectrum,
+    F(-k) = conj F(k), and the multiplier is even in k, so the rfft2 half
+    plane [:, :N_w/2 + 1] fixes the whole sum. Its first and last columns
+    (frequencies 0 and -N_w/2) are their own mirrors; every other column also
+    stands for its mirror column, so it is scaled by sqrt 2.
     """
     sp = obj.space
     if s == 0:
         return obj.values, sp.cell, p
+    if p == 2 and isinstance(obj, TFField) and not np.iscomplexobj(obj.values):
+        half = obj.values.shape[1] // 2 + 1
+        rho = np.hypot(np.fft.ifftshift(sp.xgrid.freq_radius())[:, None],
+                       np.fft.ifftshift(sp.wgrid.freq_radius())[None, :half])
+        mult = (1.0 + np.square(rho)) ** (s / 2.0)
+        term = mult * (sp.cell * np.fft.rfft2(obj.values))
+        term[:, 1:-1] *= math.sqrt(2.0)
+        return term, sp.dual_cell, 2.0
     if p == 2:
         mult = (1.0 + np.square(sp.freq_radius())) ** (s / 2.0)
         return mult * (sp.cell * sp.fft(obj.values)), sp.dual_cell, 2.0
@@ -132,10 +159,15 @@ class Norm:
         return float(sum(riemann_lp(a, c, p) for a, c, p in self._terms(obj)))
 
     def pair_evaluator(self, f, g):
-        """Callable lam -> self(f - lam * g) with all transforms precomputed."""
+        """Callable lam -> self(f - lam * g) with all transforms precomputed.
+
+        Real operands are taken as complex: their half-spectrum terms do not
+        combine, since |F(-k) - lam G(-k)| = |F(k) - conj(lam) G(k)|.
+        """
         _same_geometry(f, g)
-        tf = self._terms(f)
-        tg = self._terms(g)
+        tf, tg = (self._terms(x if np.iscomplexobj(x.values)
+                              else x.like(x.values.astype(np.complex128)))
+                  for x in (f, g))
 
         def ev(lam: complex) -> float:
             return float(
@@ -152,9 +184,7 @@ class LqNorm(Norm):
     """Plain Lebesgue norm ||f||_q."""
 
     def __init__(self, q: float):
-        if q != math.inf and q < 1:
-            raise ValueError(f"q must be >= 1 or inf, got {q!r}")
-        self.q = float(q)
+        self.q = _parameter("q", q, 1.0)
         self.label = f"L{self.q:g}"
 
     def _terms(self, obj):
@@ -165,8 +195,8 @@ class XpSigmaNorm(Norm):
     """Weighted Lebesgue norm ||<x>^sigma f||_p."""
 
     def __init__(self, p: float, sigma: float):
-        self.p = float(p)
-        self.sigma = float(sigma)
+        self.p = _parameter("p", p, 1.0)
+        self.sigma = _parameter("sigma", sigma)
         self.label = f"X{self.p:g},{self.sigma:g}"
 
     def _terms(self, obj):
@@ -178,9 +208,9 @@ class SobolevNorm(Norm):
     """||<x>^r f||_p + ||<D>^s f||_p."""
 
     def __init__(self, s: float, p: float, r: float = 0.0):
-        self.s = float(s)
-        self.p = float(p)
-        self.r = float(r)
+        self.s = _parameter("s", s, 0.0)
+        self.p = _parameter("p", p, 1.0)
+        self.r = _parameter("r", r, 0.0)
         self.label = f"W{self.s:g},{self.p:g},{self.r:g}"
 
     def _terms(self, obj):
@@ -217,12 +247,10 @@ class NormSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.s < 0 or self.r < 0:
-            raise ValueError("s and r must be nonnegative")
-        if self.p < 1 or not math.isfinite(self.p):
-            raise ValueError("p must be a finite real >= 1")
-        if self.q < 1:
-            raise ValueError("q must be >= 1 or inf")
+        for name, low in (("s", 0.0), ("p", 1.0), ("r", 0.0), ("q", 1.0)):
+            _parameter(name, getattr(self, name), low)
+        if not math.isfinite(self.p):
+            raise ValueError("p must be finite")
 
 
 def parse_norm(text: str) -> Norm:

@@ -224,6 +224,26 @@ def test_bad_norm_spec_exits_two(tmp_path, capsys):
     assert "--norm" in err
 
 
+@pytest.mark.parametrize("spec", ["w:1,0.5", "x:0.5,1", "w:-1,2", "w:1,2,-1",
+                                  "lq:nan", "w:nan,2", "x:2,nan"])
+def test_out_of_range_norm_parameters_exit_two(tmp_path, capsys, spec):
+    f = str(tmp_path / "f.bin")
+    run_cli(capsys, "gen", "gaussian", "--out", f)
+    code, _, err = run_cli(capsys, "norm", f, "--norm", spec)
+    assert code == 2
+    assert "--norm" in err
+
+
+def test_grid_above_the_count_limit_exits_two(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "gen", "gaussian", "--N", "4098",
+                           "--out", str(tmp_path / "f.bin"))
+    assert code == 2
+    assert "--L/--N" in err and "limit" in err
+    code, _, err = run_cli(capsys, "poincare", "--disk", "0,0,1", "--N", "4098")
+    assert code == 2
+    assert "--L/--N" in err
+
+
 def test_bad_thread_cap_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("STFTLAB_THREADS", "zebra")
     code, _, err = run_cli(capsys, "list")

@@ -35,6 +35,12 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(8.0, 6)
 
 
+def test_make_grid_count_is_bounded():
+    assert make_grid(16.0, 4096).count == 4096
+    with pytest.raises(ValueError, match="limit"):
+        make_grid(16.0, 4098)
+
+
 def test_points_and_frequencies_are_centered(grid8):
     x = grid8.points()
     assert x[grid8.count // 2] == 0.0

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stftlab.grids import Signal, TFField, cdft, gaussian, hermite, make_grid, tf_grid_of
+from stftlab.grids import (
+    Signal,
+    TFField,
+    TFGrid,
+    cdft,
+    cdft2,
+    gaussian,
+    hermite,
+    make_grid,
+    tf_grid_of,
+)
 from stftlab.norms import (
     IntersectionNorm,
     LqNorm,
@@ -28,6 +38,7 @@ from stftlab.norms import (
     riemann_lp,
     tail_weighted_lp,
 )
+from stftlab.rng import SplitMix64
 from stftlab.transforms import stft
 
 from conftest import random_signal
@@ -395,7 +406,7 @@ def test_inner_l2_hermite_orthogonality(grid16):
 
 def test_norm_spec_validation():
     for bad in (dict(p=0.5), dict(p=math.inf), dict(q=0.0), dict(s=-1.0),
-                dict(r=-0.5)):
+                dict(r=-0.5), dict(s=math.nan), dict(q=math.nan)):
         with pytest.raises(ValueError):
             NormSpec(**bad)
 
@@ -477,6 +488,52 @@ def test_p2_multiplier_term_is_plancherel_sum_bitwise(grid16):
         mult * spectrum, dual.dx, 2.0
     )
     assert frac_sobolev_norm(f, s_ord, 2.0) == oracle
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum Sobolev terms of real fields
+
+
+def _full_spectrum_sobolev(field, s, r):
+    """SobolevNorm(s, 2, r) through the full centred spectrum cdft2: the
+    reference for the half-spectrum term of real fields."""
+    tg = field.tfgrid
+    weighted = japanese_bracket(tg.radius()) ** r * field.values
+    mult = (1.0 + np.square(tg.freq_radius())) ** (s / 2.0)
+    spectrum = mult * (tg.cell * cdft2(field.values))
+    return riemann_lp(weighted, tg.cell, 2.0) + riemann_lp(spectrum, tg.dual_cell, 2.0)
+
+
+def _real_field(tg, seed):
+    return TFField(tg, SplitMix64(seed).normals(tg.shape[0] * tg.shape[1])
+                   .reshape(tg.shape))
+
+
+@pytest.mark.parametrize("tg", [
+    tf_grid_of(make_grid(16.0, 256)),
+    tf_grid_of(make_grid(32.0, 256)),
+    # rectangular, so that swapped axes show
+    TFGrid(make_grid(8.0, 64), make_grid(4.0, 32)),
+], ids=["self-dual-16/256", "non-self-dual-32/256", "rectangular-64x32"])
+def test_real_field_half_spectrum_matches_full_spectrum(tg):
+    field = _real_field(tg, seed=sum(tg.shape))
+    for s in (0.5, 1.0, 1.25):
+        for r in (0.0, 1.0):
+            assert SobolevNorm(s, 2.0, r)(field) == pytest.approx(
+                _full_spectrum_sobolev(field, s, r), rel=1e-13)
+    # a complex field keeps the full spectrum, bit for bit
+    spun = field.like(np.exp(0.3j) * field.values)
+    assert SobolevNorm(1.0, 2.0, 1.0)(spun) == _full_spectrum_sobolev(spun, 1.0, 1.0)
+
+
+def test_pair_evaluator_on_real_fields_takes_the_complex_combination():
+    tg = tf_grid_of(make_grid(8.0, 64))
+    f, g = _real_field(tg, seed=91), _real_field(tg, seed=92)
+    norm = SobolevNorm(1.0, 2.0, 1.0)
+    ev = norm.pair_evaluator(f, g)
+    for lam in (1.0, 1j, np.exp(0.3j)):
+        assert ev(lam) == pytest.approx(norm(f.like(f.values - lam * g.values)),
+                                        rel=1e-12)
 
 
 def test_modulus_ratio_constant_phase(grid16):
