@@ -32,8 +32,7 @@ _EXPORTS = {
     "normalize_seed": "forge", "select_annulus_schedule": "forge",
     "build_bumps": "forge", "assemble_pair": "forge",
     "instability_ratio": "forge", "dichotomy_check": "forge",
-    "verified_window": "forge", "verify_bump_bounds": "forge",
-    "stft_instability_family": "forge",
+    "verify_bump_bounds": "forge", "stft_instability_family": "forge",
     # domain geometry and stability constants
     "DomainMask": "geometry", "cheeger_estimate": "geometry",
     "connectivity": "geometry", "gluing_bound": "geometry",

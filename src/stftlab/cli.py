@@ -320,11 +320,31 @@ def _manifest_from_args(args):
     seed = raw.get("seed", manifest.seed)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _Usage("argument --config: seed must be an integer")
+    fixture = {**manifest.fixture, **raw.get("fixture", {})}
+    _check_fixture_grids(fixture)
     return dataclasses.replace(
-        manifest,
-        fixture={**manifest.fixture, **raw.get("fixture", {})},
+        manifest, fixture=fixture,
         params={**manifest.params, **raw.get("params", {})},
         seed=seed)
+
+
+def _check_fixture_grids(fixture: dict) -> None:
+    """Build each grid a patched fixture declares, so that make_grid's
+    limits end in exit 2 naming the field instead of failing in the run."""
+    from .grids import make_grid
+
+    if "count" in fixture:
+        counts = [("fixture.count", fixture["count"])]
+    else:
+        counts = [(f"fixture.counts[{i}]", c)
+                  for i, c in enumerate(fixture.get("counts", []))]
+    for name, count in counts:
+        try:
+            make_grid(fixture["length"], count)
+        except ValueError as e:
+            if str(e).startswith("grid length"):
+                name = "fixture.length"
+            raise _Usage(f"argument --config: {name}: {e}") from None
 
 
 def _cmd_run(args) -> int:

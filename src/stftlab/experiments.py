@@ -28,7 +28,6 @@ from .forge import (
     normalize_seed,
     select_annulus_schedule,
     stft_instability_family,
-    verified_window,
     verify_bump_bounds,
 )
 from .geometry import (
@@ -239,16 +238,35 @@ def _check_geometric_decay(rows, args):
     return all(b <= args["factor"] * a for a, b in zip(vals, vals[1:]))
 
 
-def _check_growth_ge(rows, args):
-    """Consecutive ratios must grow by the given factor; a jump from a
-    finite value to a saturated (infinite) one counts as growth."""
-    vals = _col(rows, args["col"])
-    for a, b in zip(vals, vals[1:]):
-        if math.isinf(b) and not math.isinf(a):
-            continue
-        if not b >= args["bound"] * a:
-            return False
-    return True
+def _ratio_window(rows):
+    """The verified window of a ratio ladder, as its rows: the longest run
+    of consecutive non-degenerate rungs, ending at the top one, whose ratios
+    clear their 2^n targets and strictly increase; None when the top rung
+    fails. inf < inf is no increase, so only the top rung can saturate."""
+    rs = sorted((r for r in rows if not r["degenerate"]), key=lambda r: r["n"])
+    k = len(rs)
+    while k and rs[k - 1]["ratio"] >= rs[k - 1]["target"] and (
+            k == len(rs) or (rs[k - 1]["n"] + 1 == rs[k]["n"]
+                             and rs[k - 1]["ratio"] < rs[k]["ratio"])):
+        k -= 1
+    return rs[k:] or None
+
+
+def _check_ratio_window(rows, args):
+    """The verified window exists, contains the rungs [lo, hi], equals the
+    pin [a, b] and grows by the factor, for each of these args given; a jump
+    from a finite ratio to a saturated one counts as growth."""
+    win = _ratio_window(rows)
+    if win is None:
+        return False
+    span = [win[0]["n"], win[-1]["n"]]
+    lo, hi = args.get("contains", span)
+    vals = _col(win, "ratio")
+    return (span[0] <= lo and span[1] >= hi
+            and list(args.get("pin", span)) == span
+            and all(b >= args.get("growth", 0.0) * a
+                    or (math.isinf(b) and not math.isinf(a))
+                    for a, b in zip(vals, vals[1:])))
 
 
 def _check_gluing_formula(rows, args):
@@ -274,8 +292,8 @@ CHECKS = {
     "nonincreasing": _check_nonincreasing,
     "geometric_decay": _check_geometric_decay,
     "last_le_first_scaled": _check_last_le_first_scaled,
-    "growth_ge": _check_growth_ge,
     "gluing_formula": _check_gluing_formula,
+    "ratio_window": _check_ratio_window,
 }
 
 
@@ -622,47 +640,27 @@ def _run_gaussian_ratio(manifest, fx, pr):
         results.append(instability_ratio(pair, q, den))
         d = dichotomy_check(pair, sched, bumps)
         dich_rows.append([n, d["min_far_distance"], d["floor"]])
+    ratio_header = ["n", "j", "ratio", "target", "saturated", "degenerate"]
     ratio_rows = [[r.n, sched.radii[r.n], r.ratio, r.target,
                    int(r.saturated), int(r.degenerate)] for r in results]
-    win = verified_window(results)
-    lo, hi = win if win is not None else (-1, -1)
-    win_rows = [[lo, hi, pr["window_contains"][0], pr["window_contains"][1],
-                 pr["window_pin"][0], pr["window_pin"][1]]]
-    window_rows = [row for row in ratio_rows if lo <= row[0] <= hi]
+    win = _ratio_window([dict(zip(ratio_header, r)) for r in ratio_rows])
     growth = pr["growth"]
     tables = {
-        "ratios": (["n", "j", "ratio", "target", "saturated", "degenerate"],
-                   ratio_rows),
-        "window_ratios": (["n", "j", "ratio", "target", "saturated",
-                           "degenerate"], window_rows),
-        "window": (["start", "end", "contain_lo", "contain_hi", "pin_start",
-                    "pin_end"], win_rows),
+        "ratios": (ratio_header, ratio_rows),
         "dichotomy": (["n", "min_far_distance", "floor"], dich_rows),
     }
     specs = [
         _assertion("forge.ratio-growth",
-                   "every rung in the verified window clears its 2^n target",
-                   "window_ratios", "col_ge_col",
-                   {"lhs": "ratio", "rhs": "target"}),
+                   "the verified window (rungs clearing 2^n with increasing "
+                   "ratios) covers the required rungs",
+                   "ratios", "ratio_window",
+                   {"contains": pr["window_contains"]}),
         _assertion("forge.ratio-growth",
                    f"consecutive window ratios grow by at least {growth:g}",
-                   "window_ratios", "growth_ge",
-                   {"col": "ratio", "bound": growth}),
-        _assertion("forge.ratio-growth",
-                   "the verified window covers the required rungs",
-                   "window", "col_le_col",
-                   {"lhs": "start", "rhs": "contain_lo"}),
-        _assertion("forge.ratio-growth",
-                   "the verified window reaches the required top rung",
-                   "window", "col_ge_col",
-                   {"lhs": "end", "rhs": "contain_hi"}),
+                   "ratios", "ratio_window", {"growth": growth}),
         _assertion("forge.window-pin",
-                   "window start matches the pinned regression value",
-                   "window", "equals_col",
-                   {"lhs": "start", "rhs": "pin_start"}),
-        _assertion("forge.window-pin",
-                   "window end matches the pinned regression value",
-                   "window", "equals_col", {"lhs": "end", "rhs": "pin_end"}),
+                   "the verified window matches the pinned regression value",
+                   "ratios", "ratio_window", {"pin": pr["window_pin"]}),
         _assertion("forge.far-phase-floor",
                    "the far-phase floor is positive",
                    "dichotomy", "all_gt", {"col": "floor", "bound": 0.0}),
@@ -672,7 +670,7 @@ def _run_gaussian_ratio(manifest, fx, pr):
                    {"lhs": "min_far_distance", "rhs": "floor"}),
     ]
     extra = {"ladder": [float(j) for j in sched.radii], "delta": delta,
-             "window": [lo, hi]}
+             "window": [win[0]["n"], win[-1]["n"]] if win else [-1, -1]}
     return tables, specs, extra
 
 

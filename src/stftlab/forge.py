@@ -50,7 +50,6 @@ __all__ = [
     "instability_ratio",
     "field_instability_ratio",
     "dichotomy_check",
-    "verified_window",
     "stft_instability_family",
     "lp_reduction_rows",
 ]
@@ -317,10 +316,6 @@ class RatioResult:
     saturated: bool
     degenerate: bool
 
-    @property
-    def passed(self) -> bool:
-        return not self.degenerate and self.ratio >= self.target
-
 
 def instability_ratio(pair: InstabilityPair, q: float,
                       denominator: Norm) -> RatioResult:
@@ -377,23 +372,6 @@ def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
         "min_far_distance": float(measured),
         "floor": float(floor),
     }
-
-
-def verified_window(results: list) -> tuple | None:
-    """Largest contiguous suffix of rungs on which every ratio meets its 2^n
-    target and the sequence strictly increases; None when even the last rung
-    fails. inf < inf counts as not increasing, so at most one saturated rung
-    (the last) can sit inside the window."""
-    rs = sorted((r for r in results if not r.degenerate), key=lambda r: r.n)
-    if not rs or not rs[-1].passed:
-        return None
-    start = len(rs) - 1
-    while start > 0:
-        prev, cur = rs[start - 1], rs[start]
-        if not prev.passed or prev.n != cur.n - 1 or not prev.ratio < cur.ratio:
-            break
-        start -= 1
-    return (rs[start].n, rs[-1].n)
 
 
 # ---------------------------------------------------------------------------

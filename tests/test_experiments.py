@@ -127,6 +127,56 @@ def test_verify_rederives_the_far_phase_floor(tmp_path):
     assert broken[0]["stored"]
 
 
+def _stored_prop21(tmp_path, edit):
+    """A reduced prop21 run dir whose ratios.csv rows went through edit."""
+    ex.write_result(ex.run(ex.default_manifest("prop21-gaussian-ratio",
+                                               reduced=True)), tmp_path)
+    assert ex.verify_run(tmp_path)["ok"]
+    csv = tmp_path / "ratios.csv"
+    header, *rows = csv.read_text().splitlines()
+    names = header.split(",")
+    rows = [dict(zip(names, row.split(","))) for row in rows]
+    edit(rows)
+    csv.write_text("\n".join([header] + [",".join(r[k] for k in names)
+                                         for r in rows]) + "\n")
+    report = ex.verify_run(tmp_path)
+    return report, [a for a in report["assertions"] if not a["recheck"]]
+
+
+def test_verify_rederives_the_window_from_zeroed_ratios(tmp_path):
+    def zero(rows):
+        for r in rows:
+            r["ratio"] = "0.0"
+
+    report, broken = _stored_prop21(tmp_path, zero)
+    assert not report["ok"]
+    # no rung clears its target, so no window: all three window assertions
+    assert [(a["invariant"], a["check"]) for a in broken] == [
+        ("forge.ratio-growth", "ratio_window"),
+        ("forge.ratio-growth", "ratio_window"),
+        ("forge.window-pin", "ratio_window")]
+    assert all(a["stored"] for a in broken)
+
+
+@pytest.mark.parametrize("value, failing", [
+    # below rung 1 and below its 2^2 target: the window shrinks to (3, 3)
+    ("2.0", [("forge.ratio-growth", "ratio_window"),
+             ("forge.window-pin", "ratio_window")]),
+    # below rung 1 but above its target: not increasing, so (2, 3)
+    ("1000.0", [("forge.window-pin", "ratio_window")]),
+])
+def test_verify_rederives_the_window_from_ratio_order(tmp_path, value,
+                                                      failing):
+    def lower_rung_2(rows):
+        assert float(rows[2]["ratio"]) > float(rows[1]["ratio"]) > 1000.0
+        rows[2]["ratio"] = value
+
+    report, broken = _stored_prop21(tmp_path, lower_rung_2)
+    assert not report["ok"]
+    assert [(a["invariant"], a["check"]) for a in broken] == failing
+    assert all(a["stored"] for a in broken)
+
+
 def test_verify_rederives_the_disconnected_constant(tmp_path):
     ex.write_result(ex.run(ex.default_manifest("poincare-square",
                                                reduced=True)), tmp_path)

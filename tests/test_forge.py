@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from stftlab import experiments as ex
 from stftlab import forge
 from stftlab.forge import (
     InstabilityPair,
-    RatioResult,
     assemble_pair,
     build_bumps,
     dichotomy_check,
@@ -19,7 +19,6 @@ from stftlab.forge import (
     normalize_seed,
     select_annulus_schedule,
     stft_instability_family,
-    verified_window,
     verify_bump_bounds,
 )
 from stftlab.grids import (
@@ -283,7 +282,7 @@ def test_assemble_pair_degenerate_top_rung(schedule, bumps):
     res = instability_ratio(pair, 2.0, XpSigmaNorm(2.0, 0.0))
     assert res.degenerate
     assert math.isnan(res.ratio)
-    assert not res.passed
+    assert not (not res.degenerate and res.ratio >= res.target)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,7 @@ def ratio_results(schedule, bumps):
 
 def test_ratios_meet_geometric_targets(ratio_results):
     for res in ratio_results:
-        assert res.passed
-        assert res.ratio >= res.target
+        assert not res.degenerate and res.ratio >= res.target
 
 
 def test_ratios_strictly_increase_to_saturation(ratio_results):
@@ -328,7 +326,8 @@ def test_ratio_numerator_matches_closed_form(schedule, bumps, ratio_results):
 
 
 def test_verified_window_spans_all_rungs(ratio_results):
-    assert verified_window(ratio_results) == (0, 4)
+    rows = [_row(r.n, r.ratio, r.degenerate) for r in ratio_results]
+    assert _window_is(rows, (0, 4))
 
 
 def test_instability_ratio_is_the_field_ratio(schedule, bumps, ratio_results):
@@ -361,39 +360,46 @@ def test_dichotomy_floor(schedule, bumps):
 
 
 # ---------------------------------------------------------------------------
-# verified_window edge cases
+# the verified window: the ratio_window check over ratios rows
 
 
-def _fake(n, ratio, saturated=False, degenerate=False):
-    return RatioResult(n, ratio, 1.0, 1.0, 2.0 ** n,
-                       saturated=saturated, degenerate=degenerate)
+def _row(n, ratio, degenerate=False):
+    return {"n": n, "ratio": ratio, "target": 2.0 ** n,
+            "degenerate": int(degenerate)}
+
+
+def _window_is(rows, window):
+    """The ratio_window check pins exactly this window; None: it fails."""
+    check = ex.CHECKS["ratio_window"]
+    if window is None:
+        return not check(rows, {})
+    return check(rows, {"pin": list(window)})
 
 
 def test_window_none_when_last_rung_fails():
-    rs = [_fake(0, 3.0), _fake(1, 1.5)]
-    assert verified_window(rs) is None
+    rs = [_row(0, 3.0), _row(1, 1.5)]
+    assert _window_is(rs, None)
 
 
 def test_window_breaks_on_nonmonotone_prefix():
-    rs = [_fake(0, 5.0), _fake(1, 3.0), _fake(2, 9.0)]
-    assert verified_window(rs) == (1, 2)
+    rs = [_row(0, 5.0), _row(1, 3.0), _row(2, 9.0)]
+    assert _window_is(rs, (1, 2))
 
 
 def test_window_requires_contiguous_rungs():
-    rs = [_fake(0, 1.5), _fake(2, 9.0)]
-    assert verified_window(rs) == (2, 2)
+    rs = [_row(0, 1.5), _row(2, 9.0)]
+    assert _window_is(rs, (2, 2))
 
 
 def test_window_two_saturated_rungs_not_increasing():
-    rs = [_fake(0, 2.0), _fake(1, float("inf"), saturated=True),
-          _fake(2, float("inf"), saturated=True)]
-    assert verified_window(rs) == (2, 2)
+    rs = [_row(0, 2.0), _row(1, float("inf")), _row(2, float("inf"))]
+    assert _window_is(rs, (2, 2))
 
 
 def test_window_ignores_degenerate_rungs():
-    rs = [_fake(0, 3.0), _fake(1, float("nan"), degenerate=True)]
-    assert verified_window(rs) == (0, 0)
-    assert verified_window([_fake(0, float("nan"), degenerate=True)]) is None
+    rs = [_row(0, 3.0), _row(1, float("nan"), degenerate=True)]
+    assert _window_is(rs, (0, 0))
+    assert _window_is([_row(0, float("nan"), degenerate=True)], None)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +484,7 @@ def test_family_field_ratios_clear_targets(family):
     for k in range(0, 2):
         vb = stft(family.flipped[k], w)
         res = field_instability_ratio(va, vb, k, 2.0, den)
-        assert res.passed
+        assert not res.degenerate and res.ratio >= res.target
         assert res.ratio >= 100.0 * res.target
 
 
