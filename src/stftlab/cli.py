@@ -168,13 +168,14 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    from .norms import parse_norm, phase_inf_distance
+    from .norms import _same_geometry, parse_norm, phase_inf_distance
 
     f = _load_operand(args.f, "f")
     g = _load_operand(args.g, "g")
+    _flag("g", lambda _: _same_geometry(f, g), None)
     norm = _flag("--norm", parse_norm, args.norm)
     res = phase_inf_distance(f, g, norm)
-    _emit({"distance": res.distance, "lambda": res.phase,
+    _emit({"distance": res.distance, "lambda": res.phase, "gap": res.gap,
            "degenerate": res.degenerate, "method": res.method}, args.out)
     return 0
 

@@ -25,6 +25,7 @@ from .norms import (
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,
+    _certified_min,
     ball_lp,
     frac_sobolev_norm,
     japanese_bracket,
@@ -347,8 +348,8 @@ def field_instability_ratio(a: Sampled, b: Sampled, n: int, q: float,
                        saturated=False, degenerate=False)
 
 
-# unit phases on which the far-phase floor is checked
-_FAR_PHASES = 64
+# the far arc |lam - 1| >= 1/2 is theta in [_FAR_END, 2 pi - _FAR_END]
+_FAR_END = 2.0 * math.asin(0.25)
 
 
 def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
@@ -356,15 +357,16 @@ def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
     """Far-phase lower bound: for |lam - 1| >= 1/2 the L^q distance
     ||k - lam k_n|| cannot dip below (1/2)||seed|| - 2 delta sum ||eps_j||.
 
-    Measured on a grid of unit phases; returns the measured minimum and the
-    floor. The experiment decides from these two numbers.
+    The minimum over the arc comes from the certified phase search (with the
+    slope bound ||k_n||_q); returns it and the floor. The experiment decides
+    from these two numbers.
     """
     q = schedule.q
     grid = pair.k.grid
-    ev = LqNorm(q).pair_evaluator(pair.k, pair.k_n)
-    lams = np.exp(2j * np.pi * np.arange(_FAR_PHASES) / _FAR_PHASES)
-    far = [lam for lam in lams if abs(lam - 1.0) >= 0.5]
-    measured = min(ev(lam) for lam in far)
+    norm = LqNorm(q)
+    _, measured, _, _ = _certified_min(norm.pair_evaluator(pair.k, pair.k_n),
+                                       norm(pair.k_n), _FAR_END,
+                                       2.0 * math.pi - _FAR_END)
     bump_mass = sum(riemann_lp(e.values, grid.dx, q) for e in bumps)
     floor = 0.5 * riemann_lp(schedule.seed.values, grid.dx, q) \
         - 2.0 * pair.delta * bump_mass

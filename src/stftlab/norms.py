@@ -13,6 +13,7 @@ in the cycles-per-unit frequency variable; the spatial weight is the bracket
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,13 @@ def _same_geometry(f: Sampled, g: Sampled) -> None:
         raise ValueError("operands live on different sample spaces")
     if f.space != g.space:
         raise ValueError("operands live on different grids")
+
+
+def _as_complex(obj: Sampled) -> Sampled:
+    """obj with complex128 samples (obj itself when they already are)."""
+    if np.iscomplexobj(obj.values):
+        return obj
+    return obj.like(obj.values.astype(np.complex128))
 
 
 def inner_l2(f: Sampled, g: Sampled) -> complex:
@@ -165,9 +173,7 @@ class Norm:
         combine, since |F(-k) - lam G(-k)| = |F(k) - conj(lam) G(k)|.
         """
         _same_geometry(f, g)
-        tf, tg = (self._terms(x if np.iscomplexobj(x.values)
-                              else x.like(x.values.astype(np.complex128)))
-                  for x in (f, g))
+        tf, tg = (self._terms(_as_complex(x)) for x in (f, g))
 
         def ev(lam: complex) -> float:
             return float(
@@ -299,20 +305,27 @@ def parse_norm(text: str) -> Norm:
 
 @dataclass(frozen=True)
 class PhaseDistanceResult:
-    """inf over |lambda| = 1 of ||f - lambda g||."""
+    """inf over |lambda| = 1 of ||f - lambda g||; distance - gap is a certified
+    lower bound on that infimum (gap = 0.0 for the closed form)."""
 
     distance: float
     phase: complex
-    method: str  # "closed-form" | "scan+refine"
+    method: str  # "closed-form" | "certified+refine"
     degenerate: bool
     evaluations: int
+    gap: float
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# the scan path: coarse angles on the circle, then golden-section refinement
-# of the best one down to this angular width
-_SCAN_ANGLES = 720
+# the certified search: branch and bound from _START_SPLIT equal intervals
+# until the gap is _GAP_REL of the best value, at most _CERTIFIED_BUDGET
+# samples, then golden-section refinement down to this angular width
+_START_SPLIT = 8
+_GAP_REL = 1e-2
+_CERTIFIED_BUDGET = 720
 _SCAN_TOL = 1e-10
+# relative raise of the Lipschitz constant over its computed value
+_L_SLACK = 1e-9
 
 
 def _golden_min(fun, a: float, b: float, tol: float) -> tuple[float, float, int]:
@@ -333,6 +346,71 @@ def _golden_min(fun, a: float, b: float, tol: float) -> tuple[float, float, int]
     return (c, fc, n) if fc <= fd else (d, fd, n)
 
 
+def _certified_min(ev, L: float, lo: float, hi: float
+                   ) -> tuple[float, float, float, int]:
+    """(theta, value, gap, evaluations): the minimum over [lo, hi] of
+    theta -> ev(e^{i theta}), an L-Lipschitz function of theta.
+
+    Certified stage, Piyavskii-Shubert branch and bound (Shubert, SIAM J.
+    Numer. Anal. 1972). On [a, b] with end values fa and fb, the function lies
+    above both cones fa - L(t - a) and fb - L(b - t); they cross at
+    t = (a + b)/2 + (fa - fb)/(2L) at height (fa + fb)/2 - L(b - a)/2. The
+    interval with the lowest such floor is split at its crossing until the best
+    sample is within _GAP_REL of that floor, the interval is narrower than
+    _SCAN_TOL (an exact match has best value 0, where no relative gap closes),
+    or _CERTIFIED_BUDGET samples are spent. Refine stage: golden-section
+    search, down to _SCAN_TOL, over the two intervals next to the best sample
+    taken together; the smaller of its result and that sample wins.
+    gap = value - (lowest floor), so value - gap bounds the minimum from below.
+
+    L is raised by the relative _L_SLACK, far above the rounding of a
+    pairwise-summed Riemann norm, so a computed L never falls short of the
+    true slope; the samples' own rounding (a few ulps of the value) moves the
+    floor by as much and no more. L = 0 means every angle ties: one sample.
+    A search over a whole turn wraps: its two end samples are one angle, so
+    either one's neighbours are the second sample and the last but one.
+    """
+    def fun(theta):
+        return ev(complex(np.exp(1j * theta)))
+
+    def cone(a, fa, b, fb):  # heap entry: the floor of [a, b], then [a, b]
+        return 0.5 * (fa + fb) - 0.5 * L * (b - a), a, fa, b, fb
+
+    if L == 0.0:
+        return lo, fun(lo), 0.0, 1
+    L *= 1.0 + _L_SLACK
+    angles = np.linspace(lo, hi, _START_SPLIT + 1).tolist()
+    samples = [(t, fun(t)) for t in angles]
+    heap = [cone(*s, *t) for s, t in zip(samples, samples[1:])]
+    heapq.heapify(heap)
+    best = min(v for _, v in samples)
+    while len(samples) < _CERTIFIED_BUDGET:
+        floor, a, fa, b, fb = heap[0]
+        if best - floor <= _GAP_REL * best or b - a < _SCAN_TOL:
+            break
+        heapq.heappop(heap)
+        t = min(max(0.5 * (a + b) + (fa - fb) / (2.0 * L), a), b)
+        ft = fun(t)
+        samples.append((t, ft))
+        best = min(best, ft)
+        heapq.heappush(heap, cone(a, fa, t, ft))
+        heapq.heappush(heap, cone(t, ft, b, fb))
+    samples.sort()
+    ts = [t for t, _ in samples]
+    i = min(range(len(samples)), key=lambda k: samples[k][1])
+    last = len(ts) - 1
+    if hi - lo >= 2.0 * math.pi and i in (0, last):
+        a, b = ts[-2] - 2.0 * math.pi, ts[1]
+    else:
+        a, b = ts[max(i - 1, 0)], ts[min(i + 1, last)]
+    theta, value = samples[i]
+    t, v, n = _golden_min(fun, a, b, _SCAN_TOL)
+    if v < value:
+        theta, value = t, v
+    count = len(samples) + n
+    return theta, value, max(value - heap[0][0], 0.0), count
+
+
 def phase_inf_distance(f, g, norm: Norm | None = None) -> PhaseDistanceResult:
     """Minimize ||f - lambda g|| over unimodular lambda.
 
@@ -340,9 +418,21 @@ def phase_inf_distance(f, g, norm: Norm | None = None) -> PhaseDistanceResult:
     an inner product of exactly zero). The pair is tagged degenerate when
     |<f, g>| <= n eps ||f||_2 ||g||_2 with n the sample count: the inner
     product is then rounding noise, every phase ties in L2, and the reported
-    phase means nothing. Other norms get a coarse circle scan followed by
-    golden-section refinement of the angle. The distance on a region is the
-    distance of the restricted operands, f.restrict(mask) and g.restrict(mask).
+    phase means nothing.
+
+    Every other norm gets the certified search of _certified_min over the
+    whole circle. Each norm here is a sum, or a max, of seminorms |.| (Riemann
+    L^p norms of linear images). By the triangle inequality and homogeneity
+
+        | |f - e^{ia} g| - |f - e^{ib} g| | <= |(e^{ib} - e^{ia}) g|
+            = 2 |sin((a - b)/2)| |g| <= |a - b| |g|,
+
+    and a sum or max of such terms keeps the bound with the sum or max of
+    their |g|: theta -> ||f - e^{i theta} g|| is ||g||-Lipschitz. ||g|| is
+    taken on the complex operand that pair_evaluator works on. A zero g ties
+    every phase: degenerate, lambda = 1, one evaluation. The distance on a
+    region is the distance of the restricted operands, f.restrict(mask) and
+    g.restrict(mask).
     """
     if norm is None:
         norm = LqNorm(2.0)
@@ -355,21 +445,14 @@ def phase_inf_distance(f, g, norm: Norm | None = None) -> PhaseDistanceResult:
                  * riemann_lp(f.values, cell, 2.0) * riemann_lp(g.values, cell, 2.0))
         degenerate = bool(abs(ip) <= noise)
         ev = norm.pair_evaluator(f, g)
-        return PhaseDistanceResult(ev(lam), lam, "closed-form", degenerate, 1)
+        return PhaseDistanceResult(ev(lam), lam, "closed-form", degenerate, 1,
+                                   0.0)
 
-    ev = norm.pair_evaluator(f, g)
-    angles = 2.0 * np.pi * np.arange(_SCAN_ANGLES) / _SCAN_ANGLES
-    vals = [ev(complex(np.exp(1j * th))) for th in angles]
-    i0 = int(np.argmin(vals))
-    step = 2.0 * np.pi / _SCAN_ANGLES
-    lo = angles[i0] - step
-    hi = angles[i0] + step
-    theta, best, n = _golden_min(lambda th: ev(complex(np.exp(1j * th))),
-                                 lo, hi, _SCAN_TOL)
-    if vals[i0] < best:
-        theta, best = float(angles[i0]), vals[i0]
+    slope = norm(_as_complex(g))
+    theta, best, gap, n = _certified_min(norm.pair_evaluator(f, g), slope,
+                                         0.0, 2.0 * math.pi)
     return PhaseDistanceResult(best, complex(np.exp(1j * theta)),
-                               "scan+refine", False, _SCAN_ANGLES + n)
+                               "certified+refine", slope == 0.0, n, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,32 @@ def test_gen_stft_distance_pipeline(tmp_path, capsys):
     assert json.loads(out)["distance"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_distance_reports_the_certified_gap(tmp_path, capsys):
+    f = str(tmp_path / "f.bin")
+    g = str(tmp_path / "g.bin")
+    run_cli(capsys, "gen", "gaussian", "--L", "8", "--N", "64", "--out", f)
+    run_cli(capsys, "gen", "random", "--seed", "2", "--L", "8", "--N", "64",
+            "--out", g)
+    code, out, _ = run_cli(capsys, "distance", f, g, "--norm", "lq:4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "certified+refine"
+    assert 0.0 < payload["gap"] <= 1e-2 * payload["distance"]
+    code, out, _ = run_cli(capsys, "distance", f, g)
+    assert json.loads(out)["gap"] == 0.0
+
+
+def test_distance_operands_on_different_spaces_exit_two(tmp_path, capsys):
+    f, g, F = (str(tmp_path / name) for name in ("f.bin", "g.bin", "F.bin"))
+    run_cli(capsys, "gen", "gaussian", "--L", "8", "--N", "64", "--out", f)
+    run_cli(capsys, "gen", "gaussian", "--L", "16", "--N", "64", "--out", g)
+    run_cli(capsys, "stft", f, "--out", F)
+    for other, why in ((g, "different grids"), (F, "different sample spaces")):
+        code, _, err = run_cli(capsys, "distance", f, other, "--norm", "lq:4")
+        assert code == 2
+        assert "argument g:" in err and why in err
+
+
 def test_norm_json(tmp_path, capsys):
     f = str(tmp_path / "f.bin")
     run_cli(capsys, "gen", "gaussian", "--out", f)

@@ -359,6 +359,37 @@ def test_dichotomy_floor(schedule, bumps):
                 and loose["min_far_distance"] >= loose["floor"])
 
 
+def _far_arc_l2_min(k, k_n):
+    """min over |lam - 1| >= 1/2 of ||k - lam k_n||_2 in closed form, with
+    ||k - e^{it} k_n||^2 = ||k||^2 + ||k_n||^2 - 2 Re(e^{-it} <k, k_n>): the
+    free optimum t = arg <k, k_n> when it lies on the arc, else the nearer
+    arc end."""
+    ip = inner_l2(k, k_n)
+    sq = riemann_lp(k.values, k.grid.dx, 2.0) ** 2 \
+        + riemann_lp(k_n.values, k.grid.dx, 2.0) ** 2
+    end = 2.0 * math.asin(0.25)
+    if end <= np.angle(ip) % (2.0 * np.pi) <= 2.0 * np.pi - end:
+        return math.sqrt(sq - 2.0 * abs(ip))
+    return min(math.sqrt(sq - 2.0 * (np.exp(-1j * t) * ip).real)
+               for t in (end, 2.0 * np.pi - end))
+
+
+def test_dichotomy_far_minimum_matches_the_closed_form(schedule, bumps):
+    assert schedule.q == 2.0
+    pairs = [assemble_pair(schedule, bumps, 0.1, n) for n in (1, 3)]
+    # <k, k_n> is real and positive on the ladder pairs, so their minimum is
+    # an arc end; a tail that outweighs the core puts it inside the arc
+    core = pairs[0].core
+    tail = Signal(core.grid, 2.0 * np.exp(0.3j) * core.values)
+    pairs.append(InstabilityPair(
+        Signal(core.grid, core.values + tail.values),
+        Signal(core.grid, core.values - tail.values), 1, 0.1, core, tail))
+    for pair in pairs:
+        want = _far_arc_l2_min(pair.k, pair.k_n)
+        got = dichotomy_check(pair, schedule, bumps)["min_far_distance"]
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # the verified window: the ratio_window check over ratios rows
 

@@ -15,7 +15,9 @@ from stftlab.grids import (
     gaussian,
     hermite,
     make_grid,
+    modulate,
     tf_grid_of,
+    translate,
 )
 from stftlab.norms import (
     IntersectionNorm,
@@ -42,6 +44,7 @@ from stftlab.rng import SplitMix64
 from stftlab.transforms import stft
 
 from conftest import random_signal
+from phase_scan_oracle import brute_force_distance, scan_distance
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,8 @@ def test_phase_distance_scan_path(grid16):
     res = phase_inf_distance(f, g, LqNorm(4.0))
     assert res.distance < 1e-8 * LqNorm(4.0)(g)
     assert abs(res.phase - np.exp(1.1j)) < 1e-6
-    assert res.method == "scan+refine"
-    assert res.evaluations > 700
+    assert res.method == "certified+refine"
+    assert res.evaluations < 762
 
 
 def test_phase_distance_scan_agrees_with_closed_form(grid16):
@@ -316,6 +319,77 @@ def test_phase_distance_scan_agrees_with_closed_form(grid16):
     scanned = phase_inf_distance(f, g, XpSigmaNorm(2.0, 0.0))
     assert scanned.distance == pytest.approx(closed.distance, rel=1e-9)
     assert abs(scanned.phase - closed.phase) < 1e-5
+
+
+_SCAN_NORMS = ("lq:1.5", "lq:4", "linf", "w:0.5,2", "lq:4^x:2,1")
+
+
+def _cli_pair(seed):
+    """The STFT fields of the command-line distance pair of the benchmark's
+    lab-suite: a shifted, modulated Gaussian against hermite:1 on 16/256."""
+    grid = make_grid(16.0, 256)
+    fc, fm, gc, gm = (float(k) / 16.0 for k in
+                      np.random.default_rng(seed).integers(-32, 33, size=4))
+    f = gaussian(grid, center=fc, modulation=fm)
+    g = modulate(translate(hermite(grid, 1), gc), gm)
+    return stft(f), stft(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certified_distance_matches_scan_on_cli_pair(seed):
+    F, G = _cli_pair(seed)
+    norm = LqNorm(4.0)
+    res = phase_inf_distance(F, G, norm)
+    want, scan_evaluations = scan_distance(norm, F, G)
+    assert res.distance == pytest.approx(want, rel=1e-9)
+    assert res.evaluations < scan_evaluations
+    assert 0.0 < res.gap <= 1e-2 * res.distance
+
+
+@pytest.mark.parametrize("spec", _SCAN_NORMS)
+def test_certified_distance_matches_scan_on_field_pairs(spec):
+    grid = make_grid(8.0, 64)
+    norm = parse_norm(spec)
+    for seed in (81, 83):
+        F = stft(random_signal(grid, seed=seed))
+        G = stft(random_signal(grid, seed=seed + 1))
+        res = phase_inf_distance(F, G, norm)
+        assert res.method == "certified+refine"
+        assert res.distance == pytest.approx(scan_distance(norm, F, G)[0],
+                                             rel=1e-9)
+        assert abs(norm(F.like(F.values - res.phase * G.values))
+                   - res.distance) <= 1e-12 * res.distance
+
+
+@pytest.mark.parametrize("spec", _SCAN_NORMS)
+def test_certified_distance_gap_is_sound(spec):
+    grid = make_grid(8.0, 64)
+    noise = random_signal(grid, seed=85).values
+    left = grid.points() < 0
+    # halves turned by nearly opposite phases: two wells of different depth
+    # in the Lebesgue norms
+    wells = np.where(left, np.exp(0.5j), 0.8 * np.exp(3.6j)) * noise
+    norm = parse_norm(spec)
+    for f, g in ((random_signal(grid, seed=86), Signal(grid, noise)),
+                 (Signal(grid, noise), Signal(grid, wells))):
+        res = phase_inf_distance(f, g, norm)
+        brute = brute_force_distance(norm, f, g)
+        assert res.gap >= 0.0
+        assert res.distance - res.gap <= brute
+        assert res.distance <= brute * (1 + 1e-9)
+
+
+def test_phase_distance_zero_g_is_degenerate(grid16):
+    f = random_signal(grid16, seed=87)
+    zero = Signal(grid16, np.zeros(grid16.count))
+    for spec in ("lq:4", "w:0.5,2"):
+        norm = parse_norm(spec)
+        res = phase_inf_distance(f, zero, norm)
+        assert res.degenerate
+        assert res.phase == 1.0 + 0.0j
+        assert res.evaluations == 1
+        assert res.gap == 0.0
+        assert res.distance == norm(f)
 
 
 # ---------------------------------------------------------------------------
