@@ -80,6 +80,23 @@ def _flag(name: str, convert, raw):
         raise _Usage(f"argument {name}: {e}") from None
 
 
+def _at_least(low: float, convert=float, strict: bool = False):
+    """argparse type: a `convert` value >= low (> low when strict), never
+    NaN, so that a bad value exits 2 with a message naming the flag."""
+    want = (f"{'an integer' if convert is int else 'a number'} "
+            f"{'>' if strict else '>='} {low:g}")
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = math.nan
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {raw!r}")
+        return value
+    return parse
+
+
 def _load_dump(path: str, flag: str):
     from . import io
 
@@ -183,6 +200,10 @@ def _cmd_distance(args) -> int:
 def _cmd_cheeger(args) -> int:
     from .geometry import cheeger_estimate
 
+    if (args.thresholds < 2 and args.directions < 1
+            and min(args.centers, args.radii) < 1):
+        raise _Usage("argument --thresholds/--centers/--radii/--directions: "
+                     "every candidate family is empty")
     field = _load_operand(args.density, "density", "field")
     report = cheeger_estimate(field, thresholds=args.thresholds,
                               centers=args.centers, radii=args.radii,
@@ -244,10 +265,13 @@ def _cmd_recover(args) -> int:
 
     meas = _load_operand(args.measurement, "measurement", "field")
     window = _flag("--window", parse_window, args.window)
+    ref = (None if args.reference is None else
+           _load_operand(args.reference, "--reference", "signal"))
+    if ref is not None and ref.grid != meas.tfgrid.xgrid:
+        raise _Usage("argument --reference: not on the measurement's grid")
     result = recover(meas, window, threshold=args.threshold)
     error = None
-    if args.reference is not None:
-        ref = _load_operand(args.reference, "--reference", "signal")
+    if ref is not None:
         res = phase_inf_distance(ref, result.signal)
         scale = riemann_lp(ref.values, ref.grid.dx, 2.0)
         error = res.distance / scale if scale > 0 else float("inf")
@@ -447,11 +471,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("cheeger", "estimate the Cheeger quotient of a density dump",
             _cmd_cheeger)
     p.add_argument("density", help="field dump with nonnegative values")
-    p.add_argument("--thresholds", type=int, default=256)
-    p.add_argument("--centers", type=int, default=9)
-    p.add_argument("--radii", type=int, default=16)
-    p.add_argument("--directions", type=int, default=64)
-    p.add_argument("--offsets", type=int, default=33)
+    for flag, default in (("thresholds", 256), ("centers", 9), ("radii", 16),
+                          ("directions", 64), ("offsets", 33)):
+        p.add_argument(f"--{flag}", type=_at_least(0, int), default=default)
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("poincare", "weighted Poincare constant of a domain",
@@ -466,9 +488,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("glue", "stability bound for a glued domain", _cmd_glue)
-    p.add_argument("--ca", type=float, required=True,
+    p.add_argument("--ca", type=_at_least(0.0), required=True,
                    help="stability constant of the first patch")
-    p.add_argument("--cb", type=float, required=True,
+    p.add_argument("--cb", type=_at_least(0.0), required=True,
                    help="stability constant of the second patch")
     p.add_argument("--connectivity", nargs=3, required=True,
                    metavar=("W", "A", "B"),
@@ -480,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
             _cmd_recover)
     p.add_argument("measurement", help="field dump of squared modulus")
     p.add_argument("--window", default="gaussian")
-    p.add_argument("--threshold", type=float,
+    p.add_argument("--threshold", type=_at_least(0.0, strict=True),
                    help="mask level for the window division")
     p.add_argument("--reference", help="signal dump to compare against")
     p.add_argument("--out", help="write the recovered signal dump here")

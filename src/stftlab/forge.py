@@ -480,17 +480,19 @@ def lp_reduction_rows(a: Sampled, members: list, s: float, p: float) -> list:
         ||D||_{W^{s,p}} <= C ( 2^{js} ||D||_{L^p}
                                + 2^{-j d} (||A||_{W^{s+d,p}} + ||B||_{W^{s+d,p}}) )
 
-    with d = _LP_GAIN; ||A||_{W^{s+d,p}} is taken once for all members.
-    One row per member and j, labelled "pair", with both sides and the
-    constant the inequality would need; the harness pins max(constant).
+    with d = _LP_GAIN; ||A||_{W^{s+d,p}} is taken once for all members, and
+    ||D||_{L^p} is read off the terms of ||D||_{W^{s,p}}. One row per member
+    and j, labelled "pair", with both sides and the constant the inequality
+    would need; the harness pins max(constant).
     """
     high_a = frac_sobolev_norm(a, s + _LP_GAIN, p)
+    norm = SobolevNorm(s, p)
     rows = []
     for label, b in members:
         diff = modulus_difference(a, b)
-        lhs = frac_sobolev_norm(diff, s, p)
+        low, derivative = (riemann_lp(*term) for term in norm._terms(diff))
+        lhs = low + derivative
         high = high_a + frac_sobolev_norm(b, s + _LP_GAIN, p)
-        low = riemann_lp(diff.values, diff.space.cell, p)
         for j in _LP_SCALES:
             low_term = 2.0 ** (j * s) * low
             high_term = 2.0 ** (-j * _LP_GAIN) * high

@@ -407,10 +407,11 @@ def connectivity(W: TFField, A: DomainMask, B: DomainMask) -> float:
 
 def gluing_bound(c_a: float, c_b: float, lam: float) -> float:
     """Stability constant of a union from its parts: combine the two local
-    constants in quadrature and pay the overlap factor 1/lam + sqrt(2)."""
-    if c_a < 0 or c_b < 0:
-        raise ValueError("local constants must be nonnegative")
-    if lam <= 0:
+    constants in quadrature and pay the overlap factor 1/lam + sqrt(2).
+    A constant may be inf (a disconnected patch), never NaN."""
+    if not (c_a >= 0 and c_b >= 0):
+        raise ValueError("local constants must be nonnegative numbers")
+    if not lam > 0:
         raise ValueError("connectivity must be positive")
     return math.hypot(c_a, c_b) * (1.0 / lam + math.sqrt(2.0))
 

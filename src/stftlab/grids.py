@@ -14,13 +14,14 @@ Claims about continuum objects are only meaningful for signals whose mass at the
 boundary is negligible; the constructors enforce a 1e-10 decay guard.
 
 Sample spaces: a Signal lives on a Grid1D and a TFField on a TFGrid. Both grids
-answer one protocol, so norms and distances are written once for both sides
-of the transform: `cell` and `dual_cell` (the measure of one sample and of one
-spectral sample), `shape`, `radius()` (|x|, or |z| on the plane),
-`freq_radius()` (the same on the dual grid), and `fft(a)`/`ifft(a)` (the
-centred DFT over every axis and its inverse, without cell factors). Both
-objects derive from Sampled: `space` is their grid, `like(values)` rewraps,
-and `restrict(mask)` zeroes the values outside a region.
+answer one protocol, so norms, distances and the binary container are written
+once for both sides of the transform: `axes` (the Grid1D of each array axis,
+each with its |xi| as `freq_radius()`), and built from them `cell` and
+`dual_cell` (the measure of one sample and of one spectral sample) and
+`shape`; `radius()` is |x|, or |z| on the plane. Both objects are one
+Sampled: `space` is their grid, one constructor checks dtype, shape and
+finiteness, `like(values)` rewraps, and `restrict(mask)` zeroes the values
+outside a region.
 """
 
 from __future__ import annotations
@@ -56,14 +57,29 @@ __all__ = [
     "cdft",
     "icdft",
     "cdft2",
-    "icdft2",
     "boundary_decay",
     "riemann_lp",
 ]
 
 
+class _SampleSpace:
+    """The sample-space protocol of Grid1D and TFGrid, built from `axes`."""
+
+    @property
+    def cell(self) -> float:
+        return math.prod(a.dx for a in self.axes)
+
+    @property
+    def dual_cell(self) -> float:
+        return math.prod(a.dual().dx for a in self.axes)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(a.count for a in self.axes)
+
+
 @dataclass(frozen=True)
-class Grid1D:
+class Grid1D(_SampleSpace):
     """Uniform periodic grid on [-L/2, L/2) with N samples."""
 
     length: float
@@ -99,30 +115,15 @@ class Grid1D:
             )
         return int(k) + self.count // 2
 
-    # sample-space protocol (shared with TFGrid)
     @property
-    def cell(self) -> float:
-        return self.dx
-
-    @property
-    def dual_cell(self) -> float:
-        return self.dual().dx
-
-    @property
-    def shape(self) -> tuple[int]:
-        return (self.count,)
+    def axes(self) -> tuple["Grid1D"]:
+        return (self,)
 
     def radius(self) -> np.ndarray:
         return np.abs(self.points())
 
     def freq_radius(self) -> np.ndarray:
         return np.abs(self.dual().points())
-
-    def fft(self, a: np.ndarray) -> np.ndarray:
-        return cdft(a)
-
-    def ifft(self, a: np.ndarray) -> np.ndarray:
-        return icdft(a)
 
 
 def make_grid(length: float, count: int) -> Grid1D:
@@ -138,7 +139,26 @@ def make_grid(length: float, count: int) -> Grid1D:
 
 
 class Sampled:
-    """Values on a sample space: the common base of Signal and TFField."""
+    """Values on a sample space: the common base of Signal and TFField.
+
+    The constructor takes real samples as float64 where the subclass admits
+    them (_admits_real) and every other input as complex128, then checks the
+    shape against the space and that every sample is finite.
+    """
+
+    _admits_real = False
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values)
+        real = self._admits_real and v.dtype.kind == "f"
+        v = v.astype(np.float64 if real else np.complex128, copy=False)
+        name = type(self).__name__
+        if v.shape != self.space.shape:
+            raise ValueError(f"{name} shape {v.shape} does not match the "
+                             f"sample space {self.space.shape}")
+        if not np.all(np.isfinite(v.view(np.float64))):
+            raise ValueError(f"{name} contains non-finite values")
+        self.values = v
 
     def like(self, values: np.ndarray) -> "Sampled":
         """The same kind of object on the same space, carrying new values."""
@@ -164,19 +184,9 @@ class Signal(Sampled):
     def space(self) -> Grid1D:
         return self.grid
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.grid.count,):
-            raise ValueError(
-                f"signal shape {v.shape} does not match grid count {self.grid.count}"
-            )
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise ValueError("signal contains non-finite values")
-        self.values = v
-
 
 @dataclass(frozen=True)
-class TFGrid:
+class TFGrid(_SampleSpace):
     """Product grid for time-frequency fields: x-axis times omega-axis."""
 
     xgrid: Grid1D
@@ -188,31 +198,12 @@ class TFGrid:
     def wmesh(self) -> np.ndarray:
         return self.wgrid.points()[None, :]
 
-    # sample-space protocol (shared with Grid1D), built from the two axes
     @property
-    def cell(self) -> float:
-        return self.xgrid.cell * self.wgrid.cell
-
-    @property
-    def dual_cell(self) -> float:
-        return self.xgrid.dual_cell * self.wgrid.dual_cell
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.xgrid.count, self.wgrid.count)
+    def axes(self) -> tuple[Grid1D, Grid1D]:
+        return (self.xgrid, self.wgrid)
 
     def radius(self) -> np.ndarray:
         return np.hypot(self.xmesh(), self.wmesh())
-
-    def freq_radius(self) -> np.ndarray:
-        return np.hypot(self.xgrid.freq_radius()[:, None],
-                        self.wgrid.freq_radius()[None, :])
-
-    def fft(self, a: np.ndarray) -> np.ndarray:
-        return cdft2(a)
-
-    def ifft(self, a: np.ndarray) -> np.ndarray:
-        return icdft2(a)
 
 
 @dataclass
@@ -224,26 +215,11 @@ class TFField(Sampled):
 
     tfgrid: TFGrid
     values: np.ndarray
+    _admits_real = True
 
     @property
     def space(self) -> TFGrid:
         return self.tfgrid
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        if v.dtype.kind not in "fc":
-            v = v.astype(np.complex128)
-        elif v.dtype.kind == "f" and v.dtype != np.float64:
-            v = v.astype(np.float64)
-        elif v.dtype.kind == "c" and v.dtype != np.complex128:
-            v = v.astype(np.complex128)
-        if v.shape != self.tfgrid.shape:
-            raise ValueError(
-                f"field shape {v.shape} does not match tf grid shape {self.tfgrid.shape}"
-            )
-        if not np.all(np.isfinite(v if v.dtype.kind == "f" else v.view(np.float64))):
-            raise ValueError("field contains non-finite values")
-        self.values = v
 
 
 def tf_grid_of(grid: Grid1D) -> TFGrid:
@@ -271,11 +247,6 @@ def icdft(a: np.ndarray, axis: int = -1) -> np.ndarray:
 def cdft2(a: np.ndarray) -> np.ndarray:
     """Centered DFT over both axes of a 2D array."""
     return cdft(cdft(a, axis=0), axis=1)
-
-
-def icdft2(a: np.ndarray) -> np.ndarray:
-    """Inverse of cdft2."""
-    return icdft(icdft(a, axis=0), axis=1)
 
 
 def fourier(f: Signal) -> Signal:

@@ -16,6 +16,7 @@ CSV signal export has columns x, re, im.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -29,6 +30,7 @@ MAGIC = b"STFL1"
 _KIND_SIGNAL = 1
 _KIND_FIELD = 2
 _KIND_MASK = 3
+_RANK = {_KIND_SIGNAL: 1, _KIND_FIELD: 2, _KIND_MASK: 2}
 
 # Largest mask grid `load` decodes: a run list of a few bytes can declare any
 # cell count, and decoding allocates one byte per cell. 4096^2 cells (16 MiB)
@@ -36,51 +38,40 @@ _KIND_MASK = 3
 MAX_MASK_CELLS = MAX_COUNT ** 2
 
 
-def _sample_bytes(values: np.ndarray) -> bytes:
-    return np.asarray(values, dtype="<c16").tobytes()
-
-
 def _samples(buf: bytes) -> np.ndarray:
     # astype copies out of the read-only buffer, so loaded arrays are writable
     return np.frombuffer(buf, dtype="<c16").astype(np.complex128)
 
 
-def dump_signal(sig: Signal, path: str | Path) -> None:
+def _dump(path: str | Path, kind: int, space, *payload) -> None:
+    # payload: bytes, or contiguous arrays written as their buffers
+    axes = space.axes
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQ", _KIND_SIGNAL, sig.grid.count))
-        fh.write(struct.pack("<d", sig.grid.length))
-        fh.write(_sample_bytes(sig.values))
+        fh.write(MAGIC + struct.pack(f"<{len(axes) + 1}Q{len(axes)}d", kind,
+                                     *(a.count for a in axes),
+                                     *(a.length for a in axes)))
+        fh.writelines(payload)
+
+
+def dump_signal(sig: Signal, path: str | Path) -> None:
+    _dump(path, _KIND_SIGNAL, sig.grid,
+          np.ascontiguousarray(sig.values, dtype="<c16"))
 
 
 def dump_field(field: TFField, path: str | Path) -> None:
-    tg = field.tfgrid
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", _KIND_FIELD, tg.xgrid.count, tg.wgrid.count))
-        fh.write(struct.pack("<dd", tg.xgrid.length, tg.wgrid.length))
-        fh.write(_sample_bytes(field.values))
+    _dump(path, _KIND_FIELD, field.tfgrid,
+          np.ascontiguousarray(field.values, dtype="<c16"))
 
 
 def dump_mask(mask_values: np.ndarray, tfgrid: TFGrid, path: str | Path) -> None:
     flat = np.asarray(mask_values, dtype=bool).ravel()
-    if flat.size != tfgrid.shape[0] * tfgrid.shape[1]:
+    if flat.size != math.prod(tfgrid.shape):
         raise ValueError("mask shape does not match tf grid")
-    # run-length encode
-    if flat.size == 0:
-        runs: list[int] = []
-        first = 0
-    else:
-        change = np.flatnonzero(flat[1:] != flat[:-1])
-        edges = np.concatenate(([0], change + 1, [flat.size]))
-        runs = list(np.diff(edges).astype(int))
-        first = int(flat[0])
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", _KIND_MASK, tfgrid.xgrid.count, tfgrid.wgrid.count))
-        fh.write(struct.pack("<dd", tfgrid.xgrid.length, tfgrid.wgrid.length))
-        fh.write(struct.pack("<QQ", first, len(runs)))
-        fh.write(np.asarray(runs, dtype="<u8").tobytes())
+    # run lengths between value changes; both ends count as changes
+    edges = np.flatnonzero(np.diff(flat, prepend=~flat[:1], append=~flat[-1:]))
+    runs = np.diff(edges).astype("<u8")
+    _dump(path, _KIND_MASK, tfgrid,
+          struct.pack("<QQ", int(flat[:1].any()), runs.size), runs)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -91,38 +82,42 @@ def _read_exact(fh, n: int) -> bytes:
     return fh.read(n)
 
 
+def _space(counts: tuple, lengths: tuple):
+    axes = [make_grid(length, count) for count, length in zip(counts, lengths)]
+    return axes[0] if len(axes) == 1 else TFGrid(*axes)
+
+
 def load(path: str | Path):
-    """Load any container; returns Signal, TFField, or (bool array, TFGrid)."""
+    """Load any container; returns Signal, TFField, or (bool array, TFGrid).
+    A payload is read before its grid is built; a mask's grid and cell count
+    are checked before its runs are decoded."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}; expected {MAGIC!r}")
         (kind,) = struct.unpack("<Q", _read_exact(fh, 8))
-        if kind == _KIND_SIGNAL:
-            (count,) = struct.unpack("<Q", _read_exact(fh, 8))
-            (length,) = struct.unpack("<d", _read_exact(fh, 8))
-            vals = _samples(_read_exact(fh, 16 * count))
-            return Signal(make_grid(length, count), vals)
-        if kind == _KIND_FIELD:
-            nx, nw, lx, lw = struct.unpack("<QQdd", _read_exact(fh, 32))
-            vals = _samples(_read_exact(fh, 16 * nx * nw))
-            tg = TFGrid(make_grid(lx, nx), make_grid(lw, nw))
-            return TFField(tg, vals.reshape(nx, nw))
-        if kind == _KIND_MASK:
-            nx, nw, lx, lw = struct.unpack("<QQdd", _read_exact(fh, 32))
-            tg = TFGrid(make_grid(lx, nx), make_grid(lw, nw))
-            if nx * nw > MAX_MASK_CELLS:
-                raise ValueError(f"mask declares {nx}x{nw} cells, above the "
-                                 f"limit of {MAX_MASK_CELLS}")
-            first, n_runs = struct.unpack("<QQ", _read_exact(fh, 16))
-            runs = np.frombuffer(_read_exact(fh, 8 * n_runs), dtype="<u8")
-            if sum(runs.tolist()) != nx * nw:
-                raise ValueError("mask run lengths do not cover the grid")
-            # runs alternate between the first value and its negation
-            vals = (np.arange(runs.size) % 2 == 1) ^ bool(first)
-            flat = np.repeat(vals, runs.astype(np.intp))
-            return flat.reshape(nx, nw), tg
-        raise ValueError(f"unknown container kind {kind}")
+        if kind not in _RANK:
+            raise ValueError(f"unknown container kind {kind}")
+        n = _RANK[kind]
+        dims = struct.unpack(f"<{n}Q{n}d", _read_exact(fh, 16 * n))
+        counts, lengths = dims[:n], dims[n:]
+        cells = math.prod(counts)
+        if kind != _KIND_MASK:
+            vals = _samples(_read_exact(fh, 16 * cells))
+            cls = Signal if kind == _KIND_SIGNAL else TFField
+            return cls(_space(counts, lengths), vals.reshape(counts))
+        tg = _space(counts, lengths)
+        if cells > MAX_MASK_CELLS:
+            raise ValueError(f"mask declares {'x'.join(map(str, counts))} "
+                             f"cells, above the limit of {MAX_MASK_CELLS}")
+        first, n_runs = struct.unpack("<QQ", _read_exact(fh, 16))
+        runs = np.frombuffer(_read_exact(fh, 8 * n_runs), dtype="<u8")
+        if sum(runs.tolist()) != cells:
+            raise ValueError("mask run lengths do not cover the grid")
+        # runs alternate between the first value and its negation
+        vals = (np.arange(runs.size) % 2 == 1) ^ bool(first)
+        flat = np.repeat(vals, runs.astype(np.intp))
+        return flat.reshape(counts), tg
 
 
 def signal_to_csv(sig: Signal, path: str | Path) -> None:

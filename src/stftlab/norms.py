@@ -13,6 +13,7 @@ in the cycles-per-unit frequency variable; the spatial weight is the bracket
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -98,13 +99,23 @@ def tail_weighted_lp(obj: Sampled, p: float, sigma: float, cutoff: float) -> flo
     return riemann_lp(_weighted(tail, sp, sigma), sp.cell, p)
 
 
+def _multiplier(space, s: float, half: bool = False) -> np.ndarray:
+    """(1 + |xi|^2)^{s/2} in fft order over every axis of space; half keeps
+    the rfftn half [:N/2 + 1] of the last axis."""
+    radii = [np.fft.ifftshift(ax.freq_radius()) for ax in space.axes]
+    if half:
+        radii[-1] = radii[-1][:radii[-1].size // 2 + 1]
+    rho = functools.reduce(np.hypot, np.ix_(*radii))
+    return (1.0 + np.square(rho)) ** (s / 2.0)
+
+
 def bessel_potential(obj: Sampled, s: float) -> Sampled:
-    """<D>^s f: multiply the spectrum by (1 + |xi|^2)^{s/2}."""
+    """<D>^s f: multiply the spectrum by (1 + |xi|^2)^{s/2}, in fft order
+    (the shifts of a centred DFT cancel in the round trip)."""
     if s == 0:
         return obj.like(np.asarray(obj.values, dtype=np.complex128).copy())
-    sp = obj.space
-    mult = (1.0 + np.square(sp.freq_radius())) ** (s / 2.0)
-    return obj.like(sp.ifft(mult * sp.fft(obj.values)))
+    return obj.like(np.fft.ifftn(_multiplier(obj.space, s)
+                                 * np.fft.fftn(obj.values)))
 
 
 def _derivative_term(obj: Sampled, s: float, p: float) -> tuple[np.ndarray, float, float]:
@@ -112,33 +123,29 @@ def _derivative_term(obj: Sampled, s: float, p: float) -> tuple[np.ndarray, floa
 
     For p = 2 the norm is evaluated on the frequency side (Parseval is exact on
     the grid, and one transform is cheaper than a round trip); s = 0 needs no
-    transform at all.
+    transform at all. The norm reads only |F|, so no centred order is needed:
+    the centred DFT fftshift(fft(ifftshift(a))) multiplies the spectrum by a
+    unimodular phase (inner shift) and permutes it (outer shift), so |cdft(a)|
+    is |fftn(a)| reordered, with the multiplier in the same fft order.
 
-    A real field needs only half of its spectrum. The centred DFT is
-    fftshift(fft(ifftshift(a))): the inner ifftshift multiplies the spectrum by
-    a unimodular phase and the outer fftshift permutes it, so |cdft2(a)| is
-    |fft2(a)| reordered, and the multiplier is laid out in fft order by
-    ifftshift of each axis's freq_radius(). A real a has a Hermitian spectrum,
-    F(-k) = conj F(k), and the multiplier is even in k, so the rfft2 half
-    plane [:, :N_w/2 + 1] fixes the whole sum. Its first and last columns
-    (frequencies 0 and -N_w/2) are their own mirrors; every other column also
-    stands for its mirror column, so it is scaled by sqrt 2.
+    A real operand needs only half of its spectrum. A real a has a Hermitian
+    spectrum, F(-k) = conj F(k), and the multiplier is even in k, so the
+    rfftn half [..., :N/2 + 1] of the last axis fixes the whole sum. Its
+    first and last columns (frequencies 0 and -N/2) are their own mirrors;
+    every other column also stands for its mirror column, so it is scaled by
+    sqrt 2.
     """
     sp = obj.space
     if s == 0:
         return obj.values, sp.cell, p
-    if p == 2 and isinstance(obj, TFField) and not np.iscomplexobj(obj.values):
-        half = obj.values.shape[1] // 2 + 1
-        rho = np.hypot(np.fft.ifftshift(sp.xgrid.freq_radius())[:, None],
-                       np.fft.ifftshift(sp.wgrid.freq_radius())[None, :half])
-        mult = (1.0 + np.square(rho)) ** (s / 2.0)
-        term = mult * (sp.cell * np.fft.rfft2(obj.values))
-        term[:, 1:-1] *= math.sqrt(2.0)
-        return term, sp.dual_cell, 2.0
-    if p == 2:
-        mult = (1.0 + np.square(sp.freq_radius())) ** (s / 2.0)
-        return mult * (sp.cell * sp.fft(obj.values)), sp.dual_cell, 2.0
-    return bessel_potential(obj, s).values, sp.cell, p
+    if p != 2:
+        return bessel_potential(obj, s).values, sp.cell, p
+    half = not np.iscomplexobj(obj.values)
+    spectrum = (np.fft.rfftn if half else np.fft.fftn)(obj.values)
+    term = _multiplier(sp, s, half) * (sp.cell * spectrum)
+    if half:
+        term[..., 1:-1] *= math.sqrt(2.0)
+    return term, sp.dual_cell, 2.0
 
 
 def frac_sobolev_norm(obj: Sampled, s: float, p: float = 2.0,

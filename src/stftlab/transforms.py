@@ -319,8 +319,8 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     peak = abs(amb_w[origin, origin])
     if threshold is None:
         threshold = 1e-6 * peak
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:
+        raise ValueError(f"threshold must be a positive number, got {threshold!r}")
     if peak <= threshold:
         raise ValueError("window ambiguity peak does not clear the threshold")
 

@@ -156,6 +156,79 @@ def test_poincare_disk_and_glue(tmp_path, capsys):
         assert code == 2 and "--connectivity" in err
 
 
+def test_recover_reference_on_another_grid_exits_two_before_recovering(
+        tmp_path, capsys, monkeypatch):
+    from stftlab import transforms
+
+    f, ref, meas = (str(tmp_path / n) for n in ("f.bin", "ref.bin",
+                                                "meas.bin"))
+    run_cli(capsys, "gen", "gaussian", "--L", "16", "--N", "256", "--out", f)
+    run_cli(capsys, "gen", "gaussian", "--L", "8", "--N", "64", "--out", ref)
+    run_cli(capsys, "stft", f, "--phaseless", "--out", meas)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("recover ran before the reference was checked")
+
+    monkeypatch.setattr(transforms, "recover", refused)
+    code, _, err = run_cli(capsys, "recover", meas, "--reference", ref)
+    assert code == 2 and "argument --reference:" in err
+
+
+@pytest.fixture(scope="module")
+def small_dumps(tmp_path_factory):
+    """A gaussian on the self-dual 8/64 grid, its phaseless STFT, and two
+    overlapping half-plane masks of that field's grid."""
+    from stftlab import io
+    from stftlab.geometry import DomainMask
+    from stftlab.grids import gaussian, make_grid
+    from stftlab.transforms import phaseless
+
+    d = tmp_path_factory.mktemp("dumps")
+    paths = {n: str(d / f"{n}.bin") for n in ("meas", "a", "b")}
+    meas = phaseless(gaussian(make_grid(8.0, 64)))
+    io.dump_field(meas, paths["meas"])
+    tg = meas.tfgrid
+    io.dump_mask(DomainMask.rectangle(tg, -4.0, 0.5, -4.0, 4.0).inside, tg,
+                 paths["a"])
+    io.dump_mask(DomainMask.rectangle(tg, -0.5, 4.0, -4.0, 4.0).inside, tg,
+                 paths["b"])
+    return paths
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("recover", ["--threshold", "-1"], "--threshold"),
+    ("recover", ["--threshold", "nan"], "--threshold"),
+    ("cheeger", ["--thresholds", "-1"], "--thresholds"),
+    ("cheeger", ["--centers", "-1"], "--centers"),
+    ("cheeger", ["--radii", "-1"], "--radii"),
+    ("cheeger", ["--directions", "-1"], "--directions"),
+    ("cheeger", ["--offsets", "-1"], "--offsets"),
+    ("cheeger", ["--thresholds", "0", "--centers", "0", "--radii", "0",
+                 "--directions", "0", "--offsets", "0"], "--thresholds"),
+    ("glue", ["--ca", "nan", "--cb", "1"], "--ca"),
+    ("glue", ["--ca", "-1", "--cb", "1"], "--ca"),
+    ("glue", ["--ca", "1", "--cb", "nan"], "--cb"),
+], ids=["threshold-negative", "threshold-nan", "thresholds", "centers",
+        "radii", "directions", "offsets", "all-counts-zero", "ca-nan",
+        "ca-negative", "cb-nan"])
+def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
+                                              flags, named):
+    operands = {"recover": [small_dumps["meas"]],
+                "cheeger": [small_dumps["meas"]],
+                "glue": ["--connectivity", small_dumps["meas"],
+                         small_dumps["a"], small_dumps["b"]]}[command]
+    code, out, err = run_cli(capsys, command, *operands, *flags)
+    assert code == 2 and out == ""
+    assert f"argument {named}" in err
+
+
+def test_glue_accepts_an_infinite_constant(small_dumps, capsys):
+    code, out, _ = run_cli(capsys, "glue", "--ca", "inf", "--cb", "1",
+                           "--connectivity", small_dumps["meas"],
+                           small_dumps["a"], small_dumps["b"])
+    assert code == 0 and json.loads(out)["bound"] == "inf"
+
+
 def test_cheeger_on_phaseless_density(tmp_path, capsys):
     f = str(tmp_path / "f.bin")
     meas = str(tmp_path / "meas.bin")

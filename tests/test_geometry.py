@@ -389,6 +389,15 @@ def test_gluing_bound_rejects_bad_inputs():
         gluing_bound(1.0, 1.0, -0.2)
 
 
+def test_gluing_bound_rejects_nan_and_keeps_inf():
+    for args in ((math.nan, 1.0, 0.3), (1.0, math.nan, 0.3),
+                 (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            gluing_bound(*args)
+    # a disconnected patch has C = inf, and so has the union
+    assert gluing_bound(math.inf, 1.0, 0.3) == math.inf
+
+
 @given(
     ca=st.floats(0.0, 50.0),
     cb=st.floats(0.0, 50.0),

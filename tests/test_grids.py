@@ -14,13 +14,13 @@ from stftlab.grids import (
     gaussian,
     hermite,
     icdft,
-    icdft2,
     make_grid,
     modulate,
     tf_grid_of,
     translate,
 )
 
+from centred_oracle import icdft2
 from conftest import random_signal
 
 
@@ -216,21 +216,38 @@ def test_tf_grid_of(grid16):
 def test_sample_space_protocol_is_the_expressions_it_replaced():
     g = make_grid(8.0, 64)
     tg = TFGrid(g, make_grid(4.0, 32))  # not square
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=tg.shape) + 1j * rng.normal(size=tg.shape)
     assert (g.cell, g.dual_cell, g.shape) == (g.dx, g.dual().dx, (64,))
     assert np.array_equal(g.radius(), np.abs(g.points()))
     assert np.array_equal(g.freq_radius(), np.abs(g.dual().points()))
-    assert np.array_equal(g.fft(a[:, 0]), cdft(a[:, 0]))
-    assert np.array_equal(g.ifft(a[:, 0]), icdft(a[:, 0]))
+    assert g.axes == (g,)
     assert tg.cell == tg.xgrid.dx * tg.wgrid.dx
     assert tg.dual_cell == tg.xgrid.dual().dx * tg.wgrid.dual().dx
     assert tg.shape == (64, 32)
     assert np.array_equal(tg.radius(), np.hypot(tg.xmesh(), tg.wmesh()))
-    xi, eta = tg.xgrid.dual().points(), tg.wgrid.dual().points()
-    assert np.array_equal(tg.freq_radius(), np.hypot(xi[:, None], eta[None, :]))
-    assert np.array_equal(tg.fft(a), cdft2(a))
-    assert np.array_equal(tg.ifft(a), icdft2(a))
+    assert tg.axes == (tg.xgrid, tg.wgrid)
+
+
+def test_one_constructor_check_for_both_sample_types(grid8):
+    from stftlab.grids import Sampled
+
+    assert all("__post_init__" not in vars(cls) for cls in (Signal, TFField))
+    assert "__post_init__" in vars(Sampled)
+    n, tg = grid8.count, tf_grid_of(grid8)
+    # the one rule that differs: a field keeps real samples real
+    for vals, want in ((np.ones(n, np.float32), np.complex128),
+                       (np.arange(n), np.complex128)):
+        assert Signal(grid8, vals).values.dtype == want
+    for vals, want in ((np.ones(tg.shape, np.float32), np.float64),
+                       (np.ones(tg.shape, np.complex64), np.complex128),
+                       (np.ones(tg.shape, int), np.complex128)):
+        assert TFField(tg, vals).values.dtype == want
+    for cls, space, shape in ((Signal, grid8, (n,)), (TFField, tg, (n, n))):
+        with pytest.raises(ValueError, match="does not match the sample space"):
+            cls(space, np.ones(shape[:-1] + (n + 1,)))
+        bad = np.ones(shape, complex)
+        bad.flat[3] = complex(1.0, np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(space, bad)
 
 
 def test_signal_and_field_share_space_and_like(grid16):

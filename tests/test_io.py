@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stftlab import cli, experiments, io
-from stftlab.grids import Signal, TFField, make_grid, tf_grid_of
+from stftlab.grids import Signal, TFField, TFGrid, make_grid, tf_grid_of
 from stftlab.io import MAGIC, dump_field, dump_mask, dump_signal, load, signal_to_csv
 
 from conftest import random_signal
@@ -33,6 +33,23 @@ def test_field_roundtrip(tmp_path):
     back = load(p)
     assert back.tfgrid == tg
     assert np.array_equal(back.values, field.values)
+
+
+def test_every_kind_writes_the_one_header_layout(tmp_path, grid8):
+    # kind, then each axis's count, then each axis's length; a rectangular
+    # grid shows swapped axes
+    tg = TFGrid(grid8, make_grid(4.0, 32))
+    for dump, args, head in (
+            (dump_signal, (random_signal(grid8),),
+             struct.pack("<QQd", 1, 64, 8.0)),
+            (dump_field, (TFField(tg, np.ones(tg.shape)),),
+             struct.pack("<QQQdd", 2, 64, 32, 8.0, 4.0)),
+            # then the first value and the run list: one run of 64 x 32
+            (dump_mask, (np.ones(tg.shape, bool), tg),
+             struct.pack("<QQQddQQQ", 3, 64, 32, 8.0, 4.0, 1, 1, 64 * 32))):
+        p = tmp_path / "head.bin"
+        dump(*args, p)
+        assert p.read_bytes().startswith(MAGIC + head)
 
 
 def test_signed_zeros_roundtrip_bit_for_bit(tmp_path, grid8):

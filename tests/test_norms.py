@@ -25,6 +25,7 @@ from stftlab.norms import (
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,
+    _derivative_term,
     ball_lp,
     bessel_potential,
     disjointness_witness,
@@ -43,6 +44,7 @@ from stftlab.norms import (
 from stftlab.rng import SplitMix64
 from stftlab.transforms import stft
 
+import centred_oracle
 from conftest import random_signal
 from phase_scan_oracle import brute_force_distance, scan_distance
 
@@ -573,7 +575,7 @@ def _full_spectrum_sobolev(field, s, r):
     reference for the half-spectrum term of real fields."""
     tg = field.tfgrid
     weighted = japanese_bracket(tg.radius()) ** r * field.values
-    mult = (1.0 + np.square(tg.freq_radius())) ** (s / 2.0)
+    mult = centred_oracle.multiplier(tg, s)
     spectrum = mult * (tg.cell * cdft2(field.values))
     return riemann_lp(weighted, tg.cell, 2.0) + riemann_lp(spectrum, tg.dual_cell, 2.0)
 
@@ -614,3 +616,35 @@ def test_modulus_ratio_constant_phase(grid16):
     g = gaussian(grid16)
     spun = Signal(grid16, np.exp(0.3j) * g.values)
     assert modulus_sobolev_ratio(spun, 0.8, 2.0) == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the fft-order spectral path against the centred one
+
+
+def _oracle_operands():
+    rng = SplitMix64(2512)
+    grid = make_grid(16.0, 256)
+    square = tf_grid_of(make_grid(8.0, 64))
+    rect = TFGrid(make_grid(8.0, 64), make_grid(4.0, 32))
+    signal = Signal(grid, rng.normals(256) + 1j * rng.normals(256))
+    complex_field = TFField(square, (rng.normals(64 * 64)
+                                     + 1j * rng.normals(64 * 64))
+                            .reshape(square.shape))
+    real_field = TFField(rect, rng.normals(64 * 32).reshape(rect.shape))
+    return {"signal": signal, "complex-field": complex_field,
+            "rectangular-real-field": real_field}
+
+
+@pytest.mark.parametrize("name", ["signal", "complex-field",
+                                  "rectangular-real-field"])
+def test_fft_order_path_matches_the_centred_oracle(name):
+    obj = _oracle_operands()[name]
+    for s in (0.5, 1.25):
+        for p in (2.0, 3.0):
+            got = riemann_lp(*_derivative_term(obj, s, p))
+            assert got == pytest.approx(
+                centred_oracle.derivative_norm(obj, s, p), rel=1e-13)
+        got = bessel_potential(obj, s).values
+        want = centred_oracle.bessel_potential(obj, s).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

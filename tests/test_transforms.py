@@ -7,7 +7,6 @@ from stftlab.grids import (
     cdft2,
     gaussian,
     hermite,
-    icdft2,
     make_grid,
     riemann_lp,
     tf_grid_of,
@@ -28,6 +27,7 @@ from stftlab.transforms import (
     window_comparison_ratio,
 )
 
+from centred_oracle import icdft2
 from conftest import random_signal
 from fock_oracle import fock_cauchy_riemann_residual, fock_key_identity_residual
 
@@ -264,6 +264,11 @@ def test_recover_error_paths(grid16):
     grid = make_grid(8.0, 128)
     with pytest.raises(ValueError, match="self-dual"):
         recover(phaseless(gaussian(grid)))
+
+
+def test_recover_refuses_a_nan_threshold(grid16):
+    with pytest.raises(ValueError, match="positive number"):
+        recover(phaseless(gaussian(grid16)), threshold=float("nan"))
 
 
 # ---------------------------------------------------------------------------
