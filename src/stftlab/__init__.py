@@ -14,7 +14,7 @@ _EXPORTS = {
     "Grid1D": "grids", "TFGrid": "grids", "Signal": "grids",
     "TFField": "grids", "make_grid": "grids", "tf_grid_of": "grids",
     "gaussian": "grids", "hermite": "grids", "random": "grids",
-    "translate": "grids", "modulate": "grids",
+    "translate": "grids", "modulate": "grids", "DomainMask": "grids",
     # transforms and recovery
     "WindowSpec": "transforms", "parse_window": "transforms",
     "stft": "transforms", "phaseless": "transforms",
@@ -34,7 +34,7 @@ _EXPORTS = {
     "instability_ratio": "forge", "dichotomy_check": "forge",
     "verify_bump_bounds": "forge", "stft_instability_family": "forge",
     # domain geometry and stability constants
-    "DomainMask": "geometry", "cheeger_estimate": "geometry",
+    "cheeger_estimate": "geometry",
     "connectivity": "geometry", "gluing_bound": "geometry",
     "poincare_constant": "geometry", "stability_certificate": "geometry",
     # persistence

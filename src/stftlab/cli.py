@@ -110,18 +110,14 @@ def _load_dump(path: str, flag: str):
 
 def _load_operand(path: str, flag: str, kind: str = "signal or field"):
     """A dump that must hold a `kind`: signal, field, "signal or field", or
-    mask (returned as a DomainMask)."""
-    from .grids import Signal, TFField
+    mask."""
+    from .grids import DomainMask, Signal, TFField
 
     obj = _load_dump(path, flag)
-    want = {"signal": Signal, "field": TFField, "mask": tuple,
+    want = {"signal": Signal, "field": TFField, "mask": DomainMask,
             "signal or field": (Signal, TFField)}[kind]
     if not isinstance(obj, want):
         raise _Usage(f"argument {flag}: {path!r} is not a {kind} dump")
-    if kind == "mask":
-        from .geometry import DomainMask
-
-        return DomainMask(obj[1], obj[0])
     return obj
 
 
@@ -140,6 +136,9 @@ def _cmd_gen(args) -> int:
     for flag in ignored:
         if getattr(args, flag) is not None:
             raise _Usage(f"argument --{flag}: not used by kind {args.kind}")
+    for flag in ("center", "modulation"):
+        if not math.isfinite(getattr(args, flag) or 0.0):
+            raise _Usage(f"argument --{flag}: must be a finite number")
     if args.kind == "random":
         sig = random(grid, SplitMix64(args.seed or 0))
     else:
@@ -150,13 +149,19 @@ def _cmd_gen(args) -> int:
                          f"or random") from None
         center, modulation = args.center or 0.0, args.modulation or 0.0
         if spec.kind == "gaussian":
-            sig = gaussian(grid, center=center, modulation=modulation)
+            try:
+                sig = gaussian(grid, center=center, modulation=modulation)
+            except ValueError as e:
+                flag = ("--center" if str(e).startswith("gaussian center")
+                        else "--L/--N")
+                raise _Usage(f"argument {flag}: {e}") from None
         else:
             sig = spec.build(grid)
             if center:
-                sig = translate(sig, center)
+                sig = _flag("--center", lambda c: translate(sig, c), center)
             if modulation:
-                sig = modulate(sig, modulation)
+                sig = _flag("--modulation", lambda m: modulate(sig, m),
+                            modulation)
     if args.format == "bin":
         io.dump_signal(sig, args.out)
     else:
@@ -214,16 +219,18 @@ def _cmd_cheeger(args) -> int:
     return 0
 
 
-def _parse_disk(raw: str):
+def _parse_disk(raw: str, tg):
+    from .grids import DomainMask
+
     parts = raw.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected CX,CY,R, got {raw!r}")
     cx, cy, r = (float(t) for t in parts)
-    return complex(cx, cy), r
+    return DomainMask.disk(tg, complex(cx, cy), r)
 
 
 def _cmd_poincare(args) -> int:
-    from .geometry import DomainMask, poincare_constant
+    from .geometry import poincare_constant
     from .grids import make_grid, tf_grid_of
 
     if (args.mask is None) == (args.disk is None):
@@ -232,10 +239,9 @@ def _cmd_poincare(args) -> int:
     if args.mask is not None:
         mask = _load_operand(args.mask, "mask", "mask")
     else:
-        center, radius = _flag("--disk", _parse_disk, args.disk)
         tg = tf_grid_of(_flag("--L/--N", lambda _: make_grid(args.L, args.N),
                               None))
-        mask = DomainMask.disk(tg, center, radius)
+        mask = _flag("--disk", lambda raw: _parse_disk(raw, tg), args.disk)
     weight = None
     if args.weight is not None:
         weight = _load_operand(args.weight, "--weight")

@@ -22,12 +22,12 @@ from scipy.ndimage import binary_dilation, gaussian_filter
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
-from .grids import TFField, TFGrid, riemann_lp
+from .grids import DomainMask, TFField, riemann_lp
 from .norms import field_gradient, modulus, phase_inf_distance
 from .transforms import FockField, fock_exponent
 
 __all__ = [
-    "DomainMask",
+    "DomainMask",  # re-exported from grids
     "CheegerReport",
     "CertificateReport",
     "marching_squares",
@@ -37,47 +37,6 @@ __all__ = [
     "poincare_constant",
     "stability_certificate",
 ]
-
-
-# ---------------------------------------------------------------------------
-# masks
-
-
-@dataclass
-class DomainMask:
-    """Boolean region on a TF grid."""
-
-    tfgrid: TFGrid
-    inside: np.ndarray
-
-    def __post_init__(self):
-        self.inside = np.asarray(self.inside, dtype=bool)
-        if self.inside.shape != self.tfgrid.shape:
-            raise ValueError(
-                f"mask shape {self.inside.shape} does not match grid "
-                f"{self.tfgrid.shape}"
-            )
-
-    @property
-    def cell_count(self) -> int:
-        return int(np.count_nonzero(self.inside))
-
-    def is_empty(self) -> bool:
-        return not self.inside.any()
-
-    @classmethod
-    def disk(cls, tfgrid: TFGrid, center: complex, radius: float) -> "DomainMask":
-        x = tfgrid.xmesh()
-        w = tfgrid.wmesh()
-        rr = (x - center.real) ** 2 + (w - center.imag) ** 2
-        return cls(tfgrid, rr <= radius * radius)
-
-    @classmethod
-    def rectangle(cls, tfgrid: TFGrid, x0: float, x1: float,
-                  w0: float, w1: float) -> "DomainMask":
-        x = tfgrid.xmesh()
-        w = tfgrid.wmesh()
-        return cls(tfgrid, (x >= x0) & (x <= x1) & (w >= w0) & (w <= w1))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +209,9 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
                      directions: int = 64, offsets: int = 33) -> CheegerReport:
     """Scan candidate domains for a small boundary-to-mass quotient of W.
 
-    Three families: super/sublevel sets of a smoothed copy of W across a
-    dyadic threshold ladder, disks on a center-by-radius lattice, and
+    Three families: super/sublevel sets of a smoothed copy of W at the
+    uniform levels top * k / thresholds (k = 1 .. thresholds - 1, top the
+    smoothed maximum), disks on a center-by-radius lattice, and
     half-planes over a direction-by-offset lattice. Boundary integrals use
     bilinear interpolation of the raw W along the candidate boundary; mass
     integrals are Riemann sums of raw W over the candidate; only candidates

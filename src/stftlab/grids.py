@@ -21,7 +21,7 @@ each with its |xi| as `freq_radius()`), and built from them `cell` and
 `shape`; `radius()` is |x|, or |z| on the plane. Both objects are one
 Sampled: `space` is their grid, one constructor checks dtype, shape and
 finiteness, `like(values)` rewraps, and `restrict(mask)` zeroes the values
-outside a region.
+outside a region (on the plane, the `inside` of a DomainMask).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "TFGrid",
     "TFField",
     "Sampled",
+    "DomainMask",
     "make_grid",
     "tf_grid_of",
     "gaussian",
@@ -151,7 +152,8 @@ class Sampled:
     def __post_init__(self) -> None:
         v = np.asarray(self.values)
         real = self._admits_real and v.dtype.kind == "f"
-        v = v.astype(np.float64 if real else np.complex128, copy=False)
+        # contiguous, so that the finiteness check can view it as float64
+        v = np.ascontiguousarray(v, np.float64 if real else np.complex128)
         name = type(self).__name__
         if v.shape != self.space.shape:
             raise ValueError(f"{name} shape {v.shape} does not match the "
@@ -220,6 +222,46 @@ class TFField(Sampled):
     @property
     def space(self) -> TFGrid:
         return self.tfgrid
+
+
+@dataclass
+class DomainMask:
+    """Boolean region on a TF grid."""
+
+    tfgrid: TFGrid
+    inside: np.ndarray
+
+    def __post_init__(self):
+        self.inside = np.asarray(self.inside, dtype=bool)
+        if self.inside.shape != self.tfgrid.shape:
+            raise ValueError(
+                f"mask shape {self.inside.shape} does not match grid "
+                f"{self.tfgrid.shape}"
+            )
+
+    @property
+    def cell_count(self) -> int:
+        return int(np.count_nonzero(self.inside))
+
+    def is_empty(self) -> bool:
+        return not self.inside.any()
+
+    @classmethod
+    def disk(cls, tfgrid: TFGrid, center: complex, radius: float) -> "DomainMask":
+        if not (np.isfinite(center) and radius >= 0):
+            raise ValueError(f"disk needs a finite center and a radius >= 0, "
+                             f"got {center!r} and {radius!r}")
+        x = tfgrid.xmesh()
+        w = tfgrid.wmesh()
+        rr = (x - center.real) ** 2 + (w - center.imag) ** 2
+        return cls(tfgrid, rr <= radius * radius)
+
+    @classmethod
+    def rectangle(cls, tfgrid: TFGrid, x0: float, x1: float,
+                  w0: float, w1: float) -> "DomainMask":
+        x = tfgrid.xmesh()
+        w = tfgrid.wmesh()
+        return cls(tfgrid, (x >= x0) & (x <= x1) & (w >= w0) & (w <= w1))
 
 
 def tf_grid_of(grid: Grid1D) -> TFGrid:

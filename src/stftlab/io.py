@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import MAX_COUNT, Signal, TFField, TFGrid, make_grid
+from .grids import MAX_COUNT, DomainMask, Signal, TFField, TFGrid, make_grid
 
 MAGIC = b"STFL1"
 
@@ -88,7 +88,7 @@ def _space(counts: tuple, lengths: tuple):
 
 
 def load(path: str | Path):
-    """Load any container; returns Signal, TFField, or (bool array, TFGrid).
+    """Load any container; returns a Signal, a TFField or a DomainMask.
     A payload is read before its grid is built; a mask's grid and cell count
     are checked before its runs are decoded."""
     with open(path, "rb") as fh:
@@ -117,7 +117,7 @@ def load(path: str | Path):
         # runs alternate between the first value and its negation
         vals = (np.arange(runs.size) % 2 == 1) ^ bool(first)
         flat = np.repeat(vals, runs.astype(np.intp))
-        return flat.reshape(counts), tg
+        return DomainMask(tg, flat.reshape(counts))
 
 
 def signal_to_csv(sig: Signal, path: str | Path) -> None:

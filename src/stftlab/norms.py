@@ -43,7 +43,7 @@ __all__ = [
     "modulus_difference",
     "modulus_sobolev_ratio",
     "field_gradient",
-    "masked_h1_norm",
+    "h1_magnitude",
 ]
 
 
@@ -522,19 +522,15 @@ def field_gradient(field: TFField) -> tuple[np.ndarray, np.ndarray]:
     return gx, gw
 
 
-def masked_h1_norm(field: TFField, mask: np.ndarray, r: float = 0.0) -> float:
-    """Weighted H1 norm over a region X:
-
-        ( integral_X <z>^{2r} (|u|^2 + |grad u|^2) )^{1/2}
-
-    Gradients are taken on the full grid first, then restricted to the mask,
-    so the region boundary does not inject one-sided difference artifacts.
+def h1_magnitude(field: TFField, r: float = 0.0) -> TFField:
+    """Pointwise weighted H1 magnitude <z>^r (|u|^2 + |grad u|^2)^{1/2}, as
+    a real field h. The weighted H1 norm over a region X,
+    ( integral_X <z>^{2r} (|u|^2 + |grad u|^2) )^{1/2}, is the L2 norm of h
+    on X: riemann_lp(h.restrict(X).values, cell, 2). Gradients are taken on
+    the full grid first, so the region boundary does not inject one-sided
+    difference artifacts, and h does not depend on X.
     """
-    tg = field.tfgrid
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != tg.shape:
-        raise ValueError("mask shape does not match the field")
     gx, gw = field_gradient(field)
-    dens = np.abs(field.values) ** 2 + np.abs(gx) ** 2 + np.abs(gw) ** 2
-    dens = _weighted(dens, tg, 2.0 * r)
-    return float(np.sqrt(tg.cell * np.sum(dens[mask])))
+    mag = np.sqrt(np.abs(field.values) ** 2 + np.abs(gx) ** 2
+                  + np.abs(gw) ** 2)
+    return field.like(_weighted(mag, field.tfgrid, r))

@@ -405,10 +405,8 @@ def _ambiguity_zero_locus(a: np.ndarray, tf: TFGrid, dropouts: np.ndarray) -> np
     both sit above the noise floor."""
     xs = tf.xgrid.points()
     ws = tf.wgrid.points()
-    pts = []
     di, dj = np.nonzero(dropouts)
-    for i, j in zip(di, dj):
-        pts.append((xs[i], ws[j]))
+    pts = [np.column_stack((xs[di], ws[dj]))]
     re, im = a.real, a.imag
     mag = np.abs(a)
     floor = 1e-12 * float(np.max(mag))
@@ -416,12 +414,8 @@ def _ambiguity_zero_locus(a: np.ndarray, tf: TFGrid, dropouts: np.ndarray) -> np
         solid = mag > floor
         hit = (re[:-1, :] * re[1:, :] < 0) & solid[:-1, :] & solid[1:, :]
         fi, fj = np.nonzero(hit)
-        for i, j in zip(fi, fj):
-            pts.append((0.5 * (xs[i] + xs[i + 1]), ws[j]))
+        pts.append(np.column_stack((0.5 * (xs[fi] + xs[fi + 1]), ws[fj])))
         hit = (re[:, :-1] * re[:, 1:] < 0) & solid[:, :-1] & solid[:, 1:]
         fi, fj = np.nonzero(hit)
-        for i, j in zip(fi, fj):
-            pts.append((xs[i], 0.5 * (ws[j] + ws[j + 1])))
-    if not pts:
-        return np.empty((0, 2))
-    return np.unique(np.asarray(pts, dtype=float), axis=0)
+        pts.append(np.column_stack((xs[fi], 0.5 * (ws[fj] + ws[fj + 1]))))
+    return np.unique(np.concatenate(pts), axis=0)

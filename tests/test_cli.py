@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -177,14 +178,15 @@ def test_recover_reference_on_another_grid_exits_two_before_recovering(
 @pytest.fixture(scope="module")
 def small_dumps(tmp_path_factory):
     """A gaussian on the self-dual 8/64 grid, its phaseless STFT, and two
-    overlapping half-plane masks of that field's grid."""
+    overlapping half-plane masks of that field's grid; `gen` is a path that
+    a refused `gen` must not write."""
     from stftlab import io
     from stftlab.geometry import DomainMask
     from stftlab.grids import gaussian, make_grid
     from stftlab.transforms import phaseless
 
     d = tmp_path_factory.mktemp("dumps")
-    paths = {n: str(d / f"{n}.bin") for n in ("meas", "a", "b")}
+    paths = {n: str(d / f"{n}.bin") for n in ("meas", "a", "b", "gen")}
     meas = phaseless(gaussian(make_grid(8.0, 64)))
     io.dump_field(meas, paths["meas"])
     tg = meas.tfgrid
@@ -208,18 +210,31 @@ def small_dumps(tmp_path_factory):
     ("glue", ["--ca", "nan", "--cb", "1"], "--ca"),
     ("glue", ["--ca", "-1", "--cb", "1"], "--ca"),
     ("glue", ["--ca", "1", "--cb", "nan"], "--cb"),
+    ("poincare", ["--disk", "0,0,nan"], "--disk"),
+    ("poincare", ["--disk", "0,0,-1"], "--disk"),
+    ("poincare", ["--disk", "nan,0,1"], "--disk"),
+    ("gen", ["gaussian", "--center", "100"], "--center"),
+    ("gen", ["hermite:1", "--center", "0.01"], "--center"),
+    ("gen", ["hermite:1", "--modulation", "0.013"], "--modulation"),
+    ("gen", ["hermite:1", "--modulation", "inf"], "--modulation"),
+    ("gen", ["gaussian", "--L", "8", "--N", "8"], "--L/--N"),
 ], ids=["threshold-negative", "threshold-nan", "thresholds", "centers",
         "radii", "directions", "offsets", "all-counts-zero", "ca-nan",
-        "ca-negative", "cb-nan"])
+        "ca-negative", "cb-nan", "disk-nan", "disk-negative",
+        "disk-center-nan", "center-outside", "center-off-grid",
+        "modulation-off-grid", "modulation-inf", "gaussian-grid-too-coarse"])
 def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
                                               flags, named):
     operands = {"recover": [small_dumps["meas"]],
                 "cheeger": [small_dumps["meas"]],
                 "glue": ["--connectivity", small_dumps["meas"],
-                         small_dumps["a"], small_dumps["b"]]}[command]
+                         small_dumps["a"], small_dumps["b"]],
+                "poincare": [],
+                "gen": ["--out", small_dumps["gen"]]}[command]
     code, out, err = run_cli(capsys, command, *operands, *flags)
     assert code == 2 and out == ""
     assert f"argument {named}" in err
+    assert not Path(small_dumps["gen"]).exists()
 
 
 def test_glue_accepts_an_infinite_constant(small_dumps, capsys):

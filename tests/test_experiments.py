@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stftlab import experiments as ex
+from stftlab import experiments as ex, norms
 
 ALL_IDS = ex.experiment_ids()
 
@@ -209,6 +209,21 @@ def test_thm15_transforms_each_member_once(monkeypatch):
     assert ex.run(mf).passed
     # V perturbed, V base and one transform per flipped member
     assert len(calls) == mf.params["n_max"] + 2 == 4
+
+
+def test_gluing_takes_each_adversary_field_once(monkeypatch):
+    mf = ex.default_manifest("connectivity-gluing")
+    gradient = norms.field_gradient
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "field_gradient", counted)
+    assert ex.run(mf).passed
+    # one H1 magnitude per adversary, read by all 30 regions
+    assert len(calls) == 5
 
 
 def test_every_check_and_invariant_is_asserted():

@@ -73,6 +73,14 @@ def test_disk_mask_cell_count_tracks_area(tfg):
     assert abs(area - math.pi * 9.0) < 0.2
 
 
+def test_disk_needs_a_finite_center_and_a_nonnegative_radius(tfg):
+    assert DomainMask.disk(tfg, 0j, 0.0).cell_count == 1
+    for center, radius in ((0j, math.nan), (0j, -1.0),
+                           (complex(math.nan, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="finite center and a radius"):
+            DomainMask.disk(tfg, center, radius)
+
+
 def test_rectangle_mask_contains_only_the_box(tfg):
     rect = DomainMask.rectangle(tfg, -1.0, 2.0, 0.5, 1.5)
     xm = tfg.xmesh() * np.ones(tfg.shape)

@@ -250,6 +250,21 @@ def test_one_constructor_check_for_both_sample_types(grid8):
             cls(space, bad)
 
 
+def test_non_contiguous_samples_are_accepted(grid8):
+    n, tg = grid8.count, tf_grid_of(grid8)
+    field = (np.arange(n * n) + 1j).reshape(n, n)
+    sig = np.arange(2 * n) + 1j
+    # views: a transposed field and every other signal sample
+    cases = ((TFField, tg, field.T), (Signal, grid8, sig[::2]))
+    for cls, space, vals in cases:
+        assert not vals.flags.c_contiguous
+        assert np.array_equal(cls(space, vals).values, vals)
+    field[1, 2] = sig[4] = np.nan
+    for cls, space, vals in cases:
+        with pytest.raises(ValueError, match="contains non-finite values"):
+            cls(space, vals)
+
+
 def test_signal_and_field_share_space_and_like(grid16):
     f, tg = random_signal(grid16, seed=4), tf_grid_of(grid16)
     field = TFField(tg, np.ones(tg.shape))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stftlab import cli, experiments, io
-from stftlab.grids import Signal, TFField, TFGrid, make_grid, tf_grid_of
+from stftlab.grids import (DomainMask, Signal, TFField, TFGrid, make_grid,
+                           tf_grid_of)
 from stftlab.io import MAGIC, dump_field, dump_mask, dump_signal, load, signal_to_csv
 
 from conftest import random_signal
@@ -83,9 +84,9 @@ def test_mask_roundtrip(tmp_path, fill):
         mask = np.ones(tg.shape, dtype=bool)
     p = tmp_path / "mask.stfl"
     dump_mask(mask, tg, p)
-    back, tg2 = load(p)
-    assert tg2 == tg
-    assert np.array_equal(back, mask)
+    back = load(p)
+    assert isinstance(back, DomainMask) and back.tfgrid == tg
+    assert np.array_equal(back.inside, mask)
 
 
 def test_kind_mismatch_raises(tmp_path, grid8, capsys):
@@ -138,9 +139,10 @@ def test_mask_run_list_is_checked(tmp_path):
         load(p)
     # runs that alternate from a first value of 1
     p.write_bytes(head + struct.pack("<QQQQ", 1, 2, 100, 64 * 64 - 100))
-    mask, tg2 = load(p)
-    assert tg2 == tg
-    assert mask.ravel()[:100].all() and not mask.ravel()[100:].any()
+    mask = load(p)
+    assert isinstance(mask, DomainMask) and mask.tfgrid == tg
+    flat = mask.inside.ravel()
+    assert flat[:100].all() and not flat[100:].any()
 
 
 _LOAD_RSS_GROWTH = """

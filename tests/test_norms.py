@@ -31,9 +31,9 @@ from stftlab.norms import (
     disjointness_witness,
     field_gradient,
     frac_sobolev_norm,
+    h1_magnitude,
     inner_l2,
     japanese_bracket,
-    masked_h1_norm,
     modulus,
     modulus_sobolev_ratio,
     parse_norm,
@@ -444,7 +444,7 @@ def test_modulus_preserves_type(grid16):
 
 
 # ---------------------------------------------------------------------------
-# field gradient and masked H1
+# field gradient and H1 on a region
 
 
 def test_field_gradient_exact_on_linear_fields():
@@ -456,18 +456,22 @@ def test_field_gradient_exact_on_linear_fields():
 
 
 def test_masked_h1_constant_field(grid16):
+    # H1 on a region: the L2 norm of the restricted pointwise magnitude
     tg = tf_grid_of(grid16)
-    field = TFField(tg, np.ones(tg.shape))
+    h = h1_magnitude(TFField(tg, np.ones(tg.shape)), 0.0)
+    assert h.values.dtype == np.float64
+
+    def on(region):
+        return riemann_lp(h.restrict(region).values, tg.cell, 2.0)
+
     full = np.ones(tg.shape, dtype=bool)
     want = np.sqrt(tg.xgrid.length * tg.wgrid.length)
-    assert masked_h1_norm(field, full, 0.0) == pytest.approx(want, rel=1e-12)
+    assert on(full) == pytest.approx(want, rel=1e-12)
     half = np.zeros(tg.shape, dtype=bool)
     half[: tg.shape[0] // 2] = True
-    assert masked_h1_norm(field, half, 0.0) == pytest.approx(
-        want / np.sqrt(2), rel=1e-12
-    )
+    assert on(half) == pytest.approx(want / np.sqrt(2), rel=1e-12)
     with pytest.raises(ValueError):
-        masked_h1_norm(field, np.ones((3, 3), dtype=bool), 0.0)
+        on(np.ones((3, 3), dtype=bool))
 
 
 def test_inner_l2_hermite_orthogonality(grid16):
