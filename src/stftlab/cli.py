@@ -152,11 +152,11 @@ def _cmd_gen(args) -> int:
             try:
                 sig = gaussian(grid, center=center, modulation=modulation)
             except ValueError as e:
-                flag = ("--center" if str(e).startswith("gaussian center")
-                        else "--L/--N")
+                flag = {"gaussian": "--center", "modulation": "--modulation"
+                        }.get(str(e).split()[0], "--L/--N")
                 raise _Usage(f"argument {flag}: {e}") from None
         else:
-            sig = spec.build(grid)
+            sig = _flag("--L/--N", spec.build, grid)
             if center:
                 sig = _flag("--center", lambda c: translate(sig, c), center)
             if modulation:

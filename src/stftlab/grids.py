@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2, dznrm2
 from scipy.special import gammaln
 
 from .rng import SplitMix64
@@ -306,9 +307,25 @@ def boundary_decay(f: Signal) -> float:
 
 
 def riemann_lp(values: np.ndarray, cell: float, p: float) -> float:
-    """Riemann-sum L^p norm, max-rescaled to keep deep tails measurable."""
+    """Riemann-sum L^p norm that keeps deep tails measurable.
+
+    For p = 2 this is sqrt(cell) times the BLAS nrm2 of the values (dznrm2
+    for complex input, dnrm2 for any other, cast to float64): one pass whose
+    kernel scales, so values near the bottom or top of double range come out
+    right. Any other p takes a max-rescaled sum.
+    """
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
+    if p == 2:
+        # the BLAS wrappers refuse strided input, and dnrm2 refuses empty input
+        v = np.ascontiguousarray(values).ravel()
+        if v.size == 0:
+            return 0.0
+        if np.iscomplexobj(v):
+            nrm = dznrm2(v.astype(np.complex128, copy=False))
+        else:
+            nrm = dnrm2(v.astype(np.float64, copy=False))
+        return math.sqrt(cell) * float(nrm)
     a = np.abs(np.asarray(values)).ravel()
     if a.size == 0:
         return 0.0
@@ -332,7 +349,8 @@ def gaussian(grid: Grid1D, center: float = 0.0, modulation: float = 0.0) -> Sign
     """Unit L2-norm Gaussian 2^{1/4} exp(-pi (x-c)^2) exp(2 pi i eta x).
 
     The center must sit at least 4 units inside the boundary so the periodized
-    tails stay below the 1e-10 decay guard.
+    tails stay below the 1e-10 decay guard. The center is analytic and may lie
+    off the grid; the modulation must be a grid multiple, as for `modulate`.
     """
     half = grid.length / 2.0
     if abs(center) > half - 4.0:
@@ -340,6 +358,7 @@ def gaussian(grid: Grid1D, center: float = 0.0, modulation: float = 0.0) -> Sign
             f"gaussian center {center!r} too close to the boundary of "
             f"[-{half}, {half}); need |center| <= L/2 - 4"
         )
+    grid.dual().index_of(modulation, "modulation")
     x = grid.points()
     vals = 2.0**0.25 * np.exp(-np.pi * (x - center) ** 2) * np.exp(
         2j * np.pi * modulation * x

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import (
     Grid1D,
@@ -108,14 +109,20 @@ def parse_window(text: str) -> WindowSpec:
 
 
 def _stft_values(fv: np.ndarray, wv: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Rows indexed by window center x_i, columns by frequency."""
+    """Rows indexed by window center x_i, columns by frequency.
+
+    Row i windows f by conj(w)(t - x_i), a cyclic shift of one conjugated
+    window: with cw = conj(w) rolled by -N/2, row i is cw[(t - i) mod N],
+    which is entry n - i of the sliding windows over cw twice over. The
+    rows are therefore a strided view, with no gather.
+    """
     n = grid.count
-    t = np.arange(n)
+    cw = np.roll(np.conj(wv), -(n // 2))
+    circ = sliding_window_view(np.concatenate([cw, cw]), n)[n:0:-1]
     out = np.empty((n, n), dtype=np.complex128)
     for start in range(0, n, _STFT_CHUNK):
-        rows = np.arange(start, min(start + _STFT_CHUNK, n))
-        idx = (t[None, :] - rows[:, None] + n // 2) % n
-        out[rows] = grid.dx * cdft(fv[None, :] * np.conj(wv[idx]), axis=1)
+        rows = slice(start, start + _STFT_CHUNK)
+        out[rows] = grid.dx * cdft(fv[None, :] * circ[rows], axis=1)
     return out
 
 

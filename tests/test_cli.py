@@ -218,11 +218,16 @@ def small_dumps(tmp_path_factory):
     ("gen", ["hermite:1", "--modulation", "0.013"], "--modulation"),
     ("gen", ["hermite:1", "--modulation", "inf"], "--modulation"),
     ("gen", ["gaussian", "--L", "8", "--N", "8"], "--L/--N"),
+    ("gen", ["hermite:1", "--L", "8", "--N", "8"], "--L/--N"),
+    ("gen", ["hermite:3", "--L", "8", "--N", "16"], "--L/--N"),
+    ("gen", ["gaussian", "--modulation", "0.013"], "--modulation"),
 ], ids=["threshold-negative", "threshold-nan", "thresholds", "centers",
         "radii", "directions", "offsets", "all-counts-zero", "ca-nan",
         "ca-negative", "cb-nan", "disk-nan", "disk-negative",
         "disk-center-nan", "center-outside", "center-off-grid",
-        "modulation-off-grid", "modulation-inf", "gaussian-grid-too-coarse"])
+        "modulation-off-grid", "modulation-inf", "gaussian-grid-too-coarse",
+        "hermite-grid-too-coarse", "hermite3-grid-too-coarse",
+        "gaussian-modulation-off-grid"])
 def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
                                               flags, named):
     operands = {"recover": [small_dumps["meas"]],

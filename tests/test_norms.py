@@ -77,6 +77,45 @@ def test_riemann_lp_edge_cases():
         riemann_lp(np.ones(3), 0.1, 0.5)
 
 
+def _max_rescaled_l2(values, cell):
+    """The max-rescaled Riemann L2 sum that p != 2 still takes."""
+    a = np.abs(np.asarray(values)).ravel()
+    m = float(a.max()) if a.size else 0.0
+    if m == 0.0:
+        return 0.0
+    return m * float(cell * np.sum((a / m) ** 2)) ** 0.5
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_riemann_l2_is_the_max_rescaled_sum_at_every_scale(kind, scale):
+    # the BLAS nrm2 kernel is chosen per CPU: pin it on subnormal values,
+    # near the underflow and overflow ends, and on transposed, strided,
+    # empty and one-element input
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(48, 40))
+    if kind == "complex":
+        v = v + 1j * rng.normal(size=(48, 40))
+    v = scale * v
+    cell = 0.125
+    for x in (v, v.T, v[::3, 1::2], v[5:6, 7:8]):
+        want = _max_rescaled_l2(x, cell)
+        got = riemann_lp(x, cell, 2.0)
+        assert want > 0.0
+        assert abs(got - want) <= 4 * np.spacing(want), (x.shape, got, want)
+    assert riemann_lp(v[:0], cell, 2.0) == 0.0
+    one = v[3, 4]
+    assert riemann_lp(np.array([one]), cell, 2.0) == pytest.approx(
+        abs(one) * cell**0.5, rel=4 * np.finfo(float).eps)
+
+
+def test_riemann_l2_casts_other_dtypes():
+    ints = np.array([[3, 0], [0, 4]], dtype=np.int16)
+    assert riemann_lp(ints, 1.0, 2.0) == 5.0
+    assert riemann_lp(ints.astype(np.float32), 0.25, 2.0) == 2.5
+    assert riemann_lp(np.array([3 + 4j], dtype=np.complex64), 1.0, 2.0) == 5.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),

@@ -27,6 +27,7 @@ from stftlab.transforms import (
     window_comparison_ratio,
 )
 
+import stft_oracle
 from centred_oracle import icdft2
 from conftest import random_signal
 from fock_oracle import fock_cauchy_riemann_residual, fock_key_identity_residual
@@ -126,6 +127,42 @@ def test_stft_gaussian_pair_is_centered_bump(grid16):
     tf = v.tfgrid
     want = np.exp(-np.pi * (tf.xmesh() ** 2 + tf.wmesh() ** 2) / 2)
     assert np.max(np.abs(mag - want)) < 1e-10
+
+
+def _unit_random(grid, seed):
+    f = random_signal(grid, seed)
+    return Signal(grid, f.values / riemann_lp(f.values, grid.dx, 2.0))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+@pytest.mark.parametrize("length, count, windows", [
+    (8.0, 8, ["sampled"]),
+    (4.0, 16, ["sampled"]),
+    (16.0, 384, ["gaussian", "hermite:2", "sampled"]),
+    (16.0, 1024, ["gaussian", "hermite:2", "sampled"]),
+    (32.0, 1024, ["gaussian"]),
+], ids=["8/8", "4/16", "16/384-partial-chunk", "16/1024", "32/1024"])
+def test_stft_and_ambiguity_are_the_gathered_transform(length, count,
+                                                       windows):
+    # the circulant view reads the same conjugated window entries as a
+    # gather through an index matrix, so the fields agree bit for bit
+    grid = make_grid(length, count)
+    f = random_signal(grid, 3)
+    for name in windows:
+        spec = (WindowSpec("sampled", sample=_unit_random(grid, 4))
+                if name == "sampled" else parse_window(name))
+        w = spec.build(grid)
+        want = stft_oracle.stft_values(f.values, w.values, grid)
+        assert np.array_equal(_bits(stft(f, spec).values), _bits(want)), name
+    tf = tf_grid_of(grid)
+    twist = np.exp(1j * np.pi * tf.xmesh() * tf.wmesh())
+    # a named operand: numpy may reuse a temporary right operand in place,
+    # which swaps the factors, and a fused complex product is not symmetric
+    v = stft_oracle.stft_values(f.values, f.values, grid)
+    assert np.array_equal(_bits(ambiguity(f).values), _bits(twist * v))
 
 
 # ---------------------------------------------------------------------------
