@@ -19,7 +19,6 @@ _EXPORTS = {
     "WindowSpec": "transforms", "parse_window": "transforms",
     "stft": "transforms", "phaseless": "transforms",
     "ambiguity": "transforms", "recover": "transforms",
-    "FockField": "transforms", "to_fock": "transforms",
     "fock_polynomial_field": "transforms",
     "window_comparison_ratio": "transforms",
     # norms and distances

@@ -210,9 +210,15 @@ def _cmd_cheeger(args) -> int:
         raise _Usage("argument --thresholds/--centers/--radii/--directions: "
                      "every candidate family is empty")
     field = _load_operand(args.density, "density", "field")
-    report = cheeger_estimate(field, thresholds=args.thresholds,
-                              centers=args.centers, radii=args.radii,
-                              directions=args.directions, offsets=args.offsets)
+    try:
+        report = cheeger_estimate(field, thresholds=args.thresholds,
+                                  centers=args.centers, radii=args.radii,
+                                  directions=args.directions,
+                                  offsets=args.offsets)
+    except ValueError as e:
+        if str(e).startswith("density"):  # bad input, not a failed sweep
+            raise _Usage(f"argument density: {e}") from None
+        raise
     _emit({"value": report.value, "family": report.family,
            "params": report.params, "total_mass": report.total_mass},
           args.out)

@@ -394,8 +394,14 @@ def _parse_cell(s: str):
 
 def _read_csv(path: Path) -> tuple:
     lines = path.read_text().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file, no header")
     header = lines[0].split(",")
     rows = [[_parse_cell(c) for c in line.split(",")] for line in lines[1:]]
+    short = [i for i, row in enumerate(rows, 2) if len(row) != len(header)]
+    if short:
+        raise ValueError(f"{path}: line {short[0]} does not have the "
+                         f"header's {len(header)} cells")
     return header, rows
 
 
@@ -413,22 +419,50 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> list:
     return written
 
 
+# the columns that a check reads besides the ones its string args name
+_CHECK_COLUMNS = {"ratio_window": ("n", "ratio", "target", "degenerate")}
+
+
 def verify_run(out_dir: str | Path) -> dict:
     """Re-evaluate a stored run's assertions from its CSV files.
 
     Returns per-assertion stored vs rechecked verdicts; ok means every
     recheck reproduced the stored verdict and every hard assertion holds.
+    A run that cannot be rechecked raises ValueError naming the file and
+    the key or column: a summary or an assertion without one of its keys,
+    args that are not an object, an unknown check or table, or a column
+    that it reads (each string arg names one) missing or holding a cell
+    that is not a number.
     """
     out = Path(out_dir)
     summary = json.loads((out / "summary.json").read_text())
+    if not (isinstance(summary, dict)
+            and {"id", "tables", "assertions"} <= summary.keys()):
+        raise ValueError(f"{out / 'summary.json'}: not an object with the "
+                         "keys 'id', 'tables' and 'assertions'")
     tables = {name: _read_csv(out / f"{name}.csv")
               for name in summary["tables"]}
     report = {"id": summary["id"], "ok": True, "assertions": []}
     for spec in summary["assertions"]:
+        for key in ("invariant", "check", "table", "args", "hard", "passed"):
+            if key not in spec:
+                raise ValueError(f"{out / 'summary.json'}: an assertion has "
+                                 f"no key {key!r}")
+        if not isinstance(spec["args"], dict):
+            raise ValueError(f"{out / 'summary.json'}: 'args' is not an "
+                             "object")
         for key, known in (("check", CHECKS), ("table", tables)):
             if spec[key] not in known:
                 raise ValueError(f"{out / 'summary.json'}: unknown {key} "
                                  f"{spec[key]!r}")
+        header, rows = tables[spec["table"]]
+        named = {v for v in spec["args"].values() if isinstance(v, str)}
+        for name in sorted(named | set(_CHECK_COLUMNS.get(spec["check"], ()))):
+            if name not in header or not all(
+                    isinstance(row[header.index(name)], (int, float))
+                    for row in rows):
+                raise ValueError(f"{out / spec['table']}.csv: column "
+                                 f"{name!r} is missing or not all numbers")
         recheck = _evaluate(tables, spec)
         entry = {"invariant": spec["invariant"], "check": spec["check"],
                  "hard": spec["hard"], "stored": spec["passed"],

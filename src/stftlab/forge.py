@@ -77,10 +77,10 @@ def normalize_seed(h: Signal, p: float, q: float) -> Signal:
 class AnnulusSchedule:
     """Ladder of disjoint annuli A_n = {j_n <= |x| <= 2 j_n} for one seed.
 
-    scales[n] = 2^{-(n+1)} <j_n>^{-sigma} is the bump amplitude; tails[n] is
-    the seed's measured mass outside |x| >= j_n / 2 in the doubly-weighted
-    norm, certified <= 2^{-3(n+1)} during construction. Lists are 0-based;
-    list index m is rung n = m + 1.
+    scales[n] = 2^{-(n+1)} <j_n>^{-sigma} is the bump amplitude. The seed's
+    mass outside |x| >= j_n / 2 in the doubly-weighted norm is certified
+    <= 2^{-3(n+1)} during construction. Lists are 0-based; list index m is
+    rung n = m + 1.
     """
 
     seed: Signal
@@ -89,7 +89,6 @@ class AnnulusSchedule:
     q: float
     radii: tuple
     scales: tuple
-    tails: tuple
 
     @property
     def n_max(self) -> int:
@@ -134,7 +133,7 @@ def select_annulus_schedule(h: Signal, sigma: float, p: float, q: float,
         raise ValueError("seed peak is off-center; run normalize_seed first")
 
     half = grid.length / 2.0
-    radii, scales, tails = [], [], []
+    radii, scales = [], []
     prev = 0
     for n in range(1, n_max + 1):
         j = max(2, 2 * prev + 2)
@@ -146,15 +145,13 @@ def select_annulus_schedule(h: Signal, sigma: float, p: float, q: float,
                     f"grid too small for rung {n}: need length >= {need}, "
                     f"have {grid.length:g}"
                 )
-            t = _seed_tail(h, p, q, sigma, j / 2.0)
-            if t <= bound:
+            if _seed_tail(h, p, q, sigma, j / 2.0) <= bound:
                 break
             j += 2
         radii.append(j)
         scales.append(2.0 ** (-n) * japanese_bracket(float(j)) ** (-sigma))
-        tails.append(t)
         prev = j
-    return AnnulusSchedule(h, sigma, p, q, tuple(radii), tuple(scales), tuple(tails))
+    return AnnulusSchedule(h, sigma, p, q, tuple(radii), tuple(scales))
 
 
 def build_bumps(schedule: AnnulusSchedule) -> list:
@@ -311,8 +308,6 @@ def assemble_pair(schedule: AnnulusSchedule, bumps: list, delta: float,
 class RatioResult:
     n: int
     ratio: float
-    numerator: float
-    denominator: float
     target: float
     saturated: bool
     degenerate: bool
@@ -340,11 +335,11 @@ def field_instability_ratio(a: Sampled, b: Sampled, n: int, q: float,
     target = 2.0 ** n
     if den == 0.0:
         if num == 0.0:
-            return RatioResult(n, float("nan"), num, den, target,
+            return RatioResult(n, float("nan"), target,
                                saturated=False, degenerate=True)
-        return RatioResult(n, float("inf"), num, den, target,
+        return RatioResult(n, float("inf"), target,
                            saturated=True, degenerate=False)
-    return RatioResult(n, num / den, num, den, target,
+    return RatioResult(n, num / den, target,
                        saturated=False, degenerate=False)
 
 

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import eigsh
 
 from .grids import DomainMask, TFField, riemann_lp
 from .norms import field_gradient, modulus, phase_inf_distance
-from .transforms import FockField, fock_exponent
+from .transforms import fock_exponent
 
 __all__ = [
     "DomainMask",  # re-exported from grids
@@ -224,6 +224,8 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
     winners on symmetric densities and, through total - mass, moves the
     complement masses by far more than rounding.
     """
+    if np.iscomplexobj(W.values) and W.values.imag.any():
+        raise ValueError("density must be real: its imaginary part is not 0")
     vals = np.ascontiguousarray(W.values.real, dtype=float)
     if (vals < -1e-12 * max(vals.max(), 1.0)).any():
         raise ValueError("density must be nonnegative")
@@ -232,7 +234,7 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
     cell = tg.cell
     total = float(vals.sum() * cell)
     if total <= 0.0:
-        raise ValueError("zero field has no Cheeger quotient")
+        raise ValueError("density has no mass, so no Cheeger quotient")
     half_cap = 0.5 * total * (1.0 + 1e-6)
 
     xs = tg.xgrid.points()
@@ -512,7 +514,6 @@ class CertificateReport:
     bound: float
     distance: float
     excised_cells: int
-    domain: DomainMask
     poincare_report: dict = field(repr=False, default_factory=dict)
 
 
@@ -560,36 +561,37 @@ def _winding_zero_cells(values: np.ndarray) -> np.ndarray:
 _WEIGHT_FLOOR = 1e-6
 
 
-def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
+def stability_certificate(f1: TFField, f2: TFField, mask: DomainMask,
                           excise_cells: int = 3) -> CertificateReport:
     """Measure the three-term stability estimate on a masked region.
 
-    Zero cells of either field are dilated by excise_cells and removed,
-    mirroring the reduction to the zero-free case: the phase difference the
-    estimate controls is only single-valued when neither field winds inside
-    the domain. All terms are evaluated with the Gaussian weight folded in:
-    the substitutions m = |F| e^{-pi|z|^2/2} (exact even where the stored
-    field was exponent-clamped: the clamp cancels),
-    grad|F| e^{-pi|z|^2/2} = grad m + pi z m and grad|F|/|F| =
+    f1 and f2 sample two entire functions F, as fock_polynomial_field makes
+    them. Zero cells of either field are dilated by excise_cells and
+    removed, mirroring the reduction to the zero-free case: the phase
+    difference the estimate controls is only single-valued when neither
+    field winds inside the domain. All terms are evaluated with the
+    Gaussian weight folded in: the substitutions m = |F| e^{-pi|z|^2/2}
+    (exact even where the stored field was exponent-clamped: the clamp
+    cancels), grad|F| e^{-pi|z|^2/2} = grad m + pi z m and grad|F|/|F| =
     grad log m + pi z make every ingredient finite-precision-safe and equal
     to its weighted-measure counterpart exactly.
     """
-    if f1.field.tfgrid != f2.field.tfgrid:
+    if f1.tfgrid != f2.tfgrid:
         raise ValueError("fields live on different grids")
-    if mask.tfgrid != f1.field.tfgrid:
+    if mask.tfgrid != f1.tfgrid:
         raise ValueError("mask lives on a different grid")
     tg = mask.tfgrid
     damp = np.exp(-fock_exponent(tg))
-    m1 = np.abs(f1.field.values) * damp
-    m2 = np.abs(f2.field.values) * damp
+    m1 = np.abs(f1.values) * damp
+    m2 = np.abs(f2.values) * damp
     omega = mask.inside
     if not omega.any():
         raise ValueError("empty domain mask")
     if float(m1[omega].max()) <= 0.0:
         raise ValueError("first field vanishes on the domain")
 
-    zeros = (_winding_zero_cells(f1.field.values)
-             | _winding_zero_cells(f2.field.values))
+    zeros = (_winding_zero_cells(f1.values)
+             | _winding_zero_cells(f2.values))
     excised = (binary_dilation(zeros, iterations=excise_cells)
                if zeros.any() else zeros)
     dom = omega & ~excised
@@ -621,8 +623,8 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
     t2 = l2_over(grad_term)
     t3 = l2_over(log_deriv * np.abs(diff))
 
-    c1 = TFField(tg, f1.field.values * damp).restrict(dom)
-    c2 = TFField(tg, f2.field.values * damp).restrict(dom)
+    c1 = TFField(tg, f1.values * damp).restrict(dom)
+    c2 = TFField(tg, f2.values * damp).restrict(dom)
     distance = phase_inf_distance(c1, c2).distance
 
     cpoinc, preport = poincare_constant(
@@ -632,6 +634,5 @@ def stability_certificate(f1: FockField, f2: FockField, mask: DomainMask,
         t1=t1, t2=t2, t3=t3,
         poincare=cpoinc, bound=bound, distance=distance,
         excised_cells=int(np.count_nonzero(excised & omega)),
-        domain=DomainMask(tg, dom),
         poincare_report=preport,
     )

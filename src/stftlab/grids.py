@@ -55,7 +55,6 @@ __all__ = [
     "random",
     "translate",
     "modulate",
-    "fourier",
     "cdft",
     "icdft",
     "cdft2",
@@ -290,11 +289,6 @@ def icdft(a: np.ndarray, axis: int = -1) -> np.ndarray:
 def cdft2(a: np.ndarray) -> np.ndarray:
     """Centered DFT over both axes of a 2D array."""
     return cdft(cdft(a, axis=0), axis=1)
-
-
-def fourier(f: Signal) -> Signal:
-    """Forward transform onto the dual grid; unitary for Riemann-sum L2 norms."""
-    return Signal(f.grid.dual(), cdft(f.values) * f.grid.dx)
 
 
 def boundary_decay(f: Signal) -> float:

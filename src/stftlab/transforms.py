@@ -1,8 +1,9 @@
 """Short-time Fourier analysis on periodic grids.
 
 The pipeline: window a signal, transform per column, and study the resulting
-time-frequency field either directly (modulus, ambiguity function) or through
-its holomorphic avatar obtained by stripping the Gaussian weight.
+time-frequency field through its modulus and its ambiguity function. The
+Fock side enters only through its Gaussian weight and the polynomial fields
+that the stability certificates compare.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .grids import (
     hermite,
     icdft,
     modulate,
-    riemann_lp,
     tf_grid_of,
     translate,
 )
@@ -31,7 +31,6 @@ from .norms import japanese_bracket
 
 __all__ = [
     "WindowSpec",
-    "FockField",
     "RecoveryResult",
     "WindowComparison",
     "parse_window",
@@ -40,7 +39,6 @@ __all__ = [
     "ambiguity",
     "phaseless",
     "ambiguity_relation_residual",
-    "to_fock",
     "fock_exponent",
     "fock_polynomial_field",
     "recover",
@@ -57,40 +55,22 @@ _FOCK_EXP_CLAMP = 700.0
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Analysis window: a named shape or an explicit sampled signal.
-
-    kind is one of "gaussian", "hermite", "sampled". Hermite windows carry
-    their order; sampled windows carry the signal itself and must be unit
-    L2 norm within 1e-6.
-    """
+    """Analysis window: "gaussian", or "hermite" with its order."""
 
     kind: str = "gaussian"
     order: int = 0
-    sample: Signal | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "hermite", "sampled"):
+        if self.kind not in ("gaussian", "hermite"):
             raise ValueError(f"unknown window kind {self.kind!r}")
         if self.kind == "hermite":
             if not isinstance(self.order, (int, np.integer)) or self.order < 0:
                 raise ValueError("hermite window order must be an integer >= 0")
-        if self.kind == "sampled":
-            if self.sample is None:
-                raise ValueError("sampled window needs a signal")
-            nrm = riemann_lp(self.sample.values, self.sample.grid.dx, 2.0)
-            if abs(nrm - 1.0) > 1e-6:
-                raise ValueError(
-                    f"sampled window must be unit norm, got {nrm:.8f}"
-                )
 
     def build(self, grid: Grid1D) -> Signal:
         if self.kind == "gaussian":
             return gaussian(grid)
-        if self.kind == "hermite":
-            return hermite(grid, self.order)
-        if self.sample.grid != grid:
-            raise ValueError("sampled window lives on a different grid")
-        return self.sample
+        return hermite(grid, self.order)
 
 
 def parse_window(text: str) -> WindowSpec:
@@ -205,61 +185,17 @@ def ambiguity_relation_residual(f: Signal, window=WindowSpec("gaussian")) -> flo
 
 
 # ---------------------------------------------------------------------------
-# Fock-space view
-
-
-@dataclass(frozen=True)
-class FockField:
-    """Samples of an entire function F, with the Gaussian weight stripped.
-
-    trust marks where the weighted data was large enough for the unweighted
-    sample to mean anything; outside it the values are noise amplified by
-    e^{pi |z|^2 / 2} and must not enter any residual.
-    """
-
-    field: TFField
-    trust: np.ndarray
-
-    def __post_init__(self):
-        if self.trust.shape != self.field.values.shape:
-            raise ValueError("trust mask shape mismatch")
-
-
-def _raw_fock_exponent(tf: TFGrid) -> np.ndarray:
-    """pi |z|^2 / 2 on the grid, unclamped."""
-    x, w = tf.xmesh(), tf.wmesh()
-    return np.pi * (x * x + w * w) / 2.0
+# Fock-space weight and polynomial fields
 
 
 def fock_exponent(tf: TFGrid) -> np.ndarray:
     """pi |z|^2 / 2 on the grid, clamped at 700 so that e^{+-exponent} stays
     representable: the exponent of the Fock weight e^{pi|z|^2/2}."""
-    return np.minimum(_raw_fock_exponent(tf), _FOCK_EXP_CLAMP)
-
-
-def to_fock(g: TFField, window: WindowSpec = WindowSpec("gaussian")) -> FockField:
-    """Strip weight and unimodular twist: F(z) = e^{pi|z|^2/2} e^{-pi i x w} G(x,-w).
-
-    Only a Gaussian window produces a holomorphic F; the convention (sign of
-    the twist, reflection in omega) is validated by the Cauchy-Riemann
-    residual in the tests rather than taken on faith.
-    """
-    if window.kind != "gaussian":
-        raise ValueError("the Fock view requires a Gaussian window")
-    tf = g.tfgrid
-    n = tf.shape[1]
-    flipped = g.values[:, (n - np.arange(n)) % n]
     x, w = tf.xmesh(), tf.wmesh()
-    vals = np.exp(fock_exponent(tf)) * np.exp(-1j * np.pi * x * w) * flipped
-    mag = np.abs(flipped)
-    # the clamp hides whether a cell was above it, so the trust test reads
-    # the raw exponent: a cell at exactly 700 still carries its exact weight
-    trust = (mag >= 1e-6 * float(np.max(mag))) & (
-        _raw_fock_exponent(tf) <= _FOCK_EXP_CLAMP)
-    return FockField(TFField(tf, vals), trust)
+    return np.minimum(np.pi * (x * x + w * w) / 2.0, _FOCK_EXP_CLAMP)
 
 
-def fock_polynomial_field(roots, tf: TFGrid) -> tuple[FockField, TFField]:
+def fock_polynomial_field(roots, tf: TFGrid) -> tuple[TFField, TFField]:
     """F(z) = prod (z - z_i) together with its Gaussian-weighted field.
 
     The weighted field F(z) e^{-pi|z|^2/2} must decay below 1e-8 of its peak
@@ -286,8 +222,7 @@ def fock_polynomial_field(roots, tf: TFGrid) -> tuple[FockField, TFField]:
         raise ValueError(
             f"grid too small: boundary mass {rim:.3e} vs peak {peak:.3e}"
         )
-    fock = FockField(TFField(tf, vals), np.ones(tf.shape, dtype=bool))
-    return fock, TFField(tf, weighted)
+    return TFField(tf, vals), TFField(tf, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +294,16 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
 
 @dataclass(frozen=True)
 class WindowComparison:
-    """Growth field <(x,w)> |A_phi / A_Phi| and its grid supremum.
+    """Grid supremum of the growth field <(x,w)> |A_phi / A_Phi|.
 
     A finite sup means phase-retrieval stability transfers from phi to Phi
     with at most one extra weight order. sup is infinite exactly when the
-    denominator ambiguity vanishes on a grid point (those cells hold 0 in the
-    field). A nonempty zeros list (grid dropouts plus sign-change midpoints)
+    denominator ambiguity vanishes on a grid point where the numerator does
+    not. A nonempty zeros list (grid dropouts plus sign-change midpoints)
     signals the continuum supremum is infinite even when the grid one is not.
     Zeros are reported, never raised.
     """
 
-    field: TFField
     sup: float
     zeros: np.ndarray
 
@@ -386,8 +320,7 @@ def window_comparison_ratio(phi: WindowSpec, big_phi: WindowSpec,
         # identical windows: the ratio is 1 by definition, even where both
         # ambiguities sit below the measurement floor
         zeros = _ambiguity_zero_locus(a_den, tf, np.zeros(tf.shape, dtype=bool))
-        return WindowComparison(TFField(tf, bracket.copy()),
-                                float(np.max(bracket)), zeros)
+        return WindowComparison(float(np.max(bracket)), zeros)
 
     abs_num, abs_den = np.abs(a_num), np.abs(a_den)
     with np.errstate(over="ignore"):
@@ -403,7 +336,7 @@ def window_comparison_ratio(phi: WindowSpec, big_phi: WindowSpec,
 
     zeros = _ambiguity_zero_locus(a_den, tf, genuine)
     sup = float("inf") if genuine.any() else float(np.max(field))
-    return WindowComparison(TFField(tf, field), sup, zeros)
+    return WindowComparison(sup, zeros)
 
 
 def _ambiguity_zero_locus(a: np.ndarray, tf: TFGrid, dropouts: np.ndarray) -> np.ndarray:

@@ -1,11 +1,17 @@
-"""The centred spectral paths of the Sobolev norms: the reference for
+"""The centred spectral paths: the signal's Fourier transform onto the dual
+grid, which pins the DFT convention, and the reference for
 `norms.bessel_potential` and `norms._derivative_term`, which work in fft
 order. Every transform here is the centred DFT of `grids` (cdft, cdft2) or
 its inverse, with the multiplier laid out on the centred dual grid."""
 
 import numpy as np
 
-from stftlab.grids import cdft, cdft2, icdft, riemann_lp
+from stftlab.grids import Signal, cdft, cdft2, icdft, riemann_lp
+
+
+def fourier(f: Signal) -> Signal:
+    """Forward transform onto the dual grid; unitary for Riemann-sum L2 norms."""
+    return Signal(f.grid.dual(), cdft(f.values) * f.grid.dx)
 
 
 def icdft2(a: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -7,12 +8,6 @@ from pathlib import Path
 import stftlab
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# public names that only tests call, each kept for a reason
-TEST_ONLY = {
-    "fourier": "tests pin the DFT convention through it",
-    "to_fock": "tests pin the Bargmann convention through it",
-}
 
 
 def _public_names() -> set:
@@ -25,8 +20,8 @@ def _public_names() -> set:
 
 def _public_members() -> set:
     """"Class.name" for every public method and property of the classes
-    defined in the package's modules; dataclass fields are data, not API
-    that needs a caller."""
+    defined in the package's modules; dataclass fields have their own gate,
+    test_every_dataclass_field_is_read."""
     members = set()
     for info in pkgutil.iter_modules(stftlab.__path__):
         mod = importlib.import_module(f"stftlab.{info.name}")
@@ -83,10 +78,9 @@ def test_exported_and_all_names_resolve():
 
 
 def test_every_public_name_has_a_caller():
-    unused = _public_names() - _references() - set(TEST_ONLY)
+    unused = _public_names() - _references()
     assert not unused, f"public names nothing in src or perfbench calls: " \
                        f"{sorted(unused)}"
-    assert not set(TEST_ONLY) & _references(), "a TEST_ONLY name is now called"
 
 
 def test_every_public_method_has_a_caller():
@@ -95,6 +89,61 @@ def test_every_public_method_has_a_caller():
     unused = {m for m in members if m.split(".")[1] not in _references()}
     assert not unused, f"public methods and properties nothing in src or " \
                        f"perfbench calls: {sorted(unused)}"
+
+
+def _dataclass_fields() -> dict:
+    """{"Class.field": field name} for every field of every dataclass
+    defined in the package's modules."""
+    fields = {}
+    for info in pkgutil.iter_modules(stftlab.__path__):
+        mod = importlib.import_module(f"stftlab.{info.name}")
+        for cname, cls in vars(mod).items():
+            if (inspect.isclass(cls) and cls.__module__ == mod.__name__
+                    and dataclasses.is_dataclass(cls)):
+                for f in dataclasses.fields(cls):
+                    fields[f"{cname}.{f.name}"] = f.name
+    return fields
+
+
+def _field_reads(fields: dict) -> set:
+    """Every attribute the package and the benchmark read: `obj.name` in a
+    load, or getattr(obj, "name") with a constant name. A read inside a
+    class's own __post_init__ of one of that class's fields is its
+    constructor check, not a use, and does not count."""
+    own = {}
+    for qual, name in fields.items():
+        own.setdefault(qual.split(".")[0], set()).add(name)
+    seen = set()
+
+    def visit(node, cls, checking):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
+            checking = own.get(cls, set()) if node.name == "__post_init__" \
+                else set()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            seen.update({node.attr} - checking)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            seen.add(node.args[1].value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, checking)
+
+    for path in [*(ROOT / "src" / "stftlab").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        visit(ast.parse(path.read_text()), None, set())
+    return seen
+
+
+def test_every_dataclass_field_is_read():
+    fields = _dataclass_fields()
+    assert "CheegerReport.witness" in fields and "Signal.values" in fields
+    reads = _field_reads(fields)
+    unread = sorted(q for q, name in fields.items() if name not in reads)
+    assert not unread, f"dataclass fields nothing in src or perfbench " \
+                       f"reads: {unread}"
 
 
 def _unread_imports(tree: ast.AST) -> list:

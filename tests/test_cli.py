@@ -1,7 +1,9 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stftlab import cli
@@ -262,6 +264,95 @@ def test_cheeger_on_phaseless_density(tmp_path, capsys):
     assert payload["value"] > 0.0
     assert payload["family"] in ("superlevel", "sublevel", "disk",
                                  "halfplane")
+
+
+@pytest.mark.parametrize("density", ["non-real", "negative", "zero"])
+def test_cheeger_bad_density_exits_two_naming_it(tmp_path, capsys, density):
+    from stftlab import io
+    from stftlab.grids import gaussian, make_grid
+    from stftlab.transforms import stft
+
+    field = stft(gaussian(make_grid(8.0, 64)))
+    mod = np.abs(field.values)
+    values = {"non-real": mod + 5j * mod, "negative": -mod,
+              "zero": 0.0 * mod}[density]
+    path = str(tmp_path / "density.bin")
+    io.dump_field(field.like(values), path)
+    code, out, err = run_cli(capsys, "cheeger", path)
+    assert code == 2 and out == ""
+    assert "argument density: density" in err
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    from stftlab import experiments
+
+    d = tmp_path_factory.mktemp("stored")
+    experiments.write_result(experiments.run(
+        experiments.default_manifest("covariance-lattice", reduced=True)), d)
+    return d
+
+
+def _short_row(d):
+    lines = (d / "covariance.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    (d / "covariance.csv").write_text("\n".join(lines) + "\n")
+
+
+def _renamed_column(d):
+    text = (d / "covariance.csv").read_text()
+    (d / "covariance.csv").write_text(text.replace("residual", "resid", 1))
+
+
+def _text_cell(d):
+    header, first, *rest = (d / "covariance.csv").read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index("residual")] = "small"
+    (d / "covariance.csv").write_text(
+        "\n".join([header, ",".join(cells), *rest]) + "\n")
+
+
+def _empty_table(d):
+    (d / "covariance.csv").write_text("")
+
+
+def _no_args(d):
+    summary = json.loads((d / "summary.json").read_text())
+    del summary["assertions"][0]["args"]
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
+def _no_tables(d):
+    summary = json.loads((d / "summary.json").read_text())
+    del summary["tables"]
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
+def _list_args(d):
+    summary = json.loads((d / "summary.json").read_text())
+    summary["assertions"][0]["args"] = ["residual", "tol"]
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_short_row, ["covariance.csv", "line 2"]),
+    (_renamed_column, ["covariance.csv", "'residual'"]),
+    (_text_cell, ["covariance.csv", "'residual'", "not all numbers"]),
+    (_empty_table, ["covariance.csv", "no header"]),
+    (_no_args, ["summary.json", "'args'"]),
+    (_list_args, ["summary.json", "'args'"]),
+    (_no_tables, ["summary.json", "'tables'"]),
+], ids=["short-row", "renamed-column", "text-cell", "empty-table",
+        "no-args", "list-args", "no-tables"])
+def test_verify_of_a_malformed_run_exits_two_naming_it(stored_run, tmp_path,
+                                                       capsys, edit, named):
+    run_dir = tmp_path / "run"
+    shutil.copytree(stored_run, run_dir)
+    assert run_cli(capsys, "verify", str(run_dir))[0] == 0
+    edit(run_dir)
+    code, out, err = run_cli(capsys, "verify", str(run_dir))
+    assert code == 2 and out == ""
+    assert "argument dir:" in err and all(n in err for n in named), err
 
 
 def test_run_writes_and_verify_rechecks(tmp_path, capsys):

@@ -28,9 +28,11 @@ from stftlab.grids import (
     hermite,
     make_grid,
     modulate,
+    tf_grid_of,
     translate,
 )
 from stftlab.norms import (
+    LqNorm,
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,
@@ -41,9 +43,13 @@ from stftlab.norms import (
     japanese_bracket,
     modulus,
     modulus_difference,
+    phase_inf_distance,
     riemann_lp,
+    tail_weighted_lp,
 )
-from stftlab.transforms import WindowSpec, stft
+from stftlab.transforms import WindowSpec, parse_window, stft
+
+import gabor_oracle
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +132,17 @@ def test_schedule_radii_even_and_disjoint(schedule):
         assert j % 2 == 0
 
 
+def _seed_tails(schedule):
+    """The seed's mass beyond j_n / 2 on each rung, in the larger of the two
+    weighted norms the ladder certifies it in."""
+    h, sigma = schedule.seed, schedule.sigma
+    return [max(tail_weighted_lp(h, schedule.p, 2.0 * sigma, j / 2.0),
+                tail_weighted_lp(h, schedule.q, sigma, j / 2.0))
+            for j in schedule.radii]
+
+
 def test_schedule_tails_certified(schedule):
-    for m, t in enumerate(schedule.tails):
+    for m, t in enumerate(_seed_tails(schedule)):
         assert t <= 2.0 ** (-3 * (m + 1))
 
 
@@ -204,11 +219,12 @@ def test_bumps_nearly_orthogonal(bumps):
 def test_bump_mass_outside_annulus_bounded_by_tail(schedule, bumps):
     """The annulus complement sits inside the translated tail region, so the
     leakage of eps_n is at most scale_n times the certified seed tail."""
+    tails = _seed_tails(schedule)
     for m, eps in enumerate(bumps):
         mask = schedule.annulus_mask(m)
         outside = riemann_lp(np.where(mask, 0.0, eps.values),
                              eps.grid.dx, 2.0)
-        cap = schedule.scales[m] * schedule.tails[m]
+        cap = schedule.scales[m] * tails[m]
         assert outside <= cap * (1.0 + 1e-12)
 
 
@@ -303,26 +319,34 @@ def test_ratios_meet_geometric_targets(ratio_results):
         assert not res.degenerate and res.ratio >= res.target
 
 
-def test_ratios_strictly_increase_to_saturation(ratio_results):
+def test_ratios_strictly_increase_to_saturation(schedule, bumps,
+                                                ratio_results):
     finite = [r for r in ratio_results if not r.saturated]
     for a, b in zip(finite, finite[1:]):
         assert b.ratio > a.ratio
     assert ratio_results[-1].saturated
     assert math.isinf(ratio_results[-1].ratio)
-    assert ratio_results[-1].denominator == 0.0
-    assert ratio_results[-1].numerator > 0.0
+    # saturation: the modulus difference underflows, the distance does not
+    pair = assemble_pair(schedule, bumps, 0.1, 4)
+    assert XpSigmaNorm(2.0, 0.0)(modulus_difference(pair.k, pair.k_n)) == 0.0
+    assert phase_inf_distance(pair.k, pair.k_n, LqNorm(2.0)).distance > 0.0
 
 
 def test_ratio_numerator_matches_closed_form(schedule, bumps, ratio_results):
     """For L^2 the phase infimum has the explicit value
-    sqrt(||k||^2 + ||k_n||^2 - 2 |<k, k_n>|)."""
+    sqrt(||k||^2 + ||k_n||^2 - 2 |<k, k_n>|); the ratio is that distance
+    over the modulus difference."""
+    den = XpSigmaNorm(2.0, 0.0)
     for n in (0, 1, 2):
         pair = assemble_pair(schedule, bumps, 0.1, n)
         a = riemann_lp(pair.k.values, pair.k.grid.dx, 2.0)
         b = riemann_lp(pair.k_n.values, pair.k.grid.dx, 2.0)
         ip = abs(inner_l2(pair.k, pair.k_n))
         oracle = math.sqrt(max(0.0, a * a + b * b - 2.0 * ip))
-        assert ratio_results[n].numerator == pytest.approx(oracle, rel=1e-10)
+        num = phase_inf_distance(pair.k, pair.k_n, LqNorm(2.0)).distance
+        assert num == pytest.approx(oracle, rel=1e-10)
+        assert ratio_results[n].ratio == num / den(
+            modulus_difference(pair.k, pair.k_n))
 
 
 def test_verified_window_spans_all_rungs(ratio_results):
@@ -534,6 +558,57 @@ def test_field_ratio_degenerate_on_equal_fields(family):
     va = stft(family.base, w)
     res = field_instability_ratio(va, va, 1, 2.0, SobolevNorm(1.0, 2.0))
     assert res.degenerate
+
+
+# ---------------------------------------------------------------------------
+# thm15's family against its closed-form transforms
+
+
+def _thm15(reduced: bool) -> tuple:
+    """(family, window, params, TF grid) of thm15-sobolev-ratio, built as the
+    experiment builds it, at --reduced (16/1024) or default (16/2048) size."""
+    mf = ex.default_manifest("thm15-sobolev-ratio", reduced=reduced)
+    fx, pr = mf.fixture, mf.params
+    grid = make_grid(fx["length"], fx["count"])
+    window = parse_window(fx["window"])
+    fam = stft_instability_family(
+        parse_window(fx["signal"]).build(grid), window, pr["closeness"],
+        NormSpec(s=pr["s"], p=pr["p"], r=pr["r"], q=pr["q"]), pr["n_max"],
+        pr["delta"])
+    return fam, window, pr, tf_grid_of(grid)
+
+
+@pytest.fixture(scope="module", params=[True, False],
+                ids=["reduced", "default"])
+def thm15(request):
+    return _thm15(request.param)
+
+
+def test_closed_form_transforms_match_stft(thm15):
+    fam, window, _, tf = thm15
+    base = stft(fam.base, window).values
+    assert np.max(np.abs(base - gabor_oracle.gabor_modulated(tf, 0.0))) < 1e-15
+    p, q = gabor_oracle.rung_parts(fam, tf, 0)
+    moved = stft(fam.perturbed, window).values
+    assert np.max(np.abs(moved - (p + q))) < 1e-15
+
+
+def test_closed_form_ratios_clear_their_targets(thm15):
+    fam, _, pr, tf = thm15
+    den = SobolevNorm(pr["s"], pr["p"], pr["r"])
+    for k in range(pr["n_max"]):
+        exact = gabor_oracle.exact_ratio(fam, tf, k, pr["q"], den)
+        assert exact >= 2.0 ** k, k
+
+
+def test_closed_form_rung_zero_is_the_stored_ratio():
+    fam, window, pr, tf = _thm15(reduced=True)
+    den = SobolevNorm(pr["s"], pr["p"], pr["r"])
+    stored = field_instability_ratio(stft(fam.perturbed, window),
+                                     stft(fam.flipped[0], window), 0,
+                                     pr["q"], den).ratio
+    exact = gabor_oracle.exact_ratio(fam, tf, 0, pr["q"], den)
+    assert stored == pytest.approx(exact, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from stftlab.grids import (
     boundary_decay,
     cdft,
     cdft2,
-    fourier,
     gaussian,
     hermite,
     icdft,
@@ -20,7 +19,7 @@ from stftlab.grids import (
     translate,
 )
 
-from centred_oracle import icdft2
+from centred_oracle import fourier, icdft2
 from conftest import random_signal
 
 

@@ -13,7 +13,6 @@ from stftlab.grids import (
 )
 from stftlab.norms import field_gradient, japanese_bracket
 from stftlab.transforms import (
-    FockField,
     WindowSpec,
     ambiguity,
     ambiguity_relation_residual,
@@ -23,14 +22,18 @@ from stftlab.transforms import (
     phaseless,
     recover,
     stft,
-    to_fock,
     window_comparison_ratio,
 )
 
 import stft_oracle
 from centred_oracle import icdft2
 from conftest import random_signal
-from fock_oracle import fock_cauchy_riemann_residual, fock_key_identity_residual
+from fock_oracle import (
+    FockField,
+    fock_cauchy_riemann_residual,
+    fock_key_identity_residual,
+    to_fock,
+)
 
 
 def band_limited(grid, seed, width=1.0):
@@ -54,23 +57,14 @@ def test_window_spec_build(grid16):
                           gaussian(grid16).values)
     assert np.array_equal(WindowSpec("hermite", 2).build(grid16).values,
                           hermite(grid16, 2).values)
-    w = WindowSpec("sampled", sample=gaussian(grid16))
-    assert w.build(grid16) is w.sample
 
 
-def test_window_spec_rejects_bad_input(grid16, grid8):
-    with pytest.raises(ValueError):
-        WindowSpec("boxcar")
+def test_window_spec_rejects_bad_input():
+    for kind in ("boxcar", "sampled"):
+        with pytest.raises(ValueError, match="unknown window kind"):
+            WindowSpec(kind)
     with pytest.raises(ValueError):
         WindowSpec("hermite", -1)
-    with pytest.raises(ValueError):
-        WindowSpec("sampled")
-    fat = Signal(grid16, 2.0 * gaussian(grid16).values)
-    with pytest.raises(ValueError, match="unit norm"):
-        WindowSpec("sampled", sample=fat)
-    w = WindowSpec("sampled", sample=gaussian(grid8))
-    with pytest.raises(ValueError, match="different grid"):
-        w.build(grid16)
 
 
 def test_parse_window():
@@ -112,11 +106,9 @@ def test_stft_isometry(grid16):
         assert abs(num / den - 1.0) < 1e-4
 
 
-def test_stft_zero_and_grid_mismatch(grid16, grid8):
+def test_stft_of_zero_is_zero(grid16):
     zero = Signal(grid16, np.zeros(grid16.count))
     assert not np.any(stft(zero).values)
-    with pytest.raises(ValueError, match="different grid"):
-        stft(gaussian(grid16), WindowSpec("sampled", sample=gaussian(grid8)))
 
 
 def test_stft_gaussian_pair_is_centered_bump(grid16):
@@ -129,31 +121,27 @@ def test_stft_gaussian_pair_is_centered_bump(grid16):
     assert np.max(np.abs(mag - want)) < 1e-10
 
 
-def _unit_random(grid, seed):
-    f = random_signal(grid, seed)
-    return Signal(grid, f.values / riemann_lp(f.values, grid.dx, 2.0))
-
-
 def _bits(a):
     return np.ascontiguousarray(a).view(np.float64)
 
 
 @pytest.mark.parametrize("length, count, windows", [
-    (8.0, 8, ["sampled"]),
-    (4.0, 16, ["sampled"]),
-    (16.0, 384, ["gaussian", "hermite:2", "sampled"]),
-    (16.0, 1024, ["gaussian", "hermite:2", "sampled"]),
+    (8.0, 8, []),
+    (4.0, 16, []),
+    (16.0, 384, ["gaussian", "hermite:2"]),
+    (16.0, 1024, ["gaussian", "hermite:2"]),
     (32.0, 1024, ["gaussian"]),
 ], ids=["8/8", "4/16", "16/384-partial-chunk", "16/1024", "32/1024"])
 def test_stft_and_ambiguity_are_the_gathered_transform(length, count,
                                                        windows):
     # the circulant view reads the same conjugated window entries as a
-    # gather through an index matrix, so the fields agree bit for bit
+    # gather through an index matrix, so the fields agree bit for bit; the
+    # ambiguity of the random complex signal drives the view with a window
+    # that is neither real nor symmetric, on every grid
     grid = make_grid(length, count)
     f = random_signal(grid, 3)
     for name in windows:
-        spec = (WindowSpec("sampled", sample=_unit_random(grid, 4))
-                if name == "sampled" else parse_window(name))
+        spec = parse_window(name)
         w = spec.build(grid)
         want = stft_oracle.stft_values(f.values, w.values, grid)
         assert np.array_equal(_bits(stft(f, spec).values), _bits(want)), name
@@ -387,10 +375,10 @@ def test_fock_field_shape_guard(grid16):
 
 def test_fock_polynomial_trivial_cases(grid16):
     tf = tf_grid_of(grid16)
-    fock, weighted = fock_polynomial_field([], tf)
-    assert np.array_equal(fock.field.values, np.ones(tf.shape))
-    fock0, _ = fock_polynomial_field([0], tf)
-    mags = np.abs(fock0.field.values)
+    poly, _ = fock_polynomial_field([], tf)
+    assert np.array_equal(poly.values, np.ones(tf.shape))
+    poly0, _ = fock_polynomial_field([0], tf)
+    mags = np.abs(poly0.values)
     assert mags[grid16.count // 2, grid16.count // 2] == 0.0
     assert np.count_nonzero(mags == 0.0) == 1
 
@@ -415,10 +403,10 @@ def test_fock_polynomial_guards():
 def test_fock_polynomial_log_derivative_bound(grid16):
     roots = [0.5 + 0.5j, -0.5 - 0.25j]
     tf = tf_grid_of(grid16)
-    fock, _ = fock_polynomial_field(roots, tf)
+    poly, _ = fock_polynomial_field(roots, tf)
     z = tf.xmesh() + 1j * tf.wmesh()
     half = z.real >= 2.0
-    p = fock.field.values
+    p = poly.values
     dp = np.zeros_like(p)
     for i in range(len(roots)):
         term = np.ones_like(p)
@@ -438,9 +426,8 @@ def test_fock_polynomial_log_derivative_bound(grid16):
 
 def test_window_ratio_identical_windows(grid16):
     wc = window_comparison_ratio(WindowSpec("gaussian"), WindowSpec("gaussian"), grid16)
-    tf = wc.field.tfgrid
+    tf = tf_grid_of(grid16)
     bracket = japanese_bracket(np.hypot(tf.xmesh(), tf.wmesh()))
-    assert np.array_equal(wc.field.values, bracket)
     assert wc.sup == float(np.max(bracket))
     assert len(wc.zeros) == 0
 
@@ -451,9 +438,9 @@ def test_window_ratio_reports_hermite_zero_circle(grid16):
     radii = np.hypot(wc.zeros[:, 0], wc.zeros[:, 1])
     target = 1.0 / np.sqrt(np.pi)
     assert np.max(np.abs(radii - target)) < 2 * grid16.dx
-    c = grid16.count // 2
-    assert np.isfinite(wc.field.values[c, c])
-    assert wc.field.values[c, c] == pytest.approx(1.0, rel=1e-6)
+    # no grid point sits on the circle, so the grid supremum stays finite
+    # and at least the unit ratio at the origin; the zeros carry the warning
+    assert 1.0 <= wc.sup < np.inf
 
 
 def test_window_ratio_never_raises_on_zeros(grid16):
