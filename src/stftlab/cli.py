@@ -185,7 +185,7 @@ def _cmd_norm(args) -> int:
 
     obj = _load_operand(args.operand, "operand")
     norm = _flag("--norm", parse_norm, args.norm)
-    _emit({"norm": norm(obj), "label": norm.label}, args.out)
+    _emit({"norm": _flag("--norm", norm, obj), "label": norm.label}, args.out)
     return 0
 
 
@@ -196,7 +196,7 @@ def _cmd_distance(args) -> int:
     g = _load_operand(args.g, "g")
     _flag("g", lambda _: _same_geometry(f, g), None)
     norm = _flag("--norm", parse_norm, args.norm)
-    res = phase_inf_distance(f, g, norm)
+    res = _flag("--norm", lambda n: phase_inf_distance(f, g, n), norm)
     _emit({"distance": res.distance, "lambda": res.phase, "gap": res.gap,
            "degenerate": res.degenerate, "method": res.method}, args.out)
     return 0
@@ -393,7 +393,7 @@ def _cmd_run(args) -> int:
         verdict = "PASS" if a["passed"] else ("FAIL" if a["hard"]
                                               else "soft-fail")
         print(f"[{verdict}] {a['invariant']}: {a['description']}")
-    print(f"{result.id}: {'PASS' if result.passed else 'FAIL'} "
+    print(f"{result.manifest.id}: {'PASS' if result.passed else 'FAIL'} "
           f"({result.wallclock:.2f}s)")
     if args.out is not None:
         print(f"tables written to {args.out}")

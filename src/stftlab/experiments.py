@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -327,15 +327,9 @@ class ExperimentManifest:
     seed: int = 0
     out_dir: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "fixture": self.fixture,
-                "params": self.params, "seed": self.seed,
-                "out_dir": self.out_dir}
-
 
 @dataclass
 class ExperimentResult:
-    id: str
     manifest: ExperimentManifest
     tables: dict
     assertions: list
@@ -345,8 +339,8 @@ class ExperimentResult:
 
     def summary_dict(self) -> dict:
         return {
-            "id": self.id,
-            "manifest": self.manifest.to_dict(),
+            "id": self.manifest.id,
+            "manifest": asdict(self.manifest),
             "passed": self.passed,
             "wallclock_s": self.wallclock,
             "tables": list(self.tables),
@@ -429,32 +423,41 @@ def verify_run(out_dir: str | Path) -> dict:
     Returns per-assertion stored vs rechecked verdicts; ok means every
     recheck reproduced the stored verdict and every hard assertion holds.
     A run that cannot be rechecked raises ValueError naming the file and
-    the key or column: a summary or an assertion without one of its keys,
-    args that are not an object, an unknown check or table, or a column
-    that it reads (each string arg names one) missing or holding a cell
-    that is not a number.
+    the key or column: a summary that is not JSON, a summary or an assertion
+    without one of its keys, tables that are not a list of plain file names
+    (no path separator, not "", "." or ".."), args that are not an object,
+    an unknown check or table, or a column that it reads (each string arg
+    names one) missing or holding a cell that is not a number.
     """
     out = Path(out_dir)
-    summary = json.loads((out / "summary.json").read_text())
+    path = out / "summary.json"
+    try:
+        summary = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not JSON: {e}") from None
     if not (isinstance(summary, dict)
             and {"id", "tables", "assertions"} <= summary.keys()):
-        raise ValueError(f"{out / 'summary.json'}: not an object with the "
-                         "keys 'id', 'tables' and 'assertions'")
+        raise ValueError(f"{path}: not an object with the keys 'id', "
+                         "'tables' and 'assertions'")
+    if not isinstance(summary["tables"], list):
+        raise ValueError(f"{path}: 'tables' is not a list")
+    for name in summary["tables"]:
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(c in name for c in "/\\\0")):
+            raise ValueError(f"{path}: table {name!r} is not a plain file "
+                             "name")
     tables = {name: _read_csv(out / f"{name}.csv")
               for name in summary["tables"]}
     report = {"id": summary["id"], "ok": True, "assertions": []}
     for spec in summary["assertions"]:
         for key in ("invariant", "check", "table", "args", "hard", "passed"):
             if key not in spec:
-                raise ValueError(f"{out / 'summary.json'}: an assertion has "
-                                 f"no key {key!r}")
+                raise ValueError(f"{path}: an assertion has no key {key!r}")
         if not isinstance(spec["args"], dict):
-            raise ValueError(f"{out / 'summary.json'}: 'args' is not an "
-                             "object")
+            raise ValueError(f"{path}: 'args' is not an object")
         for key, known in (("check", CHECKS), ("table", tables)):
             if spec[key] not in known:
-                raise ValueError(f"{out / 'summary.json'}: unknown {key} "
-                                 f"{spec[key]!r}")
+                raise ValueError(f"{path}: unknown {key} {spec[key]!r}")
         header, rows = tables[spec["table"]]
         named = {v for v in spec["args"].values() if isinstance(v, str)}
         for name in sorted(named | set(_CHECK_COLUMNS.get(spec["check"], ()))):
@@ -1181,15 +1184,15 @@ def _run_window_ratio(manifest, fx, pr):
     same = window_comparison_ratio(parse_window("gaussian"),
                                    parse_window("gaussian"), grid)
     ident_rows = [["gaussian", "gaussian", same.sup, bracket_max,
-                   len(same.zeros)]]
+                   same.n_zeros]]
     bounded = window_comparison_ratio(parse_window(fx["other"]),
                                       parse_window("gaussian"), grid)
     bounded_rows = [[fx["other"], "gaussian", bounded.sup,
-                     pr["bounded_cap"], len(bounded.zeros)]]
+                     pr["bounded_cap"], bounded.n_zeros]]
     flagged = window_comparison_ratio(parse_window("gaussian"),
                                       parse_window(fx["other"]), grid)
     flagged_rows = [["gaussian", fx["other"], flagged.sup,
-                     len(flagged.zeros)]]
+                     flagged.n_zeros]]
     tables = {
         "identical": (["phi", "big_phi", "sup", "expected", "n_zeros"],
                       ident_rows),
@@ -1426,12 +1429,16 @@ def list_experiments() -> list:
             for d in _REGISTRY.values()]
 
 
-def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,
-                     reduced: bool = False) -> ExperimentManifest:
+def _definition(id: str) -> _ExperimentDef:
     if id not in _REGISTRY:
         known = ", ".join(_REGISTRY)
         raise ValueError(f"unknown experiment id {id!r}; known ids: {known}")
-    d = _REGISTRY[id]
+    return _REGISTRY[id]
+
+
+def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,
+                     reduced: bool = False) -> ExperimentManifest:
+    d = _definition(id)
     fixture = dict(d.fixture)
     params = dict(d.params)
     if reduced:
@@ -1448,11 +1455,7 @@ def run(manifest: ExperimentManifest) -> ExperimentResult:
     output directory. Raises ValueError for unknown ids or infeasible
     fixtures; assertion failures never raise, they are recorded.
     """
-    if manifest.id not in _REGISTRY:
-        known = ", ".join(_REGISTRY)
-        raise ValueError(
-            f"unknown experiment id {manifest.id!r}; known ids: {known}")
-    d = _REGISTRY[manifest.id]
+    d = _definition(manifest.id)
     start = time.perf_counter()
     tables, specs, extra = d.runner(manifest, manifest.fixture,
                                     manifest.params)
@@ -1464,10 +1467,9 @@ def run(manifest: ExperimentManifest) -> ExperimentResult:
         assertions.append(entry)
     passed = all(a["passed"] for a in assertions if a["hard"])
     summary = {"description": d.description, **extra}
-    result = ExperimentResult(id=manifest.id, manifest=manifest,
-                              tables=tables, assertions=assertions,
-                              summary=summary, passed=passed,
-                              wallclock=wallclock)
+    result = ExperimentResult(manifest=manifest, tables=tables,
+                              assertions=assertions, summary=summary,
+                              passed=passed, wallclock=wallclock)
     if manifest.out_dir is not None:
         write_result(result, manifest.out_dir)
     return result

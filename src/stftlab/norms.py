@@ -52,17 +52,35 @@ def japanese_bracket(x: np.ndarray | float) -> np.ndarray | float:
     return np.sqrt(1.0 + np.square(x))
 
 
-def _weighted(values: np.ndarray, space, r: float) -> np.ndarray:
-    """<x>^r . values, with the radial bracket |z| on two-dimensional fields."""
-    return values if r == 0 else japanese_bracket(space.radius()) ** r * values
+def _finite_at_edge(name: str, value: float, top) -> None:
+    """Refuse the exponent of a weight or multiplier whose sample at the
+    grid's largest radius, top, is not finite: for an exponent of at least 0
+    it is the largest sample, and for a negative one none exceeds 1."""
+    if not np.isfinite(top):
+        raise ValueError(f"{name} = {value:g} overflows <.>^{name} on this grid")
 
 
-def _parameter(name: str, value: float, low: float = -math.inf) -> float:
-    """float(value), once it is a number (not NaN) and at least low."""
+def _weighted(values: np.ndarray, space, r: float,
+              name: str = "r") -> np.ndarray:
+    """<x>^r . values, with the radial bracket |z| on two-dimensional fields;
+    r goes by name in the error raised when the weight overflows."""
+    if r == 0:
+        return values
+    edge = math.hypot(*(ax.length / 2.0 for ax in space.axes))
+    with np.errstate(over="ignore"):
+        _finite_at_edge(name, r, japanese_bracket(edge) ** r)
+    return japanese_bracket(space.radius()) ** r * values
+
+
+def _parameter(name: str, value: float, low: float = -math.inf,
+               allow_inf: bool = False) -> float:
+    """float(value), once it is a number (not NaN), at least low and, unless
+    allow_inf, finite."""
     value = float(value)
-    if math.isnan(value) or value < low:
+    if math.isnan(value) or value < low or (math.isinf(value) and not allow_inf):
         bound = f" >= {low:g}" if low > -math.inf else ""
-        raise ValueError(f"{name} must be a number{bound}, got {value!r}")
+        finite = "" if allow_inf else "finite "
+        raise ValueError(f"{name} must be a {finite}number{bound}, got {value!r}")
     return value
 
 
@@ -96,7 +114,7 @@ def tail_weighted_lp(obj: Sampled, p: float, sigma: float, cutoff: float) -> flo
     """||<x>^sigma f||_p over the tail region |x| >= cutoff."""
     sp = obj.space
     tail = obj.restrict(sp.radius() >= cutoff).values
-    return riemann_lp(_weighted(tail, sp, sigma), sp.cell, p)
+    return riemann_lp(_weighted(tail, sp, sigma, "sigma"), sp.cell, p)
 
 
 def _multiplier(space, s: float, half: bool = False) -> np.ndarray:
@@ -105,6 +123,9 @@ def _multiplier(space, s: float, half: bool = False) -> np.ndarray:
     radii = [np.fft.ifftshift(ax.freq_radius()) for ax in space.axes]
     if half:
         radii[-1] = radii[-1][:radii[-1].size // 2 + 1]
+    edge = math.hypot(*(ax.dual().length / 2.0 for ax in space.axes))
+    with np.errstate(over="ignore"):
+        _finite_at_edge("s", s, (1.0 + np.square(edge)) ** (s / 2.0))
     rho = functools.reduce(np.hypot, np.ix_(*radii))
     return (1.0 + np.square(rho)) ** (s / 2.0)
 
@@ -112,8 +133,6 @@ def _multiplier(space, s: float, half: bool = False) -> np.ndarray:
 def bessel_potential(obj: Sampled, s: float) -> Sampled:
     """<D>^s f: multiply the spectrum by (1 + |xi|^2)^{s/2}, in fft order
     (the shifts of a centred DFT cancel in the round trip)."""
-    if s == 0:
-        return obj.like(np.asarray(obj.values, dtype=np.complex128).copy())
     return obj.like(np.fft.ifftn(_multiplier(obj.space, s)
                                  * np.fft.fftn(obj.values)))
 
@@ -197,7 +216,7 @@ class LqNorm(Norm):
     """Plain Lebesgue norm ||f||_q."""
 
     def __init__(self, q: float):
-        self.q = _parameter("q", q, 1.0)
+        self.q = _parameter("q", q, 1.0, allow_inf=True)
         self.label = f"L{self.q:g}"
 
     def _terms(self, obj):
@@ -208,13 +227,13 @@ class XpSigmaNorm(Norm):
     """Weighted Lebesgue norm ||<x>^sigma f||_p."""
 
     def __init__(self, p: float, sigma: float):
-        self.p = _parameter("p", p, 1.0)
+        self.p = _parameter("p", p, 1.0, allow_inf=True)
         self.sigma = _parameter("sigma", sigma)
         self.label = f"X{self.p:g},{self.sigma:g}"
 
     def _terms(self, obj):
-        return [(_weighted(obj.values, obj.space, self.sigma), obj.space.cell,
-                 self.p)]
+        return [(_weighted(obj.values, obj.space, self.sigma, "sigma"),
+                 obj.space.cell, self.p)]
 
 
 class SobolevNorm(Norm):
@@ -222,7 +241,7 @@ class SobolevNorm(Norm):
 
     def __init__(self, s: float, p: float, r: float = 0.0):
         self.s = _parameter("s", s, 0.0)
-        self.p = _parameter("p", p, 1.0)
+        self.p = _parameter("p", p, 1.0, allow_inf=True)
         self.r = _parameter("r", r, 0.0)
         self.label = f"W{self.s:g},{self.p:g},{self.r:g}"
 
@@ -260,10 +279,9 @@ class NormSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        for name, low in (("s", 0.0), ("p", 1.0), ("r", 0.0), ("q", 1.0)):
+        for name, low in (("s", 0.0), ("p", 1.0), ("r", 0.0)):
             _parameter(name, getattr(self, name), low)
-        if not math.isfinite(self.p):
-            raise ValueError("p must be finite")
+        _parameter("q", self.q, 1.0, allow_inf=True)
 
 
 def parse_norm(text: str) -> Norm:

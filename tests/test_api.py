@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _public_names() -> set:
-    names = set(stftlab._EXPORTS)
+    names = set()
     for info in pkgutil.iter_modules(stftlab.__path__):
         mod = importlib.import_module(f"stftlab.{info.name}")
         names.update(getattr(mod, "__all__", ()))
@@ -39,8 +39,8 @@ def _public_members() -> set:
 def _references() -> set:
     """Every name read or attribute taken in the package and the benchmark,
     plus the names the benchmark's tracer wraps (its TARGETS strings).
-    Definitions, imports and the string entries of __all__ and _EXPORTS are
-    not references, and neither is a use inside a definition of the same
+    Definitions, imports and the string entries of __all__ are not
+    references, and neither is a use inside a definition of the same
     name (recursion, or a method that forwards to its namesake on a part)."""
     seen = set()
 
@@ -67,14 +67,22 @@ def _references() -> set:
 
 
 def test_exported_and_all_names_resolve():
-    assert set(stftlab.__all__) == set(stftlab._EXPORTS) | {"__version__"}
-    for name, module in stftlab._EXPORTS.items():
-        assert getattr(stftlab, name) is getattr(
-            importlib.import_module(f"stftlab.{module}"), name)
     for info in pkgutil.iter_modules(stftlab.__path__):
         mod = importlib.import_module(f"stftlab.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"stftlab.{info.name}.{name}"
+
+
+def test_package_binds_no_public_name_but_its_submodules():
+    """A public name has one path, stftlab.<module>.<name>: the package
+    neither binds nor lazily resolves any name of its own."""
+    submodules = {info.name for info in pkgutil.iter_modules(stftlab.__path__)}
+    bound = {name for name in vars(stftlab) if not name.startswith("_")}
+    assert bound <= submodules, f"package-level names: {sorted(bound - submodules)}"
+    resolved = {name for name in _public_names() - submodules
+                if hasattr(stftlab, name)}
+    assert not resolved, f"resolved through the package: {sorted(resolved)}"
+    assert not hasattr(stftlab, "__all__")
 
 
 def test_every_public_name_has_a_caller():

@@ -81,6 +81,10 @@ def test_norm_json(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["norm"] > 1.0
     assert payload["label"].startswith("W")
+    # an infinite Lebesgue exponent is valid; only s, sigma and r must be finite
+    for spec in ("linf", "lq:inf", "w:1,inf"):
+        code, out, _ = run_cli(capsys, "norm", f, "--norm", spec)
+        assert code == 0 and math.isfinite(json.loads(out)["norm"])
 
 
 def test_gen_csv_format(tmp_path, capsys):
@@ -223,13 +227,24 @@ def small_dumps(tmp_path_factory):
     ("gen", ["hermite:1", "--L", "8", "--N", "8"], "--L/--N"),
     ("gen", ["hermite:3", "--L", "8", "--N", "16"], "--L/--N"),
     ("gen", ["gaussian", "--modulation", "0.013"], "--modulation"),
+    ("norm", ["--norm", "w:inf,2"], "--norm"),
+    ("norm", ["--norm", "x:2,inf"], "--norm"),
+    ("norm", ["--norm", "x:2,-inf"], "--norm"),
+    ("norm", ["--norm", "w:1,2,inf"], "--norm"),
+    ("norm", ["--norm", "w:1000,2"], "--norm"),
+    ("norm", ["--norm", "x:2,1000"], "--norm"),
+    ("distance", ["--norm", "w:1000,2"], "--norm"),
+    ("distance", ["--norm", "x:2,inf"], "--norm"),
 ], ids=["threshold-negative", "threshold-nan", "thresholds", "centers",
         "radii", "directions", "offsets", "all-counts-zero", "ca-nan",
         "ca-negative", "cb-nan", "disk-nan", "disk-negative",
         "disk-center-nan", "center-outside", "center-off-grid",
         "modulation-off-grid", "modulation-inf", "gaussian-grid-too-coarse",
         "hermite-grid-too-coarse", "hermite3-grid-too-coarse",
-        "gaussian-modulation-off-grid"])
+        "gaussian-modulation-off-grid", "norm-s-inf", "norm-sigma-inf",
+        "norm-sigma-minus-inf", "norm-r-inf", "norm-multiplier-overflow",
+        "norm-weight-overflow", "distance-multiplier-overflow",
+        "distance-sigma-inf"])
 def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
                                               flags, named):
     operands = {"recover": [small_dumps["meas"]],
@@ -237,7 +252,10 @@ def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
                 "glue": ["--connectivity", small_dumps["meas"],
                          small_dumps["a"], small_dumps["b"]],
                 "poincare": [],
-                "gen": ["--out", small_dumps["gen"]]}[command]
+                "gen": ["--out", small_dumps["gen"]],
+                "norm": [small_dumps["meas"]],
+                "distance": [small_dumps["meas"], small_dumps["meas"]],
+                }[command]
     code, out, err = run_cli(capsys, command, *operands, *flags)
     assert code == 2 and out == ""
     assert f"argument {named}" in err
@@ -328,6 +346,30 @@ def _no_tables(d):
     (d / "summary.json").write_text(json.dumps(summary))
 
 
+def _not_json(d):
+    (d / "summary.json").write_text("not json\n")
+
+
+def _escaping_table(d):
+    shutil.copytree(d, d.parent / "outside")
+    summary = json.loads((d / "summary.json").read_text())
+    summary["tables"].append("../outside/covariance")
+    summary["assertions"][0]["table"] = "../outside/covariance"
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
+def _dot_dot_table(d):
+    summary = json.loads((d / "summary.json").read_text())
+    summary["tables"].append("..")
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
+def _string_tables(d):
+    summary = json.loads((d / "summary.json").read_text())
+    summary["tables"] = "covariance"
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
 def _list_args(d):
     summary = json.loads((d / "summary.json").read_text())
     summary["assertions"][0]["args"] = ["residual", "tol"]
@@ -342,8 +384,13 @@ def _list_args(d):
     (_no_args, ["summary.json", "'args'"]),
     (_list_args, ["summary.json", "'args'"]),
     (_no_tables, ["summary.json", "'tables'"]),
+    (_not_json, ["summary.json", "not JSON"]),
+    (_escaping_table, ["summary.json", "'../outside/covariance'"]),
+    (_dot_dot_table, ["summary.json", "'..'", "plain file name"]),
+    (_string_tables, ["summary.json", "'tables'", "not a list"]),
 ], ids=["short-row", "renamed-column", "text-cell", "empty-table",
-        "no-args", "list-args", "no-tables"])
+        "no-args", "list-args", "no-tables", "not-json", "escaping-table",
+        "dot-dot-table", "string-tables"])
 def test_verify_of_a_malformed_run_exits_two_naming_it(stored_run, tmp_path,
                                                        capsys, edit, named):
     run_dir = tmp_path / "run"

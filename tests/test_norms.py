@@ -191,9 +191,10 @@ def test_tail_weighted_lp(grid16):
 # bessel potential and sobolev norms
 
 
-def test_bessel_potential_identity_at_zero(rand16):
-    out = bessel_potential(rand16, 0.0)
-    assert np.array_equal(out.values, rand16.values)
+def test_sobolev_norm_of_order_zero_is_twice_l2(rand16):
+    # <D>^0 is the identity: the s = 0 derivative term is f itself
+    want = 2.0 * riemann_lp(rand16.values, rand16.grid.dx, 2.0)
+    assert frac_sobolev_norm(rand16, 0.0, 2.0) == want
 
 
 def test_bessel_potential_second_order_oracle(grid16):
