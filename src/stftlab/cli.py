@@ -273,9 +273,11 @@ def _cmd_recover(args) -> int:
     from . import io
     from .grids import riemann_lp
     from .norms import phase_inf_distance
-    from .transforms import parse_window, recover
+    from .transforms import _require_self_dual, parse_window, recover
 
     meas = _load_operand(args.measurement, "measurement", "field")
+    _flag("measurement", lambda m: _require_self_dual(m.tfgrid, "recovery"),
+          meas)
     window = _flag("--window", parse_window, args.window)
     ref = (None if args.reference is None else
            _load_operand(args.reference, "--reference", "signal"))

@@ -20,12 +20,10 @@ import numpy as np
 
 from .forge import (
     assemble_pair,
-    build_bumps,
     dichotomy_check,
     field_instability_ratio,
     instability_ratio,
     lp_reduction_rows,
-    normalize_seed,
     select_annulus_schedule,
     stft_instability_family,
     verify_bump_bounds,
@@ -173,9 +171,7 @@ def _col(rows, name):
 
 def _check_col_le_col(rows, args):
     scale = args.get("scale", 1.0)
-    tol = args.get("tol", 0.0)
-    return all(row[args["lhs"]] <= row[args["rhs"]] * scale + tol
-               for row in rows)
+    return all(row[args["lhs"]] <= row[args["rhs"]] * scale for row in rows)
 
 
 def _check_col_ge_col(rows, args):
@@ -426,8 +422,9 @@ def verify_run(out_dir: str | Path) -> dict:
     the key or column: a summary that is not JSON, a summary or an assertion
     without one of its keys, tables that are not a list of plain file names
     (no path separator, not "", "." or ".."), args that are not an object,
-    an unknown check or table, or a column that it reads (each string arg
-    names one) missing or holding a cell that is not a number.
+    hard or passed that is not a boolean, an unknown check or table, or a
+    column that it reads (each string arg names one) missing or holding a
+    cell that is not a number.
     """
     out = Path(out_dir)
     path = out / "summary.json"
@@ -455,6 +452,9 @@ def verify_run(out_dir: str | Path) -> dict:
                 raise ValueError(f"{path}: an assertion has no key {key!r}")
         if not isinstance(spec["args"], dict):
             raise ValueError(f"{path}: 'args' is not an object")
+        for key in ("hard", "passed"):
+            if not isinstance(spec[key], bool):
+                raise ValueError(f"{path}: {key!r} is not a boolean")
         for key, known in (("check", CHECKS), ("table", tables)):
             if spec[key] not in known:
                 raise ValueError(f"{path}: unknown {key} {spec[key]!r}")
@@ -652,24 +652,21 @@ def _run_recover_noisy(manifest, fx, pr):
 
 
 def _ladder_schedule(fx, pr, sigma):
-    """The annulus ladder of the normalized gaussian seed, and its bumps."""
-    p, q = pr["p"], pr["q"]
-    seed_sig = normalize_seed(gaussian(_grid(fx)), p, q)
-    sched = select_annulus_schedule(seed_sig, sigma, p, q,
-                                    n_max=pr["n_max"])
-    return sched, build_bumps(sched)
+    """The annulus ladder of the gaussian seed."""
+    return select_annulus_schedule(gaussian(_grid(fx)), sigma, pr["p"],
+                                   pr["q"], n_max=pr["n_max"])
 
 
 def _run_gaussian_ratio(manifest, fx, pr):
-    sched, bumps = _ladder_schedule(fx, pr, fx["sigma"])
+    sched = _ladder_schedule(fx, pr, fx["sigma"])
     p, q, delta = pr["p"], pr["q"], pr["delta"]
     den = XpSigmaNorm(p, fx["sigma"])
     results = []
     dich_rows = []
     for n in range(pr["n_max"]):
-        pair = assemble_pair(sched, bumps, delta, n)
+        pair = assemble_pair(sched, delta, n)
         results.append(instability_ratio(pair, q, den))
-        d = dichotomy_check(pair, sched, bumps)
+        d = dichotomy_check(pair, sched)
         dich_rows.append([n, d["min_far_distance"], d["floor"]])
     ratio_header = ["n", "j", "ratio", "target", "saturated", "degenerate"]
     ratio_rows = [[r.n, sched.radii[r.n], r.ratio, r.target,
@@ -708,8 +705,7 @@ def _run_gaussian_ratio(manifest, fx, pr):
 def _run_bump_bounds(manifest, fx, pr):
     bound_rows, slope_rows = [], []
     for sigma in fx["sigmas"]:
-        sched, bumps = _ladder_schedule(fx, pr, sigma)
-        report = verify_bump_bounds(sched, bumps)
+        report = verify_bump_bounds(_ladder_schedule(fx, pr, sigma))
         for r in report.rows:
             bound_rows.append([sigma, r.n, r.j, r.gub_lp_ratio,
                                r.gub_x_scaled, r.mcb_product, r.mtb_ratio,
@@ -875,13 +871,12 @@ def _run_cheeger_gaussian(manifest, fx, pr):
 
 
 def _run_cheeger_trend(manifest, fx, pr):
-    sched, bumps = _ladder_schedule(fx, pr, fx["sigma"])
+    sched = _ladder_schedule(fx, pr, fx["sigma"])
     delta = pr["delta"]
     sweep = pr["sweep"]
     rows = []
     for n in range(pr["n_max"] + 1):
-        sig = assemble_pair(sched, bumps, delta, n).core if n else sched.seed
-        W = modulus(stft(sig))
+        W = modulus(stft(assemble_pair(sched, delta, n).core))
         rep = cheeger_estimate(W, **sweep)
         rows.append([n, rep.value, rep.family])
     tables = {"trend": (["n", "value", "family"], rows)}
@@ -1129,14 +1124,14 @@ def _run_modulus_threshold(manifest, fx, pr):
 
 
 def _run_disjointness(manifest, fx, pr):
-    sched, bumps = _ladder_schedule(fx, pr, fx["sigma"])
+    sched = _ladder_schedule(fx, pr, fx["sigma"])
     delta, c_link = pr["delta"], pr["c_link"]
     rows, gapless_rows = [], []
     # the witness regime needs an annulus gap between core and tail; at
     # n = 0 the tail starts right at the seed's bulk, so that rung is
     # reported but not held to the geometric cap
     for n in range(pr["n_max"]):
-        pair = assemble_pair(sched, bumps, delta, n)
+        pair = assemble_pair(sched, delta, n)
         rho = disjointness_witness(pair.k, pair.core, pair.tail)
         if n == 0:
             gapless_rows.append([n, rho])

@@ -26,13 +26,11 @@ from .norms import (
     SobolevNorm,
     XpSigmaNorm,
     _certified_min,
-    ball_lp,
     frac_sobolev_norm,
     japanese_bracket,
     modulus_difference,
     phase_inf_distance,
     riemann_lp,
-    tail_weighted_lp,
 )
 from .transforms import WindowSpec, stft
 
@@ -66,8 +64,8 @@ def normalize_seed(h: Signal, p: float, q: float) -> Signal:
     grid = h.grid
     peak = int(np.argmax(np.abs(h.values)))
     centered = np.roll(h.values, grid.count // 2 - peak)
-    sig = Signal(grid, centered)
-    floor = min(ball_lp(sig, p, 1.0), ball_lp(sig, q, 1.0))
+    ball = Signal(grid, centered).restrict(grid.radius() <= 1.0)
+    floor = min(LqNorm(p)(ball), LqNorm(q)(ball))
     if floor == 0.0:
         raise ValueError("seed has no mass in the unit ball after recentering")
     return Signal(grid, centered / floor)
@@ -77,10 +75,10 @@ def normalize_seed(h: Signal, p: float, q: float) -> Signal:
 class AnnulusSchedule:
     """Ladder of disjoint annuli A_n = {j_n <= |x| <= 2 j_n} for one seed.
 
-    scales[n] = 2^{-(n+1)} <j_n>^{-sigma} is the bump amplitude. The seed's
-    mass outside |x| >= j_n / 2 in the doubly-weighted norm is certified
-    <= 2^{-3(n+1)} during construction. Lists are 0-based; list index m is
-    rung n = m + 1.
+    scales[n] = 2^{-(n+1)} <j_n>^{-sigma} is the bump amplitude and bumps[n]
+    the bump itself (build_bumps). The seed's mass outside |x| >= j_n / 2 in
+    the doubly-weighted norm is certified <= 2^{-3(n+1)} during construction.
+    Tuples are 0-based; index m is rung n = m + 1.
     """
 
     seed: Signal
@@ -89,6 +87,7 @@ class AnnulusSchedule:
     q: float
     radii: tuple
     scales: tuple
+    bumps: tuple
 
     @property
     def n_max(self) -> int:
@@ -102,15 +101,14 @@ class AnnulusSchedule:
 
 
 def _seed_tail(h: Signal, p: float, q: float, sigma: float, cutoff: float) -> float:
-    return max(
-        tail_weighted_lp(h, p, 2.0 * sigma, cutoff),
-        tail_weighted_lp(h, q, sigma, cutoff),
-    )
+    tail = h.restrict(h.grid.radius() >= cutoff)
+    return max(XpSigmaNorm(p, 2.0 * sigma)(tail), XpSigmaNorm(q, sigma)(tail))
 
 
 def select_annulus_schedule(h: Signal, sigma: float, p: float, q: float,
                             n_max: int) -> AnnulusSchedule:
-    """Choose the smallest even-integer radii j_1 < j_2 < ... with
+    """Normalize the seed (normalize_seed), then choose the smallest
+    even-integer radii j_1 < j_2 < ... with
 
         2 j_{n-1} < j_n       (annuli disjoint, with a one-unit gap)
         seed tail beyond j_n / 2  <=  2^{-3n}
@@ -121,17 +119,8 @@ def select_annulus_schedule(h: Signal, sigma: float, p: float, q: float,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    h = normalize_seed(h, p, q)
     grid = h.grid
-    floor = min(ball_lp(h, p, 1.0), ball_lp(h, q, 1.0))
-    if floor < 1.0 - 1e-9:
-        raise ValueError(
-            f"seed not normalized: unit-ball mass {floor:.6f} < 1; "
-            "run normalize_seed first"
-        )
-    peak = int(np.argmax(np.abs(h.values)))
-    if peak != grid.count // 2:
-        raise ValueError("seed peak is off-center; run normalize_seed first")
-
     half = grid.length / 2.0
     radii, scales = [], []
     prev = 0
@@ -151,16 +140,17 @@ def select_annulus_schedule(h: Signal, sigma: float, p: float, q: float,
         radii.append(j)
         scales.append(2.0 ** (-n) * japanese_bracket(float(j)) ** (-sigma))
         prev = j
-    return AnnulusSchedule(h, sigma, p, q, tuple(radii), tuple(scales))
+    return AnnulusSchedule(h, sigma, p, q, tuple(radii), tuple(scales),
+                           build_bumps(h, radii, scales))
 
 
-def build_bumps(schedule: AnnulusSchedule) -> list:
+def build_bumps(seed: Signal, radii, scales) -> tuple:
     """eps_n = scale_n . (seed translated to the annulus midpoint (3/2) j_n)."""
     out = []
-    for j, scale in zip(schedule.radii, schedule.scales):
-        shifted = translate(schedule.seed, 1.5 * j)
+    for j, scale in zip(radii, scales):
+        shifted = translate(seed, 1.5 * j)
         out.append(Signal(shifted.grid, scale * shifted.values))
-    return out
+    return tuple(out)
 
 
 def _intersection_norm(schedule: AnnulusSchedule) -> Norm:
@@ -215,7 +205,7 @@ class BoundReport:
         return out
 
 
-def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
+def verify_bump_bounds(schedule: AnnulusSchedule) -> BoundReport:
     """Measure the four estimates the construction rests on.
 
     Per rung n: exact global L^p size of eps_n, its weighted size, the L^q
@@ -227,7 +217,7 @@ def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
     xnorm = _intersection_norm(schedule)
     h_lp = riemann_lp(h.values, grid.dx, schedule.p)
     rows = []
-    for m, eps in enumerate(bumps):
+    for m, eps in enumerate(schedule.bumps):
         n = m + 1
         j = schedule.radii[m]
         scale = schedule.scales[m]
@@ -246,7 +236,7 @@ def verify_bump_bounds(schedule: AnnulusSchedule, bumps: list) -> BoundReport:
         mtb_ratio = mtb / mtb_bound
 
         sob = 0.0
-        for earlier in bumps[:m]:
+        for earlier in schedule.bumps[:m]:
             sob = max(sob, xnorm(earlier.restrict(mask)))
         sob_bound = 2.0 ** (-3 * n) / bracket_sig
         sob_ratio = sob / sob_bound
@@ -261,21 +251,21 @@ class InstabilityPair:
     """k = core + tail, k_n = core - tail: same modulus up to tiny overlap,
     far apart in every phase-blind sense once the tail is nontrivial."""
 
-    k: Signal
-    k_n: Signal
-    n: int
-    delta: float
     core: Signal
     tail: Signal
+    n: int
+    delta: float
 
-    def __post_init__(self):
-        if not np.array_equal(self.k.values, self.core.values + self.tail.values):
-            raise ValueError("k must equal core + tail exactly")
-        if not np.array_equal(self.k_n.values, self.core.values - self.tail.values):
-            raise ValueError("k_n must equal core - tail exactly")
+    @property
+    def k(self) -> Signal:
+        return self.core.like(self.core.values + self.tail.values)
+
+    @property
+    def k_n(self) -> Signal:
+        return self.core.like(self.core.values - self.tail.values)
 
 
-def assemble_pair(schedule: AnnulusSchedule, bumps: list, delta: float,
+def assemble_pair(schedule: AnnulusSchedule, delta: float,
                   n: int) -> InstabilityPair:
     """core = seed + delta . (bumps up to n); tail = delta . (bumps past n).
 
@@ -289,19 +279,12 @@ def assemble_pair(schedule: AnnulusSchedule, bumps: list, delta: float,
         raise ValueError(f"n must lie in 0..{schedule.n_max}")
     grid = schedule.seed.grid
     core = schedule.seed.values.copy()
-    for eps in bumps[:n]:
+    for eps in schedule.bumps[:n]:
         core = core + delta * eps.values
     tail = np.zeros(grid.count, dtype=core.dtype)
-    for eps in bumps[n:]:
+    for eps in schedule.bumps[n:]:
         tail = tail + delta * eps.values
-    return InstabilityPair(
-        k=Signal(grid, core + tail),
-        k_n=Signal(grid, core - tail),
-        n=n,
-        delta=delta,
-        core=Signal(grid, core),
-        tail=Signal(grid, tail),
-    )
+    return InstabilityPair(Signal(grid, core), Signal(grid, tail), n, delta)
 
 
 @dataclass(frozen=True)
@@ -347,8 +330,7 @@ def field_instability_ratio(a: Sampled, b: Sampled, n: int, q: float,
 _FAR_END = 2.0 * math.asin(0.25)
 
 
-def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
-                    bumps: list) -> dict:
+def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule) -> dict:
     """Far-phase lower bound: for |lam - 1| >= 1/2 the L^q distance
     ||k - lam k_n|| cannot dip below (1/2)||seed|| - 2 delta sum ||eps_j||.
 
@@ -357,12 +339,12 @@ def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule,
     from these two numbers.
     """
     q = schedule.q
-    grid = pair.k.grid
+    grid = pair.core.grid
     norm = LqNorm(q)
     _, measured, _, _ = _certified_min(norm.pair_evaluator(pair.k, pair.k_n),
                                        norm(pair.k_n), _FAR_END,
                                        2.0 * math.pi - _FAR_END)
-    bump_mass = sum(riemann_lp(e.values, grid.dx, q) for e in bumps)
+    bump_mass = sum(riemann_lp(e.values, grid.dx, q) for e in schedule.bumps)
     floor = 0.5 * riemann_lp(schedule.seed.values, grid.dx, q) \
         - 2.0 * pair.delta * bump_mass
     return {
@@ -427,9 +409,7 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
     W^{s+1/4, p}_r intersect L^q.
     """
     base_field = stft(f, window)
-    wgrid = f.grid.dual()
-    profile = normalize_seed(_omega_profile(base_field.values, wgrid),
-                             spec.p, spec.q)
+    profile = _omega_profile(base_field.values, f.grid.dual())
     schedule = select_annulus_schedule(profile, spec.r, spec.p, spec.q, n_max)
     ladder = tuple(1.5 * j for j in schedule.radii)
     scales = schedule.scales

@@ -25,8 +25,6 @@ from .grids import Sampled, TFField, riemann_lp
 __all__ = [
     "japanese_bracket",
     "inner_l2",
-    "ball_lp",
-    "tail_weighted_lp",
     "bessel_potential",
     "frac_sobolev_norm",
     "Norm",
@@ -102,19 +100,6 @@ def inner_l2(f: Sampled, g: Sampled) -> complex:
     """Riemann-sum inner product <f, g> = integral of f conj(g)."""
     _same_geometry(f, g)
     return complex(f.space.cell * np.vdot(g.values.ravel(), f.values.ravel()))
-
-
-def ball_lp(obj: Sampled, p: float, radius: float = 1.0) -> float:
-    """L^p norm restricted to the centered ball of the given radius."""
-    sp = obj.space
-    return riemann_lp(obj.restrict(sp.radius() <= radius).values, sp.cell, p)
-
-
-def tail_weighted_lp(obj: Sampled, p: float, sigma: float, cutoff: float) -> float:
-    """||<x>^sigma f||_p over the tail region |x| >= cutoff."""
-    sp = obj.space
-    tail = obj.restrict(sp.radius() >= cutoff).values
-    return riemann_lp(_weighted(tail, sp, sigma, "sigma"), sp.cell, p)
 
 
 def _multiplier(space, s: float, half: bool = False) -> np.ndarray:

@@ -151,7 +151,9 @@ def phaseless(f: Signal, window: WindowSpec = WindowSpec("gaussian")) -> TFField
 
 
 def _require_self_dual(tf: TFGrid, what: str) -> None:
-    if tf.xgrid != tf.wgrid:
+    """Refuse a TF grid unless its x-axis is self-dual (Grid1D.is_self_dual)
+    and its omega-axis is that axis's dual."""
+    if not (tf.xgrid.is_self_dual and tf.wgrid == tf.xgrid.dual()):
         raise ValueError(
             f"{what} needs a self-dual square TF grid (L^2 = N); "
             f"got axes {tf.xgrid} and {tf.wgrid}"

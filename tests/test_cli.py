@@ -181,6 +181,28 @@ def test_recover_reference_on_another_grid_exits_two_before_recovering(
     assert code == 2 and "argument --reference:" in err
 
 
+def test_recover_on_a_grid_that_is_not_self_dual_exits_two(tmp_path, capsys,
+                                                           monkeypatch):
+    """Both axes 10/256 are equal, but L^2 = 100 is not N: the measurement
+    is refused before recovery runs."""
+    from stftlab import io, transforms
+    from stftlab.grids import TFField, TFGrid, gaussian, make_grid
+
+    grid = make_grid(10.0, 256)
+    f, meas = str(tmp_path / "f.bin"), str(tmp_path / "meas.bin")
+    io.dump_signal(gaussian(grid), f)
+    io.dump_field(TFField(TFGrid(grid, grid),
+                          transforms.phaseless(gaussian(grid)).values), meas)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("recover ran before the grid was checked")
+
+    monkeypatch.setattr(transforms, "recover", refused)
+    code, out, err = run_cli(capsys, "recover", meas, "--reference", f)
+    assert code == 2 and out == ""
+    assert "argument measurement:" in err and "self-dual" in err
+
+
 @pytest.fixture(scope="module")
 def small_dumps(tmp_path_factory):
     """A gaussian on the self-dual 8/64 grid, its phaseless STFT, and two
@@ -376,6 +398,18 @@ def _list_args(d):
     (d / "summary.json").write_text(json.dumps(summary))
 
 
+def _string_hard(d):
+    summary = json.loads((d / "summary.json").read_text())
+    summary["assertions"][0]["hard"] = "no"
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
+def _string_passed(d):
+    summary = json.loads((d / "summary.json").read_text())
+    summary["assertions"][0]["passed"] = "yes"
+    (d / "summary.json").write_text(json.dumps(summary))
+
+
 @pytest.mark.parametrize("edit, named", [
     (_short_row, ["covariance.csv", "line 2"]),
     (_renamed_column, ["covariance.csv", "'residual'"]),
@@ -388,9 +422,11 @@ def _list_args(d):
     (_escaping_table, ["summary.json", "'../outside/covariance'"]),
     (_dot_dot_table, ["summary.json", "'..'", "plain file name"]),
     (_string_tables, ["summary.json", "'tables'", "not a list"]),
+    (_string_hard, ["summary.json", "'hard'", "not a boolean"]),
+    (_string_passed, ["summary.json", "'passed'", "not a boolean"]),
 ], ids=["short-row", "renamed-column", "text-cell", "empty-table",
         "no-args", "list-args", "no-tables", "not-json", "escaping-table",
-        "dot-dot-table", "string-tables"])
+        "dot-dot-table", "string-tables", "string-hard", "string-passed"])
 def test_verify_of_a_malformed_run_exits_two_naming_it(stored_run, tmp_path,
                                                        capsys, edit, named):
     run_dir = tmp_path / "run"

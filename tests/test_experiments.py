@@ -271,6 +271,17 @@ def test_infeasible_grid_raises():
         ex.run(bad)
 
 
+@pytest.mark.parametrize("eid", ["recover-noiseless", "recover-noisy",
+                                 "ambiguity-relation"])
+def test_square_grid_one_ulp_off_its_dual_runs(eid):
+    """L = sqrt(148) is self-dual to rounding, but its dual axis N / L is
+    one ulp away from L: the transforms take the same rule as the harness."""
+    mf = ex.default_manifest(eid)
+    near = dataclasses.replace(mf, fixture={**mf.fixture, "count": 148,
+                                            "length": math.sqrt(148)})
+    assert ex.run(near).passed
+
+
 def test_summary_json_records_manifest(tmp_path):
     mf = ex.default_manifest("window-ratio", seed=3, out_dir=str(tmp_path))
     res = ex.run(mf)

@@ -26,7 +26,6 @@ from stftlab.norms import (
     SobolevNorm,
     XpSigmaNorm,
     _derivative_term,
-    ball_lp,
     bessel_potential,
     disjointness_witness,
     field_gradient,
@@ -39,7 +38,6 @@ from stftlab.norms import (
     parse_norm,
     phase_inf_distance,
     riemann_lp,
-    tail_weighted_lp,
 )
 from stftlab.rng import SplitMix64
 from stftlab.transforms import stft
@@ -165,24 +163,34 @@ def test_lp_weighted_norm_indicator_square_oracle():
 
 
 def test_ball_lp_limits(grid16):
+    """L^2 on a centred ball is LqNorm of the restricted field."""
     g = gaussian(grid16)
-    assert abs(ball_lp(g, 2.0, radius=5.0) - 1.0) < 1e-10
+
+    def ball(radius):
+        return LqNorm(2.0)(g.restrict(grid16.radius() <= radius))
+
+    assert abs(ball(5.0) - 1.0) < 1e-10
     from scipy.special import erf
 
     want = float(erf(np.sqrt(2 * np.pi))) ** 0.5
-    assert abs(ball_lp(g, 2.0, radius=1.0) - want) < 2e-3
+    assert abs(ball(1.0) - want) < 2e-3
 
 
 def test_tail_weighted_lp(grid16):
+    """The weighted tail mass is XpSigmaNorm of the restricted field."""
     g = gaussian(grid16)
     x = grid16.points()
+
+    def tail(cutoff):
+        return XpSigmaNorm(2.0, 1.0)(g.restrict(grid16.radius() >= cutoff))
+
     # independent direct expression at a scale safe for the plain formula
     w = np.where(np.abs(x) >= 2.0, (1 + x * x) ** 0.5 * np.abs(g.values), 0.0)
     plain = (grid16.dx * np.sum(w**2)) ** 0.5
     assert riemann_lp(w, grid16.dx, 2.0) == pytest.approx(plain, rel=1e-12)
-    assert tail_weighted_lp(g, 2.0, 1.0, 2.0) == pytest.approx(plain, rel=1e-12)
+    assert tail(2.0) == pytest.approx(plain, rel=1e-12)
     # decreasing in the cutoff, tiny far out
-    t = [tail_weighted_lp(g, 2.0, 1.0, c) for c in (1.0, 2.0, 3.0, 5.0)]
+    t = [tail(c) for c in (1.0, 2.0, 3.0, 5.0)]
     assert t[0] > t[1] > t[2] > t[3]
     assert t[3] < 1e-30
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from stftlab.grids import (
     Signal,
     TFField,
+    TFGrid,
     cdft2,
     gaussian,
     hermite,
@@ -290,6 +293,20 @@ def test_recover_error_paths(grid16):
     grid = make_grid(8.0, 128)
     with pytest.raises(ValueError, match="self-dual"):
         recover(phaseless(gaussian(grid)))
+
+
+def test_self_dual_rule_is_the_grid_flag_and_the_dual_axis():
+    """A TF grid is self-dual iff its x-axis is (Grid1D.is_self_dual) and
+    its omega-axis is that axis's dual: equal axes are not enough."""
+    near = make_grid(math.sqrt(148), 148)
+    assert near.is_self_dual and near != near.dual()
+    assert ambiguity_relation_residual(gaussian(near)) < 1e-3
+    rec = recover(phaseless(gaussian(near))).signal
+    assert align_error(gaussian(near), rec) < 1e-2
+    flat = make_grid(10.0, 256)
+    field = TFField(TFGrid(flat, flat), phaseless(gaussian(flat)).values)
+    with pytest.raises(ValueError, match="self-dual"):
+        recover(field)
 
 
 def test_recover_refuses_a_nan_threshold(grid16):
