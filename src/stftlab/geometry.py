@@ -60,6 +60,28 @@ _MS_SEGMENTS = {
 }
 
 
+def _emission_tables():
+    """Output rank and edge pair (0 ... 3 index S, E, N, W) of the first and
+    second segment of each cell kind, case + 16 * split. Segments are
+    emitted by rank: every regular case in table order, then each saddle
+    case with its corners joined, then split."""
+    groups = list(_MS_SEGMENTS.items())
+    for c in (5, 10):
+        groups += [(c, [("S", "E"), ("N", "W")]),
+                   (c + 16, [("W", "S"), ("E", "N")])]
+    segments = [(kind, p, pair) for kind, pairs in groups
+                for p, pair in enumerate(pairs)]
+    rank = np.zeros((32, 2), dtype=np.int64)
+    edge = np.zeros((32, 2, 2), dtype=np.int64)
+    for r, (kind, p, (ea, eb)) in enumerate(segments):
+        rank[kind, p] = r
+        edge[kind, p] = "SENW".index(ea), "SENW".index(eb)
+    return rank, edge
+
+
+_MS_RANK, _MS_EDGE = _emission_tables()
+
+
 def marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
                      level: float) -> np.ndarray:
     """Isocontour of a scalar field sampled on a rectilinear grid.
@@ -69,12 +91,14 @@ def marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
     the level) are resolved by the bilinear center value, which matches the
     contour of the bilinear interpolant.
 
-    Cost: one pass over the full grid classifies every cell by which of its
-    corners reach the level; edge interpolation, the saddle test and the
-    segment emission then run only on the cells that straddle it, usually a
-    few hundred of tens of thousands. Segments come out grouped by case in
-    table order and, within a case, in row-major cell order, exactly as a
-    full-grid pass emits them.
+    Cost: one pass over the given grid classifies every cell by which of its
+    corners reach the level (`cheeger_estimate` passes only the box of the
+    superlevel set grown by one cell); edge interpolation, the saddle test
+    and the segment emission then run only on the cells that straddle it,
+    usually a few hundred of tens of thousands. The segments are emitted by
+    one stable gather on each segment's rank: grouped by case in table order
+    and, within a case, in row-major cell order, exactly as a full-grid pass
+    emits them.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (xs.size, ys.size):
@@ -101,41 +125,22 @@ def marching_squares(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
         te = (level - v10) / (v11 - v10)
         tn = (level - v01) / (v11 - v01)
         tw = (level - v00) / (v01 - v00)
-    edge_pts = {
-        "S": (x0 + ts * (x1 - x0), y0),
-        "E": (x1, y0 + te * (y1 - y0)),
-        "N": (x0 + tn * (x1 - x0), y1),
-        "W": (x0, y0 + tw * (y1 - y0)),
-    }
+    px = np.stack([x0 + ts * (x1 - x0), x1, x0 + tn * (x1 - x0), x0])
+    py = np.stack([y0, y0 + te * (y1 - y0), y1, y0 + tw * (y1 - y0)])
 
-    out = []
-
-    def emit(cells, pairs):
-        for ea, eb in pairs:
-            ax, ay = edge_pts[ea]
-            bx, by = edge_pts[eb]
-            out.append(np.column_stack([
-                ax[cells], ay[cells], bx[cells], by[cells],
-            ]))
-
-    for c, pairs in _MS_SEGMENTS.items():
-        cells = case == c
-        if cells.any():
-            emit(cells, pairs)
-
-    for c, inside_corners in ((5, True), (10, False)):
-        cells = case == c
-        if not cells.any():
-            continue
-        center_in = (v00 + v10 + v01 + v11) >= 4.0 * level
-        # case 5 holds corners 1 and 4; a center above the level joins them,
-        # so the contour hugs the two excluded corners (and vice versa)
-        joined = cells & (center_in if inside_corners else ~center_in)
-        split = cells & ~(center_in if inside_corners else ~center_in)
-        emit(joined, [("S", "E"), ("N", "W")])
-        emit(split, [("W", "S"), ("E", "N")])
-
-    return np.concatenate(out, axis=0)
+    # case 5 holds corners 1 and 4; a center above the level joins them, so
+    # the contour hugs the two excluded corners (and vice versa for case 10)
+    center_in = (v00 + v10 + v01 + v11) >= 4.0 * level
+    split = np.where(case == 5, ~center_in, (case == 10) & center_in)
+    kind = case + 16 * split
+    two = np.flatnonzero((case == 5) | (case == 10))
+    cells = np.concatenate([np.arange(case.size), two])
+    second = np.repeat([0, 1], [case.size, two.size])
+    order = np.argsort(_MS_RANK[kind[cells], second], kind="stable")
+    cells = cells[order]
+    ea, eb = _MS_EDGE[kind[cells], second[order]].T
+    return np.column_stack([px[ea, cells], py[ea, cells],
+                            px[eb, cells], py[eb, cells]])
 
 
 def _bilinear(xs: np.ndarray, ys: np.ndarray, values: np.ndarray,
@@ -204,6 +209,12 @@ def _polyline_integrals(xs, ys, wvals, px, py) -> np.ndarray:
 _SMOOTHING = 2.0
 
 
+def _span(flags: np.ndarray) -> tuple[int, int]:
+    """(first, last + 1) of the true entries of a 1-D mask; (0, 0) if none."""
+    idx = np.flatnonzero(flags)
+    return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
+
+
 def cheeger_estimate(W: TFField, thresholds: int = 256,
                      centers: int = 9, radii: int = 16,
                      directions: int = 64, offsets: int = 33) -> CheegerReport:
@@ -223,6 +234,25 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
     cumulative sum rounds differently, which flips near-tied half-plane
     winners on symmetric densities and, through total - mass, moves the
     complement masses by far more than rounding.
+
+    Each candidate touches only the cells it can hold: the box of a
+    superlevel set (from the row and column maxima of the smoothed field),
+    the rows and columns within r of a disk's center, and for a half-plane
+    the block of rows wholly inside (the projection is monotone along x, so
+    they are one contiguous block, copied whole) plus the rows it cuts;
+    squared distances and projections are computed once per center and per
+    direction. Every mass is still bit-equal to the full-grid masked sum: it gathers
+    the same cells in the same row-major order, so numpy's pairwise sum
+    sees the same array. Contours run on the superlevel box grown by one
+    cell, which holds every cell that straddles the level.
+
+    Each direction's half-mass midpoint sorts only the slab between the two
+    lattice offsets whose masses bracket total / 2 (a side with no such
+    offset is open) and accumulates it on top of the lower offset's mass.
+    The midpoint's offset is therefore not a pinned value: its prefix is
+    the row-major lattice mass, not the sequential sum of the sorted
+    cells, so it can move when the crossing lies within rounding of
+    total / 2. Its mass row is still the exact masked sum at that offset.
     """
     if np.iscomplexobj(W.values) and W.values.imag.any():
         raise ValueError("density must be real: its imaginary part is not 0")
@@ -235,12 +265,14 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
     total = float(vals.sum() * cell)
     if total <= 0.0:
         raise ValueError("density has no mass, so no Cheeger quotient")
-    half_cap = 0.5 * total * (1.0 + 1e-6)
+    half = 0.5 * total
+    half_cap = half * (1.0 + 1e-6)
 
     xs = tg.xgrid.points()
     ys = tg.wgrid.points()
     dx = tg.xgrid.dx
     dy = tg.wgrid.dx
+    nrow, ncol = vals.shape
 
     # bounding box of the bulk of the mass, for candidate placement
     bulk = vals >= 1e-3 * vals.max()
@@ -252,7 +284,7 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
     best = None
     table = []
 
-    def consider(familyname, params, boundary, mass, mask):
+    def consider(familyname, params, boundary, mass):
         nonlocal best
         feasible = 0.0 < mass <= half_cap
         ratio = boundary / mass if mass > 0 else float("inf")
@@ -262,22 +294,27 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
             "ratio": ratio, "feasible": feasible,
         })
         if feasible and (best is None or ratio < best[0]):
-            best = (ratio, familyname, params, mask)
+            best = (ratio, familyname, params)
 
     sm = gaussian_filter(vals, sigma=_SMOOTHING, mode="constant")
     top = sm.max()
+    sm_rows = sm.max(axis=1)
+    sm_cols = sm.max(axis=0)
     for k in range(1, thresholds):
         level = top * k / thresholds
-        segments = marching_squares(xs, ys, sm, level)
+        i0, i1 = _span(sm_rows >= level)
+        j0, j1 = _span(sm_cols >= level)
+        # a straddling cell has a corner in the box: grow it by one cell
+        g0, g1 = max(i0 - 1, 0), min(i1 + 1, nrow)
+        h0, h1 = max(j0 - 1, 0), min(j1 + 1, ncol)
+        segments = marching_squares(xs[g0:g1], ys[h0:h1],
+                                    sm[g0:g1, h0:h1], level)
         boundary = _segment_integral(xs, ys, vals, segments)
-        above = sm >= level
-        mass_above = float(vals[above].sum() * cell)
-        consider("superlevel", {"level": level}, boundary, mass_above, above)
-        consider("sublevel", {"level": level}, boundary,
-                 total - mass_above, ~above)
+        box = (slice(i0, i1), slice(j0, j1))
+        mass_above = float(vals[box][sm[box] >= level].sum() * cell)
+        consider("superlevel", {"level": level}, boundary, mass_above)
+        consider("sublevel", {"level": level}, boundary, total - mass_above)
 
-    xm = tg.xmesh()
-    wm = tg.wmesh()
     cxs = np.linspace(xlo, xhi, centers)
     cys = np.linspace(ylo, yhi, centers)
     rads = np.linspace(2.0 * max(dx, dy), 0.6 * diag, radii)
@@ -291,16 +328,20 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
         disk_boundaries.append(_polyline_integrals(
             xs, ys, vals, pcx + r * np.cos(th), pcy + r * np.sin(th)))
     for a, cx in enumerate(cxs):
+        dx2 = (xs - cx) ** 2
         for b, cy in enumerate(cys):
-            rr = (xm - cx) ** 2 + (wm - cy) ** 2
+            dy2 = (ys - cy) ** 2
+            rr = dx2[:, None] + dy2
             for r, bounds in zip(rads, disk_boundaries):
                 boundary = float(bounds[a, b])
-                inside = rr <= r * r
-                mass = float(vals[inside].sum() * cell)
+                # adding a square never lowers rr: each axis bounds the disk
+                r2 = r * r
+                box = tuple(slice(*_span(d2 <= r2)) for d2 in (dx2, dy2))
+                mass = float(vals[box][rr[box] <= r2].sum() * cell)
                 consider("disk", {"cx": cx, "cy": cy, "r": r},
-                         boundary, mass, inside)
+                         boundary, mass)
                 consider("diskc", {"cx": cx, "cy": cy, "r": r},
-                         boundary, total - mass, ~inside)
+                         boundary, total - mass)
 
     span = 0.75 * diag
     tline = np.linspace(-span, span, max(129, int(4.0 * span / max(dx, dy))))
@@ -308,31 +349,89 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
         theta = 2.0 * math.pi * k / directions
         nx, ny = math.cos(theta), math.sin(theta)
         corners = [nx * cx + ny * cy for cx in (xlo, xhi) for cy in (ylo, yhi)]
-        proj = nx * xm + ny * wm
         cands = list(np.linspace(min(corners), max(corners), offsets))
+        # proj[i, j] = px[i] + py[j] is monotone along x, and so are its
+        # row extremes; in `step` order the rows ascend in projection
+        px = nx * xs
+        py = ny * ys
+        proj = px[:, None] + py
+        step = 1 if nx >= 0 else -1
+        row_max = (px + py.max())[::step]
+        row_min = (px + py.min())[::step]
+
+        def rows(lo, hi):
+            """The slice of rows holding a cell with lo < proj <= hi, and
+            the number f of rows wholly at or below lo (the first f in
+            `step` order)."""
+            f = int(np.searchsorted(row_max, lo, side="right"))
+            t = int(np.searchsorted(row_min, hi, side="right"))
+            part = slice(f, t) if step > 0 else slice(nrow - t, nrow - f)
+            return part, f
+
+        def below(c):
+            """Unscaled mass at proj <= c: the block of rows wholly inside
+            is copied whole, only the rows the line cuts are masked."""
+            part, f = rows(c, c)
+            whole = (vals[:f] if step > 0 else vals[nrow - f:]).ravel()
+            cut = vals[part][proj[part] <= c]
+            # in row-major order the whole rows lead when the rows ascend
+            return (np.concatenate((whole, cut)[::step]) if f else cut).sum()
+
+        sums = [below(c) for c in cands]
         # the best cut is usually the half-mass one, which falls between
-        # lattice offsets; add the largest feasible projection midpoint
-        order = np.argsort(proj, axis=None, kind="stable")
-        cum = np.cumsum(vals.ravel()[order]) * cell
-        split = int(np.searchsorted(cum, 0.5 * total, side="right"))
-        if 0 < split < order.size:
-            pv = proj.ravel()[order]
-            cands.append(0.5 * (pv[split - 1] + pv[split]))
+        # lattice offsets; add the largest feasible projection midpoint,
+        # found in the slab between the offsets that bracket total / 2
+        s = next((i for i, inner in enumerate(sums)
+                  if float(inner * cell) > half), len(cands))
+        lo = cands[s - 1] if s > 0 else -math.inf
+        hi = cands[s] if s < len(cands) else math.inf
+        part, f = rows(lo, hi)
+        slab = proj[part]
+        inslab = (slab > lo) & (slab <= hi)
+        pv = slab[inslab]
+        order = np.argsort(pv, kind="stable")
+        pv = pv[order]
+        base = sums[s - 1] if s > 0 else 0.0
+        cum = np.cumsum(np.concatenate(([base], vals[part][inslab][order])))
+        cum *= cell
+        # cum[0] <= total / 2 <= cum[-1] up to rounding, and the slab is
+        # never empty: the crossing cell is pv[split - 1]
+        split = min(int(np.searchsorted(cum, half, side="right")), pv.size)
+        # the predecessor of the first slab cell is the largest projection
+        # at or below lo; with none, there is no midpoint
+        prev = (pv[split - 2:split - 1] if split > 1
+                else np.concatenate((row_max[:f], slab[slab <= lo])))
+        if prev.size:
+            mid = 0.5 * (prev.max() + pv[split - 1])
+            cands.append(mid)
+            sums.append(below(mid))
         offs = np.array(cands)[:, None]
         boundaries = _polyline_integrals(
             xs, ys, vals, offs * nx - tline * ny, offs * ny + tline * nx)
-        for c, boundary in zip(cands, boundaries.tolist()):
-            inside = proj <= c
-            mass = float(vals[inside].sum() * cell)
+        for c, inner, boundary in zip(cands, sums, boundaries.tolist()):
             consider("halfplane", {"theta": theta, "offset": c},
-                     boundary, mass, inside)
+                     boundary, float(inner * cell))
 
     if best is None:
         raise ValueError("no candidate satisfied the half-mass constraint")
-    ratio, famname, params, mask = best
+    ratio, famname, params = best
+    # the witness, rebuilt once on the full grid from the winner's params
+    xm = tg.xmesh()
+    wm = tg.wmesh()
+    if famname in ("superlevel", "sublevel"):
+        inside = sm >= params["level"]
+    elif famname in ("disk", "diskc"):
+        r = params["r"]
+        inside = (xm - params["cx"]) ** 2 + (wm - params["cy"]) ** 2 <= r * r
+    else:
+        theta = params["theta"]
+        inside = (math.cos(theta) * xm + math.sin(theta) * wm
+                  <= params["offset"])
+    if famname in ("sublevel", "diskc"):
+        inside = ~inside
     return CheegerReport(
         value=ratio,
-        witness=DomainMask(tg, mask.copy()),
+        witness=DomainMask(tg, inside),
         family=famname,
         params=params,
         total_mass=total,
@@ -574,7 +673,12 @@ def stability_certificate(f1: TFField, f2: TFField, mask: DomainMask,
     (exact even where the stored field was exponent-clamped: the clamp
     cancels), grad|F| e^{-pi|z|^2/2} = grad m + pi z m and grad|F|/|F| =
     grad log m + pi z make every ingredient finite-precision-safe and equal
-    to its weighted-measure counterpart exactly.
+    to its weighted-measure counterpart exactly. The discrete mu_1 behind
+    the Poincare constant errs low against the closed forms of the uniform
+    disk and of the Gaussian weight, so C_P errs high, the conservative
+    side (tests/test_geometry.py,
+    test_uniform_disk_gap_errs_low_within_one_percent and
+    test_gaussian_weight_gap_meets_the_bakry_emery_floor).
     """
     if f1.tfgrid != f2.tfgrid:
         raise ValueError("fields live on different grids")

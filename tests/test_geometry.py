@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 from scipy.ndimage import gaussian_filter, label
 from scipy.sparse.csgraph import connected_components
 
+from cheeger_oracle import full_grid_cheeger
 from contour_oracle import full_grid_marching_squares
 from fock_oracle import to_fock
-from poincare_oracle import dense_mu1
+from poincare_oracle import bakry_emery_floor, dense_mu1, uniform_disk_mu1
 from stftlab import geometry
 from stftlab.grids import Signal, TFField, TFGrid, gaussian, make_grid, tf_grid_of
 from stftlab.transforms import fock_polynomial_field, stft
@@ -284,22 +285,32 @@ def test_cheeger_refuses_a_density_with_an_imaginary_part(tfg):
     assert lifted.value == real.value and lifted.table == real.table
 
 
-def test_cheeger_table_matches_candidates_computed_one_at_a_time():
-    """Every row of the table, rebuilt from its own candidate: the boundary
-    from the full-grid contour or a lone path integral, the mass from a
-    full-grid mask. Batched boundaries must not reorder a single sum."""
-    g = make_grid(8.0, 64)
-    tg = TFGrid(g, g)
+def _two_bumps(tg):
     xm, wm = tg.xmesh(), tg.wmesh()
     vals = (np.exp(-math.pi * ((xm + 1.5) ** 2 + wm ** 2))
             + 0.5 * np.exp(-math.pi * ((xm - 1.5) ** 2 + (wm - 0.5) ** 2)))
-    vals = vals * np.ones(tg.shape)
+    return vals * np.ones(tg.shape)
+
+
+# a square TF grid, and one whose x and omega axes differ in extent and count
+_TABLE_GRIDS = {"square": TFGrid(make_grid(8.0, 64), make_grid(8.0, 64)),
+                "non-square": TFGrid(make_grid(8.0, 64), make_grid(6.0, 48))}
+
+
+@pytest.mark.parametrize("shape", sorted(_TABLE_GRIDS))
+def test_cheeger_table_matches_candidates_computed_one_at_a_time(shape):
+    """Every row of the table, rebuilt from its own candidate: the boundary
+    from the full-grid contour or a lone path integral, the mass from a
+    full-grid mask. Batched boundaries must not reorder a single sum."""
+    tg = _TABLE_GRIDS[shape]
+    xm, wm = tg.xmesh(), tg.wmesh()
+    vals = _two_bumps(tg)
     sweep = {"thresholds": 32, "centers": 4, "radii": 5, "directions": 8,
              "offsets": 9}
     rep = cheeger_estimate(TFField(tg, vals.astype(np.complex128)), **sweep)
 
-    xs, ys, cell = g.points(), g.points(), tg.cell
-    dx = dy = g.dx
+    xs, ys, cell = tg.xgrid.points(), tg.wgrid.points(), tg.cell
+    dx, dy = tg.xgrid.dx, tg.wgrid.dx
     total = float(vals.sum() * cell)
     assert rep.total_mass == total
     sm = gaussian_filter(vals, sigma=geometry._SMOOTHING, mode="constant")
@@ -350,6 +361,105 @@ def test_cheeger_table_matches_candidates_computed_one_at_a_time():
     ratio, row, inside = best
     assert rep.value == ratio and rep.family == row["family"]
     assert np.array_equal(rep.witness.inside, inside)
+
+
+def _atoms_density():
+    """|V f| of a seeded sum of 6 Gaussian atoms on the 16/256 grid."""
+    grid = make_grid(16.0, 256)
+    rng = np.random.default_rng(6)
+    x = grid.points()
+    vals = np.zeros(grid.count, dtype=np.complex128)
+    for _ in range(6):
+        weight = complex(rng.normal(), rng.normal())
+        c, w = rng.uniform(-4.0, 4.0, size=2)
+        vals += weight * np.exp(-math.pi * (x - c) ** 2 + 2j * math.pi * w * x)
+    return TFField(tf_grid_of(grid), np.abs(stft(Signal(grid, vals)).values))
+
+
+def _heavy_cell_density():
+    """The two bumps plus a corner cell holding over half the mass: the
+    directions in which that cell projects lowest have no midpoint."""
+    tg = _TABLE_GRIDS["square"]
+    vals = _two_bumps(tg)
+    vals[0, 0] = 2.0 * vals.sum()
+    return TFField(tg, vals)
+
+
+def _heavy_first_slab_cell():
+    """A 10 x 10 plateau and, just past its first row, a cell holding over
+    half the mass at omega's lowest column: at theta = 0 with one offset
+    (the plateau's first row) that cell opens the midpoint slab, and its
+    predecessor lies in a row wholly below the offset."""
+    tg = _TABLE_GRIDS["square"]
+    vals = np.zeros(tg.shape)
+    vals[20:30, 20:30] = 1.0
+    vals[21, 0] = 200.0
+    return TFField(tg, vals)
+
+
+def _gaussian_non_square():
+    tg = _TABLE_GRIDS["non-square"]
+    xm, wm = tg.xmesh(), tg.wmesh()
+    return TFField(tg, np.exp(-math.pi * ((xm - 0.3) ** 2
+                                          + 2.0 * (wm + 0.2) ** 2))
+                   * np.ones(tg.shape))
+
+
+def _two_bumps_field():
+    return TFField(_TABLE_GRIDS["square"], _two_bumps(_TABLE_GRIDS["square"]))
+
+
+_ORACLE_CASES = {
+    "two-bumps": (_two_bumps_field, {}),
+    "gaussian-non-square": (_gaussian_non_square, {}),
+    "atoms-16-256": (_atoms_density, {}),
+    "heavy-cell": (_heavy_cell_density, {}),
+    # no lattice offset, and one: the midpoint slab is open on a side
+    "offsets-0": (_two_bumps_field, {"offsets": 0}),
+    "offsets-1": (_two_bumps_field, {"offsets": 1}),
+    # theta = 0 gives ny = 0 exactly: every row is wholly in or out
+    "directions-4": (_two_bumps_field, {"directions": 4}),
+    "heavy-first-slab-cell": (_heavy_first_slab_cell,
+                              {"directions": 4, "offsets": 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_cheeger_estimate_matches_the_full_grid_sweep(case):
+    """The boxed, slab-sorted sweep against the full-grid one
+    (tests/cheeger_oracle.py): every table row, the value, the family, the
+    params and the witness are equal, compared with ==."""
+    build, sweep = _ORACLE_CASES[case]
+    W = build()
+    rep = cheeger_estimate(W, **sweep)
+    value, family, params, inside, table = full_grid_cheeger(W, **sweep)
+    assert len(rep.table) == len(table)
+    for row, ref in zip(rep.table, table):
+        assert row == ref
+    assert (rep.value, rep.family, rep.params) == (value, family, params)
+    assert np.array_equal(rep.witness.inside, inside)
+
+
+def test_cheeger_estimate_matches_the_full_grid_sweep_on_sparse_densities():
+    """Seeded sparse densities on a 16 x 12 grid, each with one cell over
+    half the mass: the crossing often opens the midpoint slab, so its
+    predecessor comes from the rows the lower offset cuts."""
+    tg = TFGrid(make_grid(4.0, 16), make_grid(3.0, 12))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        vals = rng.random(tg.shape) * (rng.random(tg.shape) < 0.3)
+        vals.ravel()[rng.integers(vals.size)] = vals.sum() + 1.0
+        W = TFField(tg, vals)
+        sweep = {"thresholds": 4, "centers": 2, "radii": 2,
+                 "directions": 12, "offsets": seed % 4}
+        assert cheeger_estimate(W, **sweep).table == full_grid_cheeger(
+            W, **sweep)[4], seed
+
+
+def test_a_cell_over_half_the_mass_leaves_some_directions_no_midpoint():
+    rep = cheeger_estimate(_heavy_cell_density())
+    rows = sum(row["family"] == "halfplane" for row in rep.table)
+    assert 64 * 33 < rows < 64 * 34
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +631,55 @@ def test_poincare_gap_matches_the_dense_solve(tfg, count):
     assert rep["vertices"] == count
     assert rep["mu1"] == pytest.approx(ref, rel=1e-9)
     assert val == 1.0 / math.sqrt(rep["mu1"])
+
+
+# mu1 measured on tf_grid_of(make_grid(16, count)), disks centred at 0:
+# (count, weight, radius) -> mu1. The uniform disk's closed form is
+# (j'_{1,1} / R)^2; the weight e^{-pi |z|^2} is the constant-field pair's
+# m1^2, whose Bakry-Emery floor is 2 pi.
+_POINCARE_PINS = {
+    (256, "uniform", 1.5): 1.505087,
+    (256, "uniform", 2.5): 0.539401,
+    (512, "uniform", 1.5): 1.500057,
+    (512, "uniform", 2.5): 0.539323,
+    (256, "gaussian", 1.5): 6.317882,
+    (256, "gaussian", 2.5): 6.282876,
+    (512, "gaussian", 1.5): 6.317321,
+    (512, "gaussian", 2.5): 6.282876,
+}
+
+
+def _pinned_mu1(count, weight, radius):
+    tg = tf_grid_of(make_grid(16.0, count))
+    w = None
+    if weight == "gaussian":
+        w = TFField(tg, np.exp(-math.pi * (tg.xmesh() ** 2 + tg.wmesh() ** 2))
+                    * np.ones(tg.shape))
+    _, rep = poincare_constant(DomainMask.disk(tg, 0j, radius), w)
+    # the pins carry six decimals
+    assert rep["mu1"] == pytest.approx(
+        _POINCARE_PINS[count, weight, radius], abs=1e-6)
+    return rep["mu1"]
+
+
+@pytest.mark.parametrize("count", [256, 512])
+@pytest.mark.parametrize("radius", [1.5, 2.5])
+def test_uniform_disk_gap_errs_low_within_one_percent(count, radius):
+    """The discrete mu1 of a uniform disk sits below (j'_{1,1} / R)^2, by
+    at most 1% at both refinements, so C_P = 1 / sqrt(mu1) errs high."""
+    ratio = _pinned_mu1(count, "uniform", radius) / uniform_disk_mu1(radius)
+    assert 0.99 < ratio < 1.0
+
+
+@pytest.mark.parametrize("count", [256, 512])
+def test_gaussian_weight_gap_meets_the_bakry_emery_floor(count):
+    """Weight e^{-pi |z|^2}: mu1 >= 2 pi on every convex domain, with
+    equality for large domains. On the disk of radius 2.5 the discrete mu1
+    sits below 2 pi by less than 1e-4 relative (it errs low, so C_P errs
+    high); the smaller disk of radius 1.5 lifts it less than 1% above."""
+    floor = bakry_emery_floor(math.pi)
+    assert 1.0 - 1e-4 < _pinned_mu1(count, "gaussian", 2.5) / floor < 1.0
+    assert 1.0 < _pinned_mu1(count, "gaussian", 1.5) / floor < 1.01
 
 
 def test_poincare_weight_clipping_is_reported(tfg):
