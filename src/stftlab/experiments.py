@@ -10,6 +10,7 @@ two runs of the same manifest write byte-identical tables.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -781,10 +782,23 @@ def _run_sobolev_ratio(manifest, fx, pr):
     return tables, specs, extra
 
 
+class _KeptDerivative(SobolevNorm):
+    """SobolevNorm(s, p, r) that keeps ||<D>^s D||_p, the derivative term
+    of the field it measured last, as `derivative`."""
+
+    def __call__(self, obj) -> float:
+        low, self.derivative = itertools.starmap(riemann_lp, self._terms(obj))
+        return float(low + self.derivative)
+
+
 def _sobolev_ratio_rows(fam, window, pr):
     """Transform each member once: the ratio rows against V perturbed, then
-    |V perturbed| and the (label, modulus) members of the band split."""
-    den = SobolevNorm(pr["s"], pr["p"], pr["r"])
+    |V perturbed| and the (label, modulus) members of the band split.
+
+    The rung-k denominator and the band split both take ||<D>^s D_k||_p of
+    D_k = |V perturbed| - |V flipped[k]|; the denominator keeps it, and the
+    flip member carries it to lp_reduction_rows as a third entry."""
+    den = _KeptDerivative(pr["s"], pr["p"], pr["r"])
     va = stft(fam.perturbed, window)
     rows = []
     members = [("base", modulus(stft(fam.base, window)))]
@@ -793,7 +807,7 @@ def _sobolev_ratio_rows(fam, window, pr):
         res = field_instability_ratio(va, vb, k, pr["q"], den)
         rows.append([k, fam.ladder[k], fam.scales[k], res.ratio, res.target,
                      int(res.saturated), int(res.degenerate)])
-        members.append((f"flip{k}", modulus(vb)))
+        members.append((f"flip{k}", modulus(vb), den.derivative))
     return rows, modulus(va), members
 
 

@@ -26,6 +26,7 @@ from .norms import (
     SobolevNorm,
     XpSigmaNorm,
     _certified_min,
+    _derivative_term,
     frac_sobolev_norm,
     japanese_bracket,
     modulus_difference,
@@ -425,7 +426,9 @@ def stft_instability_family(f: Signal, window: WindowSpec, closeness: float,
         bumps = [delta * s * m.values for s, m in zip(scales, mods)]
         perturbed = _member(f, bumps, [1] * n_max)
         moved = stft(perturbed, window)
-        drift = strong(moved.like(moved.values - base_field.values))
+        # the drift in place: moved is not read again
+        moved.values -= base_field.values
+        drift = strong(moved)
         if drift < closeness:
             break
         delta *= 0.5
@@ -456,16 +459,25 @@ def lp_reduction_rows(a: Sampled, members: list, s: float, p: float) -> list:
                                + 2^{-j d} (||A||_{W^{s+d,p}} + ||B||_{W^{s+d,p}}) )
 
     with d = _LP_GAIN; ||A||_{W^{s+d,p}} is taken once for all members, and
-    ||D||_{L^p} is read off the terms of ||D||_{W^{s,p}}. One row per member
-    and j, labelled "pair", with both sides and the constant the inequality
-    would need; the harness pins max(constant).
+    ||D||_{W^{s,p}} is summed from ||D||_{L^p} and ||<D>^s D||_p. One row
+    per member and j, labelled "pair", with both sides and the constant the
+    inequality would need; the harness pins max(constant).
+
+    A member (label, B, derivative) brings ||<D>^s D||_p of its D measured
+    already: thm15's ratio denominators take that norm of the same D, bit
+    for bit, so it is not transformed twice. The scalar travels, not the
+    field: D is rebuilt here for its L^p norm, which costs one pass, while
+    holding every D from the ratio loop until the band split would keep a
+    full field per member alive.
     """
     high_a = frac_sobolev_norm(a, s + _LP_GAIN, p)
     norm = SobolevNorm(s, p)
     rows = []
-    for label, b in members:
+    for label, b, *measured in members:
         diff = modulus_difference(a, b)
-        low, derivative = (riemann_lp(*term) for term in norm._terms(diff))
+        low = riemann_lp(diff.values, diff.space.cell, norm.p)
+        derivative = (measured[0] if measured else
+                      riemann_lp(*_derivative_term(diff, norm.s, norm.p)))
         lhs = low + derivative
         high = high_a + frac_sobolev_norm(b, s + _LP_GAIN, p)
         for j in _LP_SCALES:

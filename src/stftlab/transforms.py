@@ -18,7 +18,6 @@ from .grids import (
     Signal,
     TFField,
     TFGrid,
-    cdft,
     cdft2,
     gaussian,
     hermite,
@@ -91,18 +90,30 @@ def parse_window(text: str) -> WindowSpec:
 def _stft_values(fv: np.ndarray, wv: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Rows indexed by window center x_i, columns by frequency.
 
-    Row i windows f by conj(w)(t - x_i), a cyclic shift of one conjugated
-    window: with cw = conj(w) rolled by -N/2, row i is cw[(t - i) mod N],
-    which is entry n - i of the sliding windows over cw twice over. The
-    rows are therefore a strided view, with no gather.
+    Row i is dx times the centred DFT of f(t) conj(w)(t - x_i). That DFT
+    first rolls its input by -N/2 (ifftshift), so with fs = f rolled by
+    -N/2 it transforms fs[t] conj(w)[(t - i) mod N]: the same products of
+    the same numbers, with the shift folded into fs. The window factor is
+    entry n - i of the sliding windows over conj(w) twice over, a strided
+    view with no gather. Each batch of _STFT_CHUNK rows is multiplied and
+    transformed in one reused buffer; the output shift (fftshift) only
+    swaps the two halves of a row, so each half is scaled by dx straight
+    into its place in out.
     """
     n = grid.count
-    cw = np.roll(np.conj(wv), -(n // 2))
+    h = n // 2
+    fs = np.roll(fv, -h)[None, :]
+    cw = np.conj(wv)
     circ = sliding_window_view(np.concatenate([cw, cw]), n)[n:0:-1]
     out = np.empty((n, n), dtype=np.complex128)
+    buf = np.empty((min(_STFT_CHUNK, n), n), dtype=np.complex128)
     for start in range(0, n, _STFT_CHUNK):
         rows = slice(start, start + _STFT_CHUNK)
-        out[rows] = grid.dx * cdft(fv[None, :] * circ[rows], axis=1)
+        block = buf[:min(_STFT_CHUNK, n - start)]
+        np.multiply(fs, circ[rows], out=block)
+        np.fft.fft(block, axis=1, out=block)
+        np.multiply(grid.dx, block[:, h:], out=out[rows, :h])
+        np.multiply(grid.dx, block[:, :h], out=out[rows, h:])
     return out
 
 

@@ -1,8 +1,10 @@
 """The gathered STFT: the reference for `transforms._stft_values`, which
-reads its windowed slices from a strided circulant view. Here every row
-gathers conj(w)(t - x_i) through an explicit index matrix. Both paths
-multiply the same numbers in the same batches of `_STFT_CHUNK` rows, so
-they agree bit for bit."""
+reads its windowed slices from a strided circulant view, folds the input
+shift of the centred DFT into a roll of f and writes the shifted output
+halves in place. Here every row gathers conj(w)(t - x_i) through an
+explicit index matrix and goes through `grids.cdft`, shift copies and all.
+Both paths multiply the same numbers in the same batches of `_STFT_CHUNK`
+rows, so they agree bit for bit."""
 
 import numpy as np
 

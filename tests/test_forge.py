@@ -35,6 +35,7 @@ from stftlab.norms import (
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,
+    _derivative_term,
     disjointness_witness,
     frac_sobolev_norm,
     inner_l2,
@@ -645,6 +646,45 @@ def test_lp_reduction_rows_takes_the_reference_norm_once(monkeypatch):
             assert r["lhs"] == frac_sobolev_norm(diff, 1.0, 2.0)
             assert r["low_term"] == 2.0 ** r["j"] * low
             assert r["high_term"] == 2.0 ** (-0.25 * r["j"]) * high
+
+
+def test_lp_reduction_rows_takes_a_measured_derivative_as_it_is(monkeypatch):
+    grid = make_grid(16.0, 256)
+    w = WindowSpec("gaussian")
+    a = modulus(stft(gaussian(grid), w))
+    members = [(f"hermite{n}", modulus(stft(hermite(grid, n), w)))
+               for n in (1, 2)]
+    want = lp_reduction_rows(a, members, 1.0, 2.0)
+    measured = [(label, b, riemann_lp(*_derivative_term(
+        modulus_difference(a, b), 1.0, 2.0))) for label, b in members]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _derivative_term(*args)
+
+    monkeypatch.setattr(forge, "_derivative_term", counted)
+    assert lp_reduction_rows(a, measured, 1.0, 2.0) == want
+    assert calls == []
+    # a member without the third entry still takes its own term
+    lp_reduction_rows(a, measured[:1] + members[1:], 1.0, 2.0)
+    assert len(calls) == 1
+
+
+def test_thm15_band_split_reads_the_ratio_denominators_term():
+    fam, window, pr, _ = _thm15(reduced=True)
+    rows, am, members = ex._sobolev_ratio_rows(fam, window, pr)
+    flips = [m for m in members if m[0].startswith("flip")]
+    assert [m[0] for m in flips] == [f"flip{k}" for k in range(pr["n_max"])]
+    va = stft(fam.perturbed, window)
+    den = SobolevNorm(pr["s"], pr["p"], pr["r"])
+    for k, (_, b, derivative) in enumerate(flips):
+        diff = modulus_difference(am, b)
+        assert derivative == riemann_lp(*_derivative_term(diff, pr["s"],
+                                                          pr["p"]))
+        vb = stft(fam.flipped[k], window)
+        want = field_instability_ratio(va, vb, k, pr["q"], den).ratio
+        assert rows[k][3] == want
 
 
 def test_modulus_difference_checks_grids():

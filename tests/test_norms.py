@@ -26,6 +26,7 @@ from stftlab.norms import (
     SobolevNorm,
     XpSigmaNorm,
     _derivative_term,
+    _weighted,
     bessel_potential,
     disjointness_witness,
     field_gradient,
@@ -43,6 +44,7 @@ from stftlab.rng import SplitMix64
 from stftlab.transforms import stft
 
 import centred_oracle
+import spectrum_oracle
 from conftest import random_signal
 from phase_scan_oracle import brute_force_distance, scan_distance
 
@@ -700,3 +702,50 @@ def test_fft_order_path_matches_the_centred_oracle(name):
         got = bessel_potential(obj, s).values
         want = centred_oracle.bessel_potential(obj, s).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# quadrant meshes and padded-stride spectra against the full-mesh oracle
+
+
+def _spectrum_oracle_operands():
+    rng = SplitMix64(2218)
+    grids = {
+        "self-dual-16/256": tf_grid_of(make_grid(16.0, 256)),
+        "non-self-dual-32/256": tf_grid_of(make_grid(32.0, 256)),
+        # rectangular, and its transpose, so that swapped axes show
+        "rectangular-64x32": TFGrid(make_grid(8.0, 64), make_grid(4.0, 32)),
+        "rectangular-32x64": TFGrid(make_grid(4.0, 32), make_grid(8.0, 64)),
+    }
+    grid = make_grid(16.0, 256)
+    ops = {"signal": Signal(grid, rng.normals(256) + 1j * rng.normals(256))}
+    for name, tg in grids.items():
+        cells = tg.shape[0] * tg.shape[1]
+        re = rng.normals(cells).reshape(tg.shape)
+        im = rng.normals(cells).reshape(tg.shape)
+        ops[f"{name}-real"] = TFField(tg, re)
+        ops[f"{name}-complex"] = TFField(tg, re + 1j * im)
+    return ops
+
+
+@pytest.mark.parametrize("name", list(_spectrum_oracle_operands()))
+def test_quadrant_meshes_and_padded_spectra_match_the_full_mesh_bitwise(name):
+    obj = _spectrum_oracle_operands()[name]
+    sp = obj.space
+    for r in (0.5, 1.0, 2.0):
+        assert np.array_equal(_weighted(obj.values, sp, r),
+                              spectrum_oracle.weighted(obj.values, sp, r)), r
+    for s in (0.5, 1.0, 1.25, 2.0):
+        for p in (2.0, 3.0):
+            got, cell, q = _derivative_term(obj, s, p)
+            want, want_cell, want_q = spectrum_oracle.derivative_term(obj, s, p)
+            assert (cell, q) == (want_cell, want_q)
+            assert np.array_equal(got, want), (s, p)
+            for r in (0.5, 1.0, 2.0):
+                terms = [(spectrum_oracle.weighted(obj.values, sp, r),
+                          sp.cell, p), (want, cell, q)]
+                assert SobolevNorm(s, p, r)(obj) == float(
+                    sum(riemann_lp(*t) for t in terms)), (s, p, r)
+        got = bessel_potential(obj, s).values
+        assert np.array_equal(
+            got, spectrum_oracle.bessel_potential(obj, s).values), s

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stftlab.transforms import (
     parse_window,
     phaseless,
     recover,
+    _STFT_CHUNK,
     stft,
     window_comparison_ratio,
 )
@@ -155,6 +157,22 @@ def test_stft_and_ambiguity_are_the_gathered_transform(length, count,
     # which swaps the factors, and a fused complex product is not symmetric
     v = stft_oracle.stft_values(f.values, f.values, grid)
     assert np.array_equal(_bits(ambiguity(f).values), _bits(twist * v))
+
+
+def test_stft_holds_its_output_and_about_one_chunk():
+    # the product, the FFT and the scaled halves share one chunk buffer;
+    # shifted copies around the FFT would hold three chunks at once
+    grid = make_grid(16.0, 512)
+    f = random_signal(grid, 5)
+    window = WindowSpec("gaussian")
+    tracemalloc.start()
+    try:
+        field = stft(f, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = _STFT_CHUNK * grid.count * 16
+    assert peak <= field.values.nbytes + 1.5 * chunk
 
 
 # ---------------------------------------------------------------------------
