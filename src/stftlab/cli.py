@@ -80,15 +80,14 @@ def _flag(name: str, convert, raw):
         raise _Usage(f"argument {name}: {e}") from None
 
 
-def _at_least(low: float, convert=float, strict: bool = False):
-    """argparse type: a `convert` value >= low (> low when strict), never
-    NaN, so that a bad value exits 2 with a message naming the flag."""
-    want = (f"{'an integer' if convert is int else 'a number'} "
-            f"{'>' if strict else '>='} {low:g}")
+def _at_least(low: float, strict: bool = False):
+    """argparse type: a number >= low (> low when strict), never NaN, so
+    that a bad value exits 2 with a message naming the flag."""
+    want = f"a number {'>' if strict else '>='} {low:g}"
 
     def parse(raw: str):
         try:
-            value = convert(raw)
+            value = float(raw)
         except ValueError:
             value = math.nan
         if not (value > low if strict else value >= low):
@@ -202,22 +201,24 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+# cheeger_estimate's keywords; each left out takes its default there
+_SWEEP_FLAGS = ("thresholds", "centers", "radii", "directions", "offsets")
+
+
 def _cmd_cheeger(args) -> int:
     from .geometry import cheeger_estimate
 
-    if (args.thresholds < 2 and args.directions < 1
-            and min(args.centers, args.radii) < 1):
-        raise _Usage("argument --thresholds/--centers/--radii/--directions: "
-                     "every candidate family is empty")
     field = _load_operand(args.density, "density", "field")
+    sweep = {flag: getattr(args, flag) for flag in _SWEEP_FLAGS
+             if getattr(args, flag) is not None}
     try:
-        report = cheeger_estimate(field, thresholds=args.thresholds,
-                                  centers=args.centers, radii=args.radii,
-                                  directions=args.directions,
-                                  offsets=args.offsets)
+        report = cheeger_estimate(field, **sweep)
     except ValueError as e:
-        if str(e).startswith("density"):  # bad input, not a failed sweep
-            raise _Usage(f"argument density: {e}") from None
+        # bad input is named first, a sweep that finds no candidate is not
+        name = str(e).split()[0]
+        if name == "density" or name in _SWEEP_FLAGS:
+            flag = name if name == "density" else f"--{name}"
+            raise _Usage(f"argument {flag}: {e}") from None
         raise
     _emit({"value": report.value, "family": report.family,
            "params": report.params, "total_mass": report.total_mass},
@@ -299,91 +300,48 @@ def _cmd_recover(args) -> int:
 _CONFIG_KEYS = ("fixture", "params", "seed")
 
 
-def _json_kind(v) -> str:
-    for t, kind in ((bool, "a boolean"), (int, "an integer"),
-                    (float, "a number"), (str, "a string"),
-                    (list, "an array"), (dict, "an object")):
-        if isinstance(v, t):
-            return kind
-    return "null"
-
-
-def _check_config_type(name: str, default, value) -> None:
-    """A patched value must have the JSON type of the registered default;
-    an integer may stand for a number, a boolean never for an integer."""
-    want, got = _json_kind(default), _json_kind(value)
-    if want != got and (want, got) != ("a number", "an integer"):
-        raise _Usage(f"argument --config: {name} must be {want}, "
-                     f"got {json.dumps(value)}")
-    if want == "an array" and default:
-        for i, item in enumerate(value):
-            _check_config_type(f"{name}[{i}]", default[0], item)
-
-
 def _manifest_from_args(args):
+    """The registered manifest of args.id with --seed and the --config
+    patch merged in; experiments.check_manifest names a bad value."""
     import dataclasses
 
     from . import experiments
 
     try:
-        manifest = experiments.default_manifest(args.id, seed=args.seed,
-                                                out_dir=args.out,
+        manifest = experiments.default_manifest(args.id, out_dir=args.out,
                                                 reduced=args.reduced)
     except ValueError as e:
         raise _Usage(f"argument id: {e}") from None
-    if args.config is None:
-        return manifest
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise _Usage(f"argument --config: no such file "
-                     f"{args.config!r}") from None
-    except json.JSONDecodeError as e:
-        raise _Usage(f"argument --config: not valid JSON ({e})") from None
-    if not isinstance(raw, dict):
-        raise _Usage("argument --config: top level must be an object")
-    for key in raw:
-        if key not in _CONFIG_KEYS:
-            raise _Usage(f"argument --config: unknown key {key!r} "
-                         f"(allowed: {', '.join(_CONFIG_KEYS)})")
-    for section in ("fixture", "params"):
-        patch = raw.get(section, {})
-        if not isinstance(patch, dict):
-            raise _Usage(f"argument --config: {section} must be an object")
-        base = getattr(manifest, section)
-        for key in patch:
-            if key not in base:
-                raise _Usage(f"argument --config: unknown {section} key "
-                             f"{key!r} (allowed: {', '.join(base)})")
-            _check_config_type(f"{section}.{key}", base[key], patch[key])
-    seed = raw.get("seed", manifest.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise _Usage("argument --config: seed must be an integer")
-    fixture = {**manifest.fixture, **raw.get("fixture", {})}
-    _check_fixture_grids(fixture)
-    return dataclasses.replace(
-        manifest, fixture=fixture,
-        params={**manifest.params, **raw.get("params", {})},
-        seed=seed)
-
-
-def _check_fixture_grids(fixture: dict) -> None:
-    """Build each grid a patched fixture declares, so that make_grid's
-    limits end in exit 2 naming the field instead of failing in the run."""
-    from .grids import make_grid
-
-    if "count" in fixture:
-        counts = [("fixture.count", fixture["count"])]
-    else:
-        counts = [(f"fixture.counts[{i}]", c)
-                  for i, c in enumerate(fixture.get("counts", []))]
-    for name, count in counts:
+    raw = {}
+    if args.config is not None:
         try:
-            make_grid(fixture["length"], count)
-        except ValueError as e:
-            if str(e).startswith("grid length"):
-                name = "fixture.length"
-            raise _Usage(f"argument --config: {name}: {e}") from None
+            raw = json.loads(Path(args.config).read_text())
+        except FileNotFoundError:
+            raise _Usage(f"argument --config: no such file "
+                         f"{args.config!r}") from None
+        except json.JSONDecodeError as e:
+            raise _Usage(f"argument --config: not valid JSON ({e})") from None
+        if not isinstance(raw, dict):
+            raise _Usage("argument --config: top level must be an object")
+        for key in raw:
+            if key not in _CONFIG_KEYS:
+                raise _Usage(f"argument --config: unknown key {key!r} "
+                             f"(allowed: {', '.join(_CONFIG_KEYS)})")
+        for section in ("fixture", "params"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise _Usage(f"argument --config: {section} must be an "
+                             "object")
+    manifest = dataclasses.replace(
+        manifest, fixture={**manifest.fixture, **raw.get("fixture", {})},
+        params={**manifest.params, **raw.get("params", {})},
+        seed=raw.get("seed", args.seed))
+    try:
+        experiments.check_manifest(manifest)
+    except ValueError as e:
+        flag = ("--seed" if str(e).startswith("seed") and "seed" not in raw
+                else "--config")
+        raise _Usage(f"argument {flag}: {e}") from None
+    return manifest
 
 
 def _cmd_run(args) -> int:
@@ -485,9 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("cheeger", "estimate the Cheeger quotient of a density dump",
             _cmd_cheeger)
     p.add_argument("density", help="field dump with nonnegative values")
-    for flag, default in (("thresholds", 256), ("centers", 9), ("radii", 16),
-                          ("directions", 64), ("offsets", 33)):
-        p.add_argument(f"--{flag}", type=_at_least(0, int), default=default)
+    for flag in _SWEEP_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("poincare", "weighted Poincare constant of a domain",

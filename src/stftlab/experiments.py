@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,6 +33,7 @@ from .forge import (
 from .geometry import (
     DomainMask,
     cheeger_estimate,
+    check_sweep,
     connectivity,
     gluing_bound,
     poincare_constant,
@@ -64,6 +66,7 @@ from .norms import (
 )
 from .rng import SplitMix64
 from .transforms import (
+    _require_self_dual,
     ambiguity,
     ambiguity_relation_residual,
     covariance_residual,
@@ -80,6 +83,7 @@ __all__ = [
     "INVARIANTS",
     "ExperimentManifest",
     "ExperimentResult",
+    "check_manifest",
     "default_manifest",
     "experiment_ids",
     "list_experiments",
@@ -90,72 +94,23 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# invariants referenced by assertions
+# invariant ids an assertion may name; its description says what holds
 
-INVARIANTS = {
-    "transforms.isometry":
-        "the transform preserves the L2 norm up to grid rounding",
-    "transforms.covariance":
-        "lattice time-frequency shifts move the transform by the known "
-        "phase twist",
-    "transforms.ambiguity-relation":
-        "the measurement spectrum factors through the windowed ambiguity "
-        "product",
-    "transforms.recovery":
-        "division-based inversion returns the signal up to a global phase",
-    "transforms.recovery-noisy":
-        "inversion degrades gracefully at finite SNR (report only)",
-    "transforms.window-comparison":
-        "window-change ratio: exact for equal windows, finite or flagged "
-        "otherwise",
-    "forge.ratio-growth":
-        "instability ratios clear their 2^n targets and grow along the "
-        "verified window",
-    "forge.window-pin":
-        "the verified window of the gaussian ladder is pinned",
-    "forge.far-phase-floor":
-        "far phases cannot fake the modulus match",
-    "forge.bump-estimates":
-        "the four bump estimates hold with the implementation constant",
-    "forge.tail-decay":
-        "annulus tail masses decay at the scheduled rate",
-    "forge.sobolev-ratio":
-        "transform-side instability ratios clear per-rung targets",
-    "forge.family-closeness":
-        "the perturbed family stays inside its closeness budget",
-    "norms.band-split":
-        "band splitting controls the Sobolev norm with a pinned constant",
-    "norms.modulus-contraction":
-        "taking moduli does not increase smooth-field Sobolev mass below "
-        "the threshold",
-    "norms.modulus-threshold-sharp":
-        "above the threshold, creased moduli outweigh their sources",
-    "norms.disjointness-decay":
-        "overlap witnesses decay geometrically along the ladder",
-    "norms.disjointness-edge":
-        "overlap witness edge cases are exact",
-    "geometry.cheeger-closed-form":
-        "gaussian Cheeger quotients match the closed form",
-    "geometry.cheeger-refinement":
-        "Cheeger estimates are stable under grid refinement",
-    "geometry.cheeger-decay":
-        "adding ladder rungs strangles the Cheeger constant",
-    "geometry.gluing-soundness":
-        "the glued stability bound dominates the measured whole-domain "
-        "constant",
-    "geometry.gluing-formula":
-        "the gluing combination is computed exactly from its inputs",
-    "geometry.lambda-range":
-        "connectivity quotients stay in (0, 1/2]",
-    "geometry.neumann-gap":
-        "the spectral gap of the unit square matches pi^2",
-    "geometry.disconnected-inf":
-        "disconnected domains report an infinite constant",
-    "geometry.certificate-soundness":
-        "the certificate bound dominates the measured phase distance",
-    "geometry.log-derivative-vanishes":
-        "the coupling term vanishes for a constant holomorphic part",
-}
+INVARIANTS = frozenset({
+    "transforms.isometry", "transforms.covariance",
+    "transforms.ambiguity-relation", "transforms.recovery",
+    "transforms.recovery-noisy", "transforms.window-comparison",
+    "forge.ratio-growth", "forge.window-pin", "forge.far-phase-floor",
+    "forge.bump-estimates", "forge.tail-decay", "forge.sobolev-ratio",
+    "forge.family-closeness", "norms.band-split", "norms.modulus-contraction",
+    "norms.modulus-threshold-sharp", "norms.disjointness-decay",
+    "norms.disjointness-edge", "geometry.cheeger-closed-form",
+    "geometry.cheeger-refinement", "geometry.cheeger-decay",
+    "geometry.gluing-soundness", "geometry.gluing-formula",
+    "geometry.lambda-range", "geometry.neumann-gap",
+    "geometry.disconnected-inf", "geometry.certificate-soundness",
+    "geometry.log-derivative-vanishes",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +437,7 @@ def verify_run(out_dir: str | Path) -> dict:
 
 
 def _grid(fx: dict):
-    return make_grid(float(fx["length"]), int(fx["count"]))
-
-
-def _require_square(grid, what: str) -> None:
-    if not grid.is_self_dual:
-        raise ValueError(
-            f"infeasible grid for {what}: needs length^2 == count, got "
-            f"length {grid.length:g} with {grid.count} samples")
+    return make_grid(fx["length"], fx["count"])
 
 
 def _smooth_signal(grid, rng: SplitMix64, kmax: int, decay: float) -> Signal:
@@ -517,12 +465,40 @@ def _l2(obj) -> float:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# registry and runners
 #
-# Each runner returns (tables, assertion_specs, summary_extra). Tables map
-# name -> (header, rows). Assertion specs are dicts from _assertion.
+# Each runner is registered with its experiment's declaration and returns
+# (tables, assertion_specs, summary_extra). Tables map name -> (header,
+# rows). Assertion specs are dicts from _assertion.
 
 
+@dataclass(frozen=True)
+class _ExperimentDef:
+    description: str
+    fixture: dict
+    params: dict
+    reduced: dict
+    runner: object
+    self_dual: str | None
+
+
+_REGISTRY: dict = {}
+
+
+def _register(id, description, fixture, params, reduced=None, self_dual=None):
+    """Register the runner; self_dual names what needs a self-dual grid."""
+    def add(runner):
+        _REGISTRY[id] = _ExperimentDef(description, fixture, params,
+                                       reduced or {}, runner, self_dual)
+        return runner
+    return add
+
+
+@_register("isometry-sweep",
+          "L2 norm preservation of the transform on random signals",
+          {"length": 32.0, "count": 512},
+          {"trials": 20, "tol": 1e-4},
+          reduced={"params": {"trials": 5}})
 def _run_isometry(manifest, fx, pr):
     grid = _grid(fx)
     rng = SplitMix64(manifest.seed)
@@ -542,6 +518,11 @@ def _run_isometry(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("covariance-lattice",
+          "shift covariance on an on-grid time-frequency lattice",
+          {"length": 16.0, "count": 256,
+           "windows": ["gaussian", "hermite:1"]},
+          {"span": 2, "stride": 8, "tol": 1e-8})
 def _run_covariance(manifest, fx, pr):
     grid = _grid(fx)
     f = random(grid, SplitMix64(manifest.seed))
@@ -564,9 +545,15 @@ def _run_covariance(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("ambiguity-relation",
+          "measurement spectrum versus windowed ambiguity product",
+          {"length": 16.0, "count": 256,
+           "windows": ["gaussian", "hermite:1", "hermite:2"],
+           "signals": ["gaussian", "hermite:1", "hermite:2", "random"]},
+          {"tol": 1e-3},
+          self_dual="the ambiguity relation")
 def _run_ambiguity(manifest, fx, pr):
     grid = _grid(fx)
-    _require_square(grid, "the ambiguity relation")
     rng = SplitMix64(manifest.seed)
     tol = pr["tol"]
     rows = []
@@ -585,10 +572,11 @@ def _run_ambiguity(manifest, fx, pr):
     return tables, specs, {}
 
 
-def _recovery_rows(grid, signals, window, noise=None, threshold=None):
+def _recovery_rows(grid, signals, window, seed, noise=None, threshold=None):
+    rng = SplitMix64(seed)
     rows = []
-    for sname in signals:
-        f = parse_window(sname).build(grid)
+    for si, sname in enumerate(signals):
+        f = _named_signal(sname, grid, rng.spawn(si + 1))
         m = phaseless(f, window)
         if noise is not None:
             m = noise(m, sname)
@@ -599,12 +587,18 @@ def _recovery_rows(grid, signals, window, noise=None, threshold=None):
     return rows
 
 
+@_register("recover-noiseless",
+          "phase retrieval by ambiguity division without noise",
+          {"length": 16.0, "count": 256, "window": "gaussian",
+           "signals": ["gaussian", "hermite:1", "hermite:2"]},
+          {"tol": 1e-2},
+          self_dual="recovery")
 def _run_recover_noiseless(manifest, fx, pr):
     grid = _grid(fx)
-    _require_square(grid, "recovery")
     w = parse_window(fx["window"])
     tol = pr["tol"]
-    rows = [r + [tol] for r in _recovery_rows(grid, fx["signals"], w)]
+    rows = [r + [tol] for r in _recovery_rows(grid, fx["signals"], w,
+                                                manifest.seed)]
     tables = {"recovery": (["signal", "rel_error", "masked_fraction",
                             "threshold", "tol"], rows)}
     specs = [_assertion(
@@ -614,9 +608,15 @@ def _run_recover_noiseless(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("recover-noisy",
+          "phase retrieval by ambiguity division at finite SNR",
+          {"length": 16.0, "count": 256, "window": "gaussian",
+           "signals": ["gaussian", "hermite:1", "hermite:2"]},
+          {"tol": 1e-1, "snr_db": 30.0, "trials": 2, "tau_scale": 1e-2},
+          reduced={"params": {"trials": 1}},
+          self_dual="recovery")
 def _run_recover_noisy(manifest, fx, pr):
     grid = _grid(fx)
-    _require_square(grid, "recovery")
     w = parse_window(fx["window"])
     tol, snr = pr["tol"], pr["snr_db"]
     rng = SplitMix64(manifest.seed)
@@ -637,8 +637,8 @@ def _run_recover_noisy(manifest, fx, pr):
                               0.0)
             return TFField(m.tfgrid, vals.astype(np.complex128))
 
-        for r in _recovery_rows(grid, fx["signals"], w, noise=noisy,
-                                threshold=threshold):
+        for r in _recovery_rows(grid, fx["signals"], w, manifest.seed,
+                                noise=noisy, threshold=threshold):
             rows.append([trial] + r + [tol])
     tables = {"recovery_noisy": (["trial", "signal", "rel_error",
                                   "masked_fraction", "threshold", "tol"],
@@ -658,6 +658,14 @@ def _ladder_schedule(fx, pr, sigma):
                                    pr["q"], n_max=pr["n_max"])
 
 
+@_register("prop21-gaussian-ratio",
+          "instability ratio ladder of the gaussian seed",
+          {"length": 256.0, "count": 2048, "sigma": 0.0},
+          {"p": 2.0, "q": 2.0, "delta": 0.1, "n_max": 5, "growth": 1.8,
+           "window_contains": [2, 4], "window_pin": [0, 4]},
+          reduced={"fixture": {"length": 128.0, "count": 1024},
+                   "params": {"n_max": 4, "window_contains": [2, 3],
+                              "window_pin": [0, 3]}})
 def _run_gaussian_ratio(manifest, fx, pr):
     sched = _ladder_schedule(fx, pr, fx["sigma"])
     p, q, delta = pr["p"], pr["q"], pr["delta"]
@@ -703,6 +711,12 @@ def _run_gaussian_ratio(manifest, fx, pr):
     return tables, specs, extra
 
 
+@_register("lemma22-bounds",
+          "the four bump estimates across weights",
+          {"length": 256.0, "count": 2048, "sigmas": [0.0, 1.0]},
+          {"p": 2.0, "q": 2.0, "n_max": 5, "slope_cap": -3.5},
+          reduced={"fixture": {"length": 128.0, "count": 1024},
+                   "params": {"n_max": 4}})
 def _run_bump_bounds(manifest, fx, pr):
     bound_rows, slope_rows = [], []
     for sigma in fx["sigmas"]:
@@ -750,6 +764,13 @@ def _run_bump_bounds(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("thm15-sobolev-ratio",
+          "transform-side instability family with Sobolev denominators",
+          {"length": 16.0, "count": 2048, "window": "gaussian",
+           "signal": "gaussian"},
+          {"s": 1.0, "p": 2.0, "r": 1.0, "q": 2.0, "n_max": 3, "delta": 0.1,
+           "closeness": 0.1, "lp_cap": 4.0},
+          reduced={"fixture": {"count": 1024}, "params": {"n_max": 2}})
 def _run_sobolev_ratio(manifest, fx, pr):
     grid = _grid(fx)
     spec = NormSpec(s=pr["s"], p=pr["p"], r=pr["r"], q=pr["q"])
@@ -819,6 +840,10 @@ def _band_split_table(am, members, pr):
     return header + ["cap"], rows
 
 
+@_register("lp-reduction",
+          "band-split control of modulus differences",
+          {"length": 16.0, "count": 256, "window": "gaussian"},
+          {"s": 1.0, "p": 2.0, "shift": 1.0, "modulation": 2.0, "lp_cap": 4.0})
 def _run_lp_reduction(manifest, fx, pr):
     grid = _grid(fx)
     w = parse_window(fx["window"])
@@ -844,6 +869,14 @@ def _gaussian_density(tg: TFGrid, rate: float) -> TFField:
     return TFField(tg, np.exp(-rate * rr).astype(np.complex128))
 
 
+@_register("cheeger-gaussian",
+          "Cheeger quotients of gaussian densities against closed forms",
+          {"length": 16.0, "counts": [256, 512]},
+          {"rel_tol": 0.01, "drift_tol": 0.10, "sweep": {}},
+          reduced={"fixture": {"counts": [128, 256]},
+                   "params": {"sweep": {"thresholds": 128, "centers": 5,
+                                        "radii": 8, "directions": 32,
+                                        "offsets": 17}}})
 def _run_cheeger_gaussian(manifest, fx, pr):
     sweep = pr["sweep"]
     value_rows, drift_rows = [], []
@@ -884,6 +917,13 @@ def _run_cheeger_gaussian(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("cheeger-trend",
+          "Cheeger decay along the instability ladder",
+          {"length": 128.0, "count": 1024, "sigma": 0.0},
+          {"p": 2.0, "q": 2.0, "delta": 0.1, "n_max": 4, "drop": 0.25,
+           "sweep": {"thresholds": 64, "centers": 5, "radii": 8,
+                     "directions": 32, "offsets": 17}},
+          reduced={"params": {"n_max": 2}})
 def _run_cheeger_trend(manifest, fx, pr):
     sched = _ladder_schedule(fx, pr, fx["sigma"])
     delta = pr["delta"]
@@ -936,6 +976,11 @@ def _stability_lower_bound(vf, adversaries, mask):
     return best
 
 
+@_register("connectivity-gluing",
+          "glued stability bounds on overlapping half-domains",
+          {"length": 16.0, "count": 256, "window": "gaussian",
+           "signal": "gaussian"},
+          {"r": 0.0, "shift": 0.1, "slack_tol": 1e-6})
 def _run_gluing(manifest, fx, pr):
     grid = _grid(fx)
     w = parse_window(fx["window"])
@@ -990,6 +1035,11 @@ def _run_gluing(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("poincare-square",
+          "Neumann spectral gap of the unit square",
+          {"length": 16.0, "count": 2048},
+          {"cells": 128, "rel_tol": 0.02},
+          reduced={"fixture": {"count": 1024}, "params": {"cells": 64}})
 def _run_poincare_square(manifest, fx, pr):
     grid = _grid(fx)
     tg = TFGrid(grid, grid)
@@ -1026,9 +1076,16 @@ def _run_poincare_square(manifest, fx, pr):
     return tables, specs, {"constant": c, "side": side}
 
 
+@_register("certificate-polynomial",
+          "region stability certificates on polynomial holomorphic fields",
+          {"length": 16.0, "count": 256},
+          {"fixtures": 20, "disk_radius": 2.5, "excise_cells": 3,
+           "pert_range": [0.02, 0.08], "t3_rel_cap": 1e-12,
+           "stress_magnitudes": [0.05, 0.1, 0.15, 0.2, 0.3]},
+          reduced={"params": {"fixtures": 6}},
+          self_dual="polynomial certificates")
 def _run_certificate(manifest, fx, pr):
     grid = _grid(fx)
-    _require_square(grid, "polynomial certificates")
     tg = tf_grid_of(grid)
     mask = DomainMask.disk(tg, 0j, pr["disk_radius"])
     rng = SplitMix64(manifest.seed)
@@ -1101,6 +1158,14 @@ def _run_certificate(manifest, fx, pr):
                            "stress_min_slack": stress_slack}
 
 
+@_register("modulus-threshold",
+          "modulus contraction below the Sobolev threshold and its failure "
+          "above",
+          {"length": 16.0, "count": 256},
+          {"s_below": 1.0, "s_above": 1.6, "p": 2.0, "fields": 100, "kmax": 8,
+           "decay": 0.35, "contraction_cap": 1.0,
+           "crease_modes": [4, 8, 16, 32, 64]},
+          reduced={"params": {"fields": 25}})
 def _run_modulus_threshold(manifest, fx, pr):
     grid = _grid(fx)
     rng = SplitMix64(manifest.seed)
@@ -1137,6 +1202,12 @@ def _run_modulus_threshold(manifest, fx, pr):
     return tables, specs, {}
 
 
+@_register("disjointness-link",
+          "geometric decay of overlap witnesses along the ladder",
+          {"length": 256.0, "count": 2048, "sigma": 0.0},
+          {"p": 2.0, "q": 2.0, "delta": 0.1, "n_max": 5, "c_link": 1e-9},
+          reduced={"fixture": {"length": 128.0, "count": 1024},
+                   "params": {"n_max": 4}})
 def _run_disjointness(manifest, fx, pr):
     sched = _ladder_schedule(fx, pr, fx["sigma"])
     delta, c_link = pr["delta"], pr["c_link"]
@@ -1185,9 +1256,13 @@ def _run_disjointness(manifest, fx, pr):
     return tables, specs, {"ladder": [float(j) for j in sched.radii]}
 
 
+@_register("window-ratio",
+          "window-comparison ratio fields: exact, bounded, and flagged cases",
+          {"length": 16.0, "count": 256, "other": "hermite:1"},
+          {"bounded_cap": 50000.0},
+          self_dual="window comparison")
 def _run_window_ratio(manifest, fx, pr):
     grid = _grid(fx)
-    _require_square(grid, "window comparison")
     tg = tf_grid_of(grid)
     bracket_max = float(japanese_bracket(tg.radius()).max())
     same = window_comparison_ratio(parse_window("gaussian"),
@@ -1238,204 +1313,109 @@ def _run_window_ratio(manifest, fx, pr):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# declarations: one rule per fixture and parameter name, checking the JSON
+# type and the range where the quantity means what its name says. Nothing
+# is converted, since the manifest is written into summary.json as given;
+# an integer stands for a number, a boolean for neither.
 
 
-@dataclass(frozen=True)
-class _ExperimentDef:
-    id: str
-    description: str
-    fixture: dict
-    params: dict
-    reduced: dict
-    runner: object
+def _refuse(name: str, want: str, value):
+    raise ValueError(f"{name} must be {want}, got "
+                     f"{json.dumps(value, default=repr)}")
 
 
-_REGISTRY: dict = {}
+class _Number:
+    """A finite number, or an integer, in [lo, hi), or in (lo, hi) if open."""
+
+    def __init__(self, lo=-math.inf, hi=math.inf, open=False, integer=False):
+        self.lo, self.hi, self.open, self.integer = lo, hi, open, integer
+
+    def check(self, name: str, value) -> None:
+        if not (type(value) is int if self.integer else type(value) in (
+                int, float) and abs(value) <= sys.float_info.max):
+            _refuse(name, "an integer" if self.integer else "a finite number",
+                    value)
+        if not (self.lo < value if self.open else self.lo <= value):
+            _refuse(name, "positive" if self.open and self.lo == 0 else
+                    f"{'>' if self.open else '>='} {self.lo}", value)
+        if not value < self.hi:
+            _refuse(name, f"< {self.hi}", value)
 
 
-def _register(id, description, fixture, params, runner, reduced=None):
-    _REGISTRY[id] = _ExperimentDef(id, description, fixture, params,
-                                   reduced or {}, runner)
+class _List:
+    """A non-empty array of item, or if pair an [lo, hi] pair, lo <= hi."""
+
+    def __init__(self, item, pair=False):
+        self.item, self.pair = item, pair
+
+    def check(self, name: str, value) -> None:
+        want = "a pair [lo, hi], lo <= hi" if self.pair else \
+            "a non-empty array"
+        if type(value) is not list or not value or (
+                self.pair and len(value) != 2):
+            _refuse(name, want, value)
+        for i, item in enumerate(value):
+            self.item.check(f"{name}[{i}]", item)
+        if self.pair and value[0] > value[1]:
+            _refuse(name, want, value)
 
 
-_register(
-    "isometry-sweep",
-    "L2 norm preservation of the transform on random signals",
-    {"length": 32.0, "count": 512},
-    {"trials": 20, "tol": 1e-4},
-    _run_isometry,
-    reduced={"params": {"trials": 5}},
-)
+class _Accepted:
+    """A string, or an object, that accept takes without a ValueError."""
 
-_register(
-    "covariance-lattice",
-    "shift covariance on an on-grid time-frequency lattice",
-    {"length": 16.0, "count": 256, "windows": ["gaussian", "hermite:1"]},
-    {"span": 2, "stride": 8, "tol": 1e-8},
-    _run_covariance,
-)
+    def __init__(self, kind: type, accept):
+        self.kind, self.accept = kind, accept
 
-_register(
-    "ambiguity-relation",
-    "measurement spectrum versus windowed ambiguity product",
-    {"length": 16.0, "count": 256,
-     "windows": ["gaussian", "hermite:1", "hermite:2"],
-     "signals": ["gaussian", "hermite:1", "hermite:2", "random"]},
-    {"tol": 1e-3},
-    _run_ambiguity,
-)
+    def check(self, name: str, value) -> None:
+        if type(value) is not self.kind:
+            _refuse(name, "a string" if self.kind is str else "an object",
+                    value)
+        try:
+            self.accept(value)
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
 
-_register(
-    "recover-noiseless",
-    "phase retrieval by ambiguity division without noise",
-    {"length": 16.0, "count": 256, "window": "gaussian",
-     "signals": ["gaussian", "hermite:1", "hermite:2"]},
-    {"tol": 1e-2},
-    _run_recover_noiseless,
-)
 
-_register(
-    "recover-noisy",
-    "phase retrieval by ambiguity division at finite SNR",
-    {"length": 16.0, "count": 256, "window": "gaussian",
-     "signals": ["gaussian", "hermite:1", "hermite:2"]},
-    {"tol": 1e-1, "snr_db": 30.0, "trials": 2, "tau_scale": 1e-2},
-    _run_recover_noisy,
-    reduced={"params": {"trials": 1}},
-)
+_POSITIVE = _Number(0, open=True)
+_REAL = _Number()
+_COUNT = _Number(1, integer=True)
+_SIZE = _Number(0, integer=True)
+_MAGNITUDE = _Number(0.0)
+_GRID_COUNT = _Number(8, integer=True)  # make_grid adds: even, <= MAX_COUNT
+_WINDOW = _Accepted(str, parse_window)
+_RUNGS = _List(_SIZE, pair=True)
 
-_register(
-    "prop21-gaussian-ratio",
-    "instability ratio ladder of the gaussian seed",
-    {"length": 256.0, "count": 2048, "sigma": 0.0},
-    {"p": 2.0, "q": 2.0, "delta": 0.1, "n_max": 5, "growth": 1.8,
-     "window_contains": [2, 4], "window_pin": [0, 4]},
-    _run_gaussian_ratio,
-    reduced={"fixture": {"length": 128.0, "count": 1024},
-             "params": {"n_max": 4, "window_contains": [2, 3],
-                        "window_pin": [0, 3]}},
-)
-
-_register(
-    "lemma22-bounds",
-    "the four bump estimates across weights",
-    {"length": 256.0, "count": 2048, "sigmas": [0.0, 1.0]},
-    {"p": 2.0, "q": 2.0, "n_max": 5, "slope_cap": -3.5},
-    _run_bump_bounds,
-    reduced={"fixture": {"length": 128.0, "count": 1024},
-             "params": {"n_max": 4}},
-)
-
-_register(
-    "thm15-sobolev-ratio",
-    "transform-side instability family with Sobolev denominators",
-    {"length": 16.0, "count": 2048, "window": "gaussian",
-     "signal": "gaussian"},
-    {"s": 1.0, "p": 2.0, "r": 1.0, "q": 2.0, "n_max": 3, "delta": 0.1,
-     "closeness": 0.1, "lp_cap": 4.0},
-    _run_sobolev_ratio,
-    reduced={"fixture": {"count": 1024}, "params": {"n_max": 2}},
-)
-
-_register(
-    "lp-reduction",
-    "band-split control of modulus differences",
-    {"length": 16.0, "count": 256, "window": "gaussian"},
-    {"s": 1.0, "p": 2.0, "shift": 1.0, "modulation": 2.0, "lp_cap": 4.0},
-    _run_lp_reduction,
-)
-
-_register(
-    "cheeger-gaussian",
-    "Cheeger quotients of gaussian densities against closed forms",
-    {"length": 16.0, "counts": [256, 512]},
-    {"rel_tol": 0.01, "drift_tol": 0.10, "sweep": {}},
-    _run_cheeger_gaussian,
-    reduced={"fixture": {"counts": [128, 256]},
-             "params": {"sweep": {"thresholds": 128, "centers": 5,
-                                  "radii": 8, "directions": 32,
-                                  "offsets": 17}}},
-)
-
-_register(
-    "cheeger-trend",
-    "Cheeger decay along the instability ladder",
-    {"length": 128.0, "count": 1024, "sigma": 0.0},
-    {"p": 2.0, "q": 2.0, "delta": 0.1, "n_max": 4, "drop": 0.25,
-     "sweep": {"thresholds": 64, "centers": 5, "radii": 8,
-               "directions": 32, "offsets": 17}},
-    _run_cheeger_trend,
-    reduced={"params": {"n_max": 2}},
-)
-
-_register(
-    "connectivity-gluing",
-    "glued stability bounds on overlapping half-domains",
-    {"length": 16.0, "count": 256, "window": "gaussian",
-     "signal": "gaussian"},
-    {"r": 0.0, "shift": 0.1, "slack_tol": 1e-6},
-    _run_gluing,
-    reduced={},
-)
-
-_register(
-    "poincare-square",
-    "Neumann spectral gap of the unit square",
-    {"length": 16.0, "count": 2048},
-    {"cells": 128, "rel_tol": 0.02},
-    _run_poincare_square,
-    reduced={"fixture": {"count": 1024}, "params": {"cells": 64}},
-)
-
-_register(
-    "certificate-polynomial",
-    "region stability certificates on polynomial holomorphic fields",
-    {"length": 16.0, "count": 256},
-    {"fixtures": 20, "disk_radius": 2.5, "excise_cells": 3,
-     "pert_range": [0.02, 0.08], "t3_rel_cap": 1e-12,
-     "stress_magnitudes": [0.05, 0.1, 0.15, 0.2, 0.3]},
-    _run_certificate,
-    reduced={"params": {"fixtures": 6}},
-)
-
-_register(
-    "modulus-threshold",
-    "modulus contraction below the Sobolev threshold and its failure above",
-    {"length": 16.0, "count": 256},
-    {"s_below": 1.0, "s_above": 1.6, "p": 2.0, "fields": 100, "kmax": 8,
-     "decay": 0.35, "contraction_cap": 1.0,
-     "crease_modes": [4, 8, 16, 32, 64]},
-    _run_modulus_threshold,
-    reduced={"params": {"fields": 25}},
-)
-
-_register(
-    "disjointness-link",
-    "geometric decay of overlap witnesses along the ladder",
-    {"length": 256.0, "count": 2048, "sigma": 0.0},
-    {"p": 2.0, "q": 2.0, "delta": 0.1, "n_max": 5, "c_link": 1e-9},
-    _run_disjointness,
-    reduced={"fixture": {"length": 128.0, "count": 1024},
-             "params": {"n_max": 4}},
-)
-
-_register(
-    "window-ratio",
-    "window-comparison ratio fields: exact, bounded, and flagged cases",
-    {"length": 16.0, "count": 256, "other": "hermite:1"},
-    {"bounded_cap": 50000.0},
-    _run_window_ratio,
-)
-
+_RULES = {
+    "length": _POSITIVE, "count": _GRID_COUNT, "counts": _List(_GRID_COUNT),
+    "sigma": _REAL, "sigmas": _List(_REAL), "window": _WINDOW,
+    "windows": _List(_WINDOW), "signal": _WINDOW, "other": _WINDOW,
+    "signals": _List(_Accepted(str,  # the names _named_signal builds
+                               lambda n: n == "random" or parse_window(n))),
+    **dict.fromkeys(("trials", "stride", "n_max", "cells", "fixtures",
+                     "fields"), _COUNT),
+    **dict.fromkeys(("span", "kmax", "excise_cells"), _SIZE),
+    "crease_modes": _List(_COUNT),
+    **dict.fromkeys(("tol", "rel_tol", "drift_tol", "slack_tol", "closeness",
+                     "lp_cap", "bounded_cap", "contraction_cap", "t3_rel_cap",
+                     "c_link", "growth", "drop", "disk_radius"), _POSITIVE),
+    **dict.fromkeys(("p", "q"), _Number(1.0)),  # Lebesgue exponents
+    # Sobolev orders, weight exponents, decay rates, perturbation sizes
+    **dict.fromkeys(("s", "s_below", "s_above", "r", "decay"), _MAGNITUDE),
+    "pert_range": _List(_MAGNITUDE, pair=True),
+    "stress_magnitudes": _List(_MAGNITUDE),
+    **dict.fromkeys(("delta", "tau_scale"), _Number(0, 1, open=True)),
+    **dict.fromkeys(("snr_db", "slope_cap", "shift", "modulation"), _REAL),
+    "window_contains": _RUNGS, "window_pin": _RUNGS,
+    "sweep": _Accepted(dict, check_sweep),
+}
 
 def experiment_ids() -> list:
     return list(_REGISTRY)
 
 
 def list_experiments() -> list:
-    return [{"id": d.id, "description": d.description}
-            for d in _REGISTRY.values()]
+    return [{"id": id, "description": d.description}
+            for id, d in _REGISTRY.items()]
 
 
 def _definition(id: str) -> _ExperimentDef:
@@ -1443,6 +1423,39 @@ def _definition(id: str) -> _ExperimentDef:
         known = ", ".join(_REGISTRY)
         raise ValueError(f"unknown experiment id {id!r}; known ids: {known}")
     return _REGISTRY[id]
+
+
+def check_manifest(manifest: ExperimentManifest) -> None:
+    """Refuse a manifest unless its fixture and params hold exactly the
+    registered keys, each value passing its name's rule in _RULES, its seed
+    is an integer in [0, 2^64), and each grid passes make_grid and, where
+    the experiment needs it, the transforms' self-dual rule. The ValueError
+    names the field: fixture.X, params.Y, fixture.counts[i] or seed."""
+    d = _definition(manifest.id)
+    for section, declared in (("fixture", d.fixture), ("params", d.params)):
+        given = getattr(manifest, section)
+        if type(given) is not dict:
+            _refuse(section, "an object", given)
+        for key in given:
+            if key not in declared:
+                raise ValueError(f"{section} key {key!r} is unknown "
+                                 f"(allowed: {', '.join(declared)})")
+        for key in declared:
+            if key not in given:
+                raise ValueError(f"{section}.{key} is missing")
+            _RULES[key].check(f"{section}.{key}", given[key])
+    _Number(0, 2 ** 64, integer=True).check("seed", manifest.seed)
+    fx = manifest.fixture
+    for name, count in ([("fixture.count", fx["count"])] if "count" in fx else
+                        [(f"fixture.counts[{i}]", c)
+                         for i, c in enumerate(fx["counts"])]):
+        try:
+            grid = make_grid(fx["length"], count)
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+    if d.self_dual is not None:
+        _require_self_dual(tf_grid_of(grid), "fixture.length and fixture."
+                           f"count: infeasible grid: {d.self_dual}")
 
 
 def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,
@@ -1453,27 +1466,28 @@ def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,
     if reduced:
         fixture.update(d.reduced.get("fixture", {}))
         params.update(d.reduced.get("params", {}))
-    return ExperimentManifest(id=id, fixture=fixture, params=params,
-                              seed=seed, out_dir=out_dir)
+    manifest = ExperimentManifest(id=id, fixture=fixture, params=params,
+                                  seed=seed, out_dir=out_dir)
+    check_manifest(manifest)
+    return manifest
 
 
 def run(manifest: ExperimentManifest) -> ExperimentResult:
     """Execute one experiment and evaluate its assertions.
 
-    Writes tables and the summary when the manifest carries an
-    output directory. Raises ValueError for unknown ids or infeasible
-    fixtures; assertion failures never raise, they are recorded.
+    Writes tables and the summary when the manifest carries an output
+    directory. Raises ValueError, before any numerics, for a manifest that
+    check_manifest refuses; assertion failures never raise, they are
+    recorded.
     """
-    d = _definition(manifest.id)
+    check_manifest(manifest)
+    d = _REGISTRY[manifest.id]
     start = time.perf_counter()
     tables, specs, extra = d.runner(manifest, manifest.fixture,
                                     manifest.params)
     wallclock = time.perf_counter() - start
-    assertions = []
-    for spec in specs:
-        entry = dict(spec)
-        entry["passed"] = _evaluate(tables, spec)
-        assertions.append(entry)
+    assertions = [{**spec, "passed": _evaluate(tables, spec)}
+                  for spec in specs]
     passed = all(a["passed"] for a in assertions if a["hard"])
     summary = {"description": d.description, **extra}
     result = ExperimentResult(manifest=manifest, tables=tables,

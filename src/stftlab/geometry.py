@@ -32,6 +32,7 @@ __all__ = [
     "CertificateReport",
     "marching_squares",
     "cheeger_estimate",
+    "check_sweep",
     "connectivity",
     "gluing_bound",
     "poincare_constant",
@@ -215,7 +216,25 @@ def _span(flags: np.ndarray) -> tuple[int, int]:
     return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
 
 
-def cheeger_estimate(W: TFField, thresholds: int = 256,
+def check_sweep(sweep: dict) -> None:
+    """Refuse cheeger_estimate's candidate counts, a dict of its keywords
+    (an absent one at its default), unless each is an integer >= 0 and some
+    candidate family is left. The message starts with the keyword."""
+    for key, value in sweep.items():
+        if key not in _SWEEP_DEFAULTS:
+            raise ValueError(f"{key} is not a sweep keyword (known: "
+                             f"{', '.join(_SWEEP_DEFAULTS)})")
+        if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)) or value < 0:
+            raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+    n = {**_SWEEP_DEFAULTS, **sweep}
+    if (n["thresholds"] < 2 and n["directions"] < 1
+            and min(n["centers"], n["radii"]) < 1):
+        raise ValueError("thresholds < 2, directions 0 and centers or radii 0 "
+                         "leave every candidate family empty")
+
+
+def cheeger_estimate(W: TFField, *, thresholds: int = 256,
                      centers: int = 9, radii: int = 16,
                      directions: int = 64, offsets: int = 33) -> CheegerReport:
     """Scan candidate domains for a small boundary-to-mass quotient of W.
@@ -254,6 +273,8 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
     cells, so it can move when the crossing lies within rounding of
     total / 2. Its mass row is still the exact masked sum at that offset.
     """
+    check_sweep(dict(thresholds=thresholds, centers=centers, radii=radii,
+                     directions=directions, offsets=offsets))
     if np.iscomplexobj(W.values) and W.values.imag.any():
         raise ValueError("density must be real: its imaginary part is not 0")
     vals = np.ascontiguousarray(W.values.real, dtype=float)
@@ -437,6 +458,10 @@ def cheeger_estimate(W: TFField, thresholds: int = 256,
         total_mass=total,
         table=table,
     )
+
+
+# taken at import: a wrapper put in the function's place carries no defaults
+_SWEEP_DEFAULTS = dict(cheeger_estimate.__kwdefaults__)
 
 
 # ---------------------------------------------------------------------------

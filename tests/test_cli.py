@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import shutil
@@ -5,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stftlab import cli
+from stftlab import cli, experiments as ex
+from stftlab.grids import MAX_COUNT
 
 
 def run_cli(capsys, *argv):
@@ -501,6 +507,161 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
     summary = json.loads((tmp_path / "patched" / "summary.json").read_text())
     assert summary["manifest"]["seed"] == 5
     assert summary["manifest"]["params"]["trials"] == 2
+
+
+@pytest.mark.parametrize("id, patch, named", [
+    ("isometry-sweep", {"params": {"trials": -5}}, "params.trials"),
+    ("isometry-sweep", {"params": {"tol": -1.0}}, "params.tol"),
+    ("ambiguity-relation", {"fixture": {"length": 8.0, "count": 128}},
+     "fixture.length and fixture.count: infeasible grid"),
+    ("cheeger-trend", {"params": {"sweep": {"bogus": 3}}},
+     "params.sweep: bogus"),
+    ("cheeger-trend", {"params": {"sweep": {"thresholds": -4}}},
+     "params.sweep: thresholds"),
+    ("cheeger-gaussian", {"fixture": {"counts": []}}, "fixture.counts"),
+    ("certificate-polynomial", {"params": {"stress_magnitudes": []}},
+     "params.stress_magnitudes"),
+    ("certificate-polynomial", {"params": {"pert_range": [0.08, 0.02]}},
+     "params.pert_range"),
+    ("prop21-gaussian-ratio", {"params": {"window_pin": [0]}},
+     "params.window_pin"),
+    ("prop21-gaussian-ratio", {"params": {"window_contains": [3, 2]}},
+     "params.window_contains"),
+    ("isometry-sweep", {"seed": -1}, "seed"),
+], ids=["trials-negative", "tol-negative", "not-self-dual", "sweep-key",
+        "sweep-negative", "counts-empty", "stress-empty", "pert-reversed",
+        "pin-short", "contains-reversed", "seed-negative"])
+def test_run_refuses_a_bad_config_value_naming_it(tmp_path, capsys, id,
+                                                  patch, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(patch))
+    code, out, err = run_cli(capsys, "run", id, "--reduced",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"argument --config: {named}" in err, err
+
+
+def test_run_refuses_a_bad_seed_flag_naming_it(capsys):
+    code, out, err = run_cli(capsys, "run", "isometry-sweep", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "argument --seed: seed must be >= 0" in err
+
+
+def _refused(rule):
+    """Values a declared rule refuses: another JSON type, or out of range."""
+    others = [None, True, "1", [1], {"a": 1}]
+    if isinstance(rule, ex._Number):
+        out = [st.sampled_from(others + [math.nan, math.inf, -math.inf])]
+        if rule.integer:
+            out.append(st.floats())
+        if rule.lo > -math.inf:
+            out.append(st.integers(max_value=math.ceil(rule.lo) - 1)
+                       if rule.integer else
+                       st.floats(max_value=rule.lo, exclude_max=not rule.open))
+        if rule.hi < math.inf:
+            out.append(st.integers(min_value=rule.hi) if rule.integer
+                       else st.floats(min_value=rule.hi))
+        return st.one_of(out)
+    if isinstance(rule, ex._List):
+        out = [st.sampled_from(others[:3] + [{}, []]),
+               st.lists(_refused(rule.item), min_size=1, max_size=3)]
+        if rule.pair:
+            item = st.integers(0, 50) if rule.item.integer else \
+                st.floats(0.0, 50.0)
+            out += [st.lists(item, max_size=4).filter(lambda v: len(v) != 2),
+                    st.lists(item, min_size=2, max_size=2, unique=True)
+                    .map(lambda v: sorted(v, reverse=True))]
+        return st.one_of(out)
+    if rule.kind is str:
+        return st.sampled_from([None, 1, ["gaussian"], {}, "", "bogus",
+                                "Gaussian", "hermite:", "hermite:x",
+                                "hermite:-1", "hermite:1.5"])
+    sweep_keys = st.sampled_from(["thresholds", "centers", "radii",
+                                  "directions", "offsets"])
+    return st.one_of(
+        st.sampled_from([None, 1, "x", [], {"bogus": 1}, {"radii": True},
+                         {"thresholds": 0, "directions": 0, "centers": 0}]),
+        st.dictionaries(sweep_keys, st.integers(max_value=-1), min_size=1),
+        st.dictionaries(sweep_keys, st.floats(), min_size=1))
+
+
+def _bad_values(id: str, key: str):
+    """Values of a registered fixture or parameter that check_manifest
+    refuses: those its rule refuses, and grids that make_grid or the
+    self-dual rule refuses."""
+    bad = _refused(ex._RULES[key])
+    if key in ("count", "counts"):
+        grid = st.one_of(
+            st.integers(4, MAX_COUNT // 2).map(lambda k: 2 * k + 1),
+            st.integers(MAX_COUNT // 2 + 1, 10 ** 6).map(lambda k: 2 * k))
+        bad = st.one_of(bad, grid.map(lambda c: c if key == "count" else [c]))
+    if key == "length" and ex._REGISTRY[id].self_dual is not None:
+        side = math.sqrt(ex.default_manifest(id, reduced=True).fixture["count"])
+        bad = st.one_of(bad, st.floats(0.5, 100.0).filter(
+            lambda v: abs(v - side) > 1e-3))
+    return bad
+
+
+# (id, patch, the field its refusal names): one fixture or parameter of a
+# reduced manifest set to a value that check_manifest refuses
+_BAD_PATCHES = st.one_of([
+    _bad_values(id, key).map(
+        lambda v, id=id, section=section, key=key:
+        (id, {section: {key: v}}, f"{section}.{key}"))
+    for id in ex.experiment_ids()
+    for section in ("fixture", "params")
+    for key in getattr(ex.default_manifest(id, reduced=True), section)])
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    """A new config file name for each example."""
+    root = tmp_path_factory.mktemp("config")
+    return (root / f"{i}.json" for i in itertools.count())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_BAD_PATCHES)
+def test_fuzz_a_refused_config_value_exits_two_naming_it(config_paths, case):
+    id, patch, named = case
+    path = next(config_paths)
+    path.write_text(json.dumps(patch))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", id, "--reduced", "--config", str(path)])
+    assert code == 2 and out.getvalue() == ""
+    assert f"argument --config: {named}" in err.getvalue(), patch
+
+
+_TOL = st.floats(1e-12, 1.0)
+_SIGNALS = st.lists(st.sampled_from(["gaussian", "hermite:0", "hermite:2",
+                                     "random"]), min_size=1, max_size=2)
+# (id, patch) in range on the small experiments
+_GOOD_PATCHES = st.one_of(
+    st.fixed_dictionaries({"params": st.fixed_dictionaries(
+        {"trials": st.integers(1, 3), "tol": _TOL}),
+        "seed": st.integers(0, 2 ** 64 - 1)}).map(
+        lambda p: ("isometry-sweep", p)),
+    st.fixed_dictionaries({"fixture": st.fixed_dictionaries(
+        {"windows": _SIGNALS.filter(lambda v: "random" not in v)}),
+        "params": st.fixed_dictionaries(
+            {"span": st.integers(0, 1), "stride": st.integers(1, 8),
+             "tol": _TOL})}).map(lambda p: ("covariance-lattice", p)),
+    st.fixed_dictionaries({"fixture": st.fixed_dictionaries(
+        {"signals": _SIGNALS}), "params": st.fixed_dictionaries(
+            {"tol": _TOL})}).map(lambda p: ("recover-noiseless", p)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_GOOD_PATCHES)
+def test_fuzz_an_in_range_config_value_runs(config_paths, case):
+    id, patch = case
+    path = next(config_paths)
+    path.write_text(json.dumps(patch))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["run", id, "--reduced", "--config", str(path)])
+    assert code in (0, 1)
 
 
 def test_failed_assertion_exits_one(tmp_path, capsys):

@@ -26,6 +26,57 @@ def test_unknown_id_raises_with_known_ids():
         ex.default_manifest("no-such-experiment")
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("id", ALL_IDS)
+def test_every_registered_manifest_passes_check_manifest(id, reduced):
+    mf = ex.default_manifest(id, reduced=reduced)
+    ex.check_manifest(mf)
+    assert set(mf.fixture) | set(mf.params) <= set(ex._RULES)
+
+
+def _patched(id, section, **change):
+    mf = ex.default_manifest(id)
+    values = {**getattr(mf, section), **change}
+    for key in [k for k, v in change.items() if v is None]:
+        del values[key]
+    return dataclasses.replace(mf, **{section: values})
+
+
+@pytest.mark.parametrize("manifest, named", [
+    (_patched("isometry-sweep", "params", tol=None), "params.tol is missing"),
+    (_patched("isometry-sweep", "params", trils=3), "params key 'trils'"),
+    (_patched("isometry-sweep", "params", trials=0), "params.trials must be"),
+    (_patched("isometry-sweep", "params", tol=math.nan), "params.tol must be"),
+    (_patched("cheeger-trend", "params", sweep={"thresholds": 1.5}),
+     "params.sweep: thresholds must be"),
+    (_patched("modulus-threshold", "params", crease_modes=[4, 0]),
+     "params.crease_modes[1] must be"),
+    (_patched("covariance-lattice", "fixture", windows=["hermite:x"]),
+     "fixture.windows[0]: bad hermite order"),
+    (_patched("window-ratio", "fixture", length=15.0),
+     "fixture.length and fixture.count: infeasible grid"),
+    (dataclasses.replace(ex.default_manifest("isometry-sweep"), seed=2 ** 64),
+     "seed must be"),
+], ids=["missing", "unknown", "trials-zero", "tol-nan", "sweep-float",
+        "mode-zero", "window-spec", "not-self-dual", "seed-too-large"])
+def test_run_refuses_a_bad_manifest_before_any_numerics(monkeypatch, manifest,
+                                                         named):
+    def numerics(*args):
+        raise AssertionError("the runner started")
+
+    d = ex._REGISTRY[manifest.id]
+    monkeypatch.setitem(ex._REGISTRY, manifest.id,
+                        dataclasses.replace(d, runner=numerics))
+    with pytest.raises(ValueError) as e:
+        ex.run(manifest)
+    assert named in str(e.value)
+
+
+def test_default_manifest_refuses_a_bad_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ex.default_manifest("isometry-sweep", seed=-1)
+
+
 def test_manifest_is_frozen():
     mf = ex.default_manifest("window-ratio")
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -272,6 +272,30 @@ def test_cheeger_rejects_zero_and_negative_fields(tfg):
         cheeger_estimate(neg)
 
 
+@pytest.mark.parametrize("sweep, named", [
+    ({"bogus": 3}, "bogus is not a sweep keyword"),
+    ({"thresholds": -4}, "thresholds must be an integer >= 0"),
+    ({"offsets": 2.0}, "offsets must be an integer >= 0"),
+    ({"radii": True}, "radii must be an integer >= 0"),
+    ({"thresholds": 1, "directions": 0, "centers": 0},
+     "thresholds < 2, directions 0 and centers or radii 0"),
+])
+def test_check_sweep_refuses_counts_naming_the_keyword(tfg, sweep, named):
+    with pytest.raises(ValueError, match=named):
+        geometry.check_sweep(sweep)
+    density = TFField(tfg, np.ones(tfg.shape, dtype=np.complex128))
+    if "bogus" not in sweep:
+        with pytest.raises(ValueError, match=named):
+            cheeger_estimate(density, **sweep)
+
+
+def test_check_sweep_admits_a_single_family():
+    # half-planes alone, with no offset lattice: each direction still
+    # has its half-mass midpoint
+    geometry.check_sweep({"thresholds": 0, "centers": 0, "directions": 1,
+                          "offsets": 0})
+
+
 def test_cheeger_refuses_a_density_with_an_imaginary_part(tfg):
     """A complex density is measured only when its imaginary part is zero;
     |V g| + 5i |V g| is refused, not measured as its real part."""
