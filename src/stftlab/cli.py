@@ -251,8 +251,14 @@ def _cmd_poincare(args) -> int:
         mask = _flag("--disk", lambda raw: _parse_disk(raw, tg), args.disk)
     weight = None
     if args.weight is not None:
-        weight = _load_operand(args.weight, "--weight")
-    constant, report = poincare_constant(mask, weight)
+        weight = _load_operand(args.weight, "--weight", "field")
+    if weight is None or mask.is_empty():
+        constant, report = poincare_constant(mask, weight)
+    else:
+        # past a nonempty mask, what poincare_constant refuses is the
+        # weight: another grid, or one too ill-conditioned to converge
+        constant, report = _flag(
+            "--weight", lambda w: poincare_constant(mask, w), weight)
     _emit({"constant": constant, "mu1": report["mu1"]}, args.out)
     return 0
 

@@ -1427,8 +1427,9 @@ def _definition(id: str) -> _ExperimentDef:
 
 def check_manifest(manifest: ExperimentManifest) -> None:
     """Refuse a manifest unless its fixture and params hold exactly the
-    registered keys, each value passing its name's rule in _RULES, its seed
-    is an integer in [0, 2^64), and each grid passes make_grid and, where
+    registered keys, each value passing its name's rule in _RULES and each
+    rung of window_contains and window_pin below n_max, its seed is an
+    integer in [0, 2^64), and each grid passes make_grid and, where
     the experiment needs it, the transforms' self-dual rule. The ValueError
     names the field: fixture.X, params.Y, fixture.counts[i] or seed."""
     d = _definition(manifest.id)
@@ -1444,6 +1445,12 @@ def check_manifest(manifest: ExperimentManifest) -> None:
             if key not in given:
                 raise ValueError(f"{section}.{key} is missing")
             _RULES[key].check(f"{section}.{key}", given[key])
+    pr = manifest.params
+    for key in ("window_contains", "window_pin"):
+        # the ladder has rungs 0 .. n_max - 1
+        if key in pr and pr[key][1] >= pr["n_max"]:
+            _refuse(f"params.{key}", "a pair of rungs below params.n_max = "
+                    f"{pr['n_max']}", pr[key])
     _Number(0, 2 ** 64, integer=True).check("seed", manifest.seed)
     fx = manifest.fixture
     for name, count in ([("fixture.count", fx["count"])] if "count" in fx else

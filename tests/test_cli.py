@@ -169,6 +169,32 @@ def test_poincare_disk_and_glue(tmp_path, capsys):
         assert code == 2 and "--connectivity" in err
 
 
+def test_poincare_refused_weight_exits_two_naming_it(tmp_path, capsys):
+    """A weight the eigensolve cannot converge on (i.i.d. over 41 decades),
+    a signal dump and a field on another grid are each the weight's fault."""
+    from stftlab import io
+    from stftlab.grids import TFField, make_grid, tf_grid_of
+
+    tg = tf_grid_of(make_grid(16.0, 256))
+    w = 10 ** np.random.default_rng(3).uniform(-40, 1, tg.shape)
+    inside = np.zeros(tg.shape, dtype=bool)
+    inside[100:125, 100:120] = True
+    mask, wild, sig, other = (str(tmp_path / n) for n in (
+        "m.bin", "w.bin", "s.bin", "o.bin"))
+    io.dump_mask(inside, tg, mask)
+    io.dump_field(TFField(tg, w.astype(np.complex128)), wild)
+    run_cli(capsys, "gen", "gaussian", "--out", sig)
+    other_tg = tf_grid_of(make_grid(8.0, 64))
+    io.dump_field(TFField(other_tg, np.ones(other_tg.shape, np.complex128)),
+                  other)
+    for weight, why in ((wild, "on 500 vertices did not converge"),
+                        (sig, "is not a field dump"),
+                        (other, "different grid")):
+        code, out, err = run_cli(capsys, "poincare", mask, "--weight", weight)
+        assert code == 2 and out == "", err
+        assert "argument --weight: " in err and why in err, err
+
+
 def test_recover_reference_on_another_grid_exits_two_before_recovering(
         tmp_path, capsys, monkeypatch):
     from stftlab import transforms
@@ -527,10 +553,15 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
      "params.window_pin"),
     ("prop21-gaussian-ratio", {"params": {"window_contains": [3, 2]}},
      "params.window_contains"),
+    ("prop21-gaussian-ratio", {"params": {"window_pin": [0, 4]}},
+     "params.window_pin must be a pair of rungs below params.n_max = 4"),
+    ("prop21-gaussian-ratio", {"params": {"n_max": 3}},
+     "params.window_contains must be a pair of rungs below params.n_max"),
     ("isometry-sweep", {"seed": -1}, "seed"),
 ], ids=["trials-negative", "tol-negative", "not-self-dual", "sweep-key",
         "sweep-negative", "counts-empty", "stress-empty", "pert-reversed",
-        "pin-short", "contains-reversed", "seed-negative"])
+        "pin-short", "contains-reversed", "pin-past-n-max",
+        "contains-past-n-max", "seed-negative"])
 def test_run_refuses_a_bad_config_value_naming_it(tmp_path, capsys, id,
                                                   patch, named):
     cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from poincare_oracle import uniform_square_mu1
 from stftlab import experiments as ex, norms
 
 ALL_IDS = ex.experiment_ids()
@@ -245,6 +246,20 @@ def test_verify_rederives_the_disconnected_constant(tmp_path):
     assert [(a["invariant"], a["check"]) for a in broken] == [
         ("geometry.disconnected-inf", "all_inf")]
     assert broken[0]["stored"]
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_poincare_square_stores_the_exact_discrete_gap(tmp_path, reduced):
+    """The square of m x m cells (m = 128 on 16/2048, 64 on 16/1024) has
+    the closed-form mu_1 of P_m x P_m; the stored value is within 1e-11."""
+    mf = ex.default_manifest("poincare-square", reduced=reduced)
+    ex.write_result(ex.run(mf), tmp_path)
+    header, row = (tmp_path / "square.csv").read_text().splitlines()
+    mu1 = float(row.split(",")[header.split(",").index("mu1")])
+    m = mf.params["cells"]
+    exact = uniform_square_mu1(m, mf.fixture["length"] / mf.fixture["count"])
+    assert (m, mf.fixture["count"]) == ((64, 1024) if reduced else (128, 2048))
+    assert abs(mu1 - exact) <= 1e-11 * exact
 
 
 def test_thm15_transforms_each_member_once(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from scipy.sparse.csgraph import connected_components
 from cheeger_oracle import full_grid_cheeger
 from contour_oracle import full_grid_marching_squares
 from fock_oracle import to_fock
-from poincare_oracle import bakry_emery_floor, dense_mu1, uniform_disk_mu1
+from poincare_oracle import (
+    bakry_emery_floor,
+    dense_mu1,
+    full_grid_laplacian,
+    uniform_disk_mu1,
+)
 from stftlab import geometry
 from stftlab.grids import Signal, TFField, TFGrid, gaussian, make_grid, tf_grid_of
 from stftlab.transforms import fock_polynomial_field, stft
@@ -614,13 +620,89 @@ def test_laplacian_graph_has_the_mask_components(tfg):
     masks += [rng.random(tfg.shape) < share for share in (0.3, 0.5, 0.7)]
     for inside in masks:
         mask = DomainMask(tfg, inside)
-        lap, measure = geometry._build_laplacian(mask, np.ones(tfg.shape))
+        lap, measure, _, _ = geometry._build_laplacian(mask, None)
         ncomp, labels = connected_components(lap, directed=False)
         ref, count = label(inside)
         assert measure.size == mask.cell_count and ncomp == count
         # the same partition of the cells, up to the names of the parts
         pairs = set(zip(labels.tolist(), ref[inside].tolist()))
         assert len(pairs) == count
+
+
+def _edge_masks(tg, rng):
+    """Masks that touch each grid edge, one cell, two cells, the split pair
+    of unit squares, and random masks at 0.3, 0.5 and 0.7 fill."""
+    n0, n1 = tg.shape
+    masks = []
+    for box in (np.s_[:5, 40:60], np.s_[n0 - 5:, 40:60],
+                np.s_[40:60, :5], np.s_[40:60, n1 - 5:], np.s_[:, :],
+                np.s_[n0 - 1:, n1 - 1:], np.s_[7:8, 9:11]):
+        inside = np.zeros(tg.shape, dtype=bool)
+        inside[box] = True
+        masks.append(inside)
+    split = DomainMask.rectangle(tg, 0.0, 1.0, 0.0, 1.0).inside
+    masks.append(split | DomainMask.rectangle(tg, 3.0, 4.0, 0.0, 1.0).inside)
+    masks += [rng.random(tg.shape) < share for share in (0.3, 0.5, 0.7)]
+    return [DomainMask(tg, inside) for inside in masks]
+
+
+def test_box_laplacian_keeps_the_full_grid_bits(tfg):
+    """The Laplacian, the measure and the clipped count built on the mask's
+    bounding box are those of the build over the whole grid, bit for bit,
+    with weights below the 1e-30 clip inside and outside the mask."""
+    rng = np.random.default_rng(11)
+    masks = _edge_masks(tfg, rng)
+    assert [m.cell_count for m in masks[5:7]] == [1, 2]
+    for mask in masks:
+        values = rng.uniform(0.1, 10.0, tfg.shape) * np.exp(
+            2j * np.pi * rng.random(tfg.shape))
+        values[rng.random(tfg.shape) < 0.05] = 1e-31
+        values[rng.random(tfg.shape) < 0.02] = 0.0
+        # the first cell inside the mask and the first outside it
+        values.flat[np.argmax(mask.inside)] = 1e-31
+        values.flat[np.argmin(mask.inside)] = 0.0
+        tiny = np.abs(values) < 1e-30
+        assert (tiny & mask.inside).any()
+        assert (tiny & ~mask.inside).any() or mask.inside.all()
+        for weight in (None, TFField(tfg, values)):
+            full = (np.ones(tfg.shape) if weight is None
+                    else np.maximum(np.abs(values), 1e-30))
+            ref_lap, ref_measure = full_grid_laplacian(mask, full)
+            lap, measure, clipped, _ = geometry._build_laplacian(mask, weight)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(lap, name),
+                                      getattr(ref_lap, name)), name
+            assert np.array_equal(measure, ref_measure)
+            assert clipped == (0 if weight is None
+                               else int(np.count_nonzero(tiny & mask.inside)))
+
+
+def test_poincare_allocates_nothing_of_the_grid_size():
+    """An 8 x 8-cell mask of a 2048^2 grid: a full-grid float64 or int64
+    array alone would take 32 MiB."""
+    tg = TFGrid(make_grid(16.0, 2048), make_grid(16.0, 2048))
+    inside = np.zeros(tg.shape, dtype=bool)
+    inside[1000:1008, 1000:1008] = True
+    mask = DomainMask(tg, inside)
+    tracemalloc.start()
+    try:
+        _, rep = poincare_constant(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["vertices"] == 64 and rep["mu1"] > 0.0
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_poincare_refuses_an_eigensolve_that_does_not_converge(tfg):
+    """I.i.d. weights spread over 41 decades leave ARPACK short of
+    convergence; the refusal names the vertex count."""
+    w = 10 ** np.random.default_rng(3).uniform(-40, 1, tfg.shape)
+    inside = np.zeros(tfg.shape, dtype=bool)
+    inside[100:125, 100:120] = True
+    with pytest.raises(ValueError, match="on 500 vertices did not converge"):
+        poincare_constant(DomainMask(tfg, inside),
+                          TFField(tfg, w.astype(np.complex128)))
 
 
 def test_single_cell_domain_has_zero_constant(tfg):
