@@ -244,15 +244,18 @@ def _cmd_poincare(args) -> int:
         raise _Usage("argument mask: give a mask dump or --disk CX,CY,R "
                      "with --L/--N, not both")
     if args.mask is not None:
-        mask = _load_operand(args.mask, "mask", "mask")
+        flag, mask = "mask", _load_operand(args.mask, "mask", "mask")
     else:
         tg = tf_grid_of(_flag("--L/--N", lambda _: make_grid(args.L, args.N),
                               None))
-        mask = _flag("--disk", lambda raw: _parse_disk(raw, tg), args.disk)
+        flag = "--disk"
+        mask = _flag(flag, lambda raw: _parse_disk(raw, tg), args.disk)
+    if mask.is_empty():
+        raise _Usage(f"argument {flag}: empty domain, no grid point inside")
     weight = None
     if args.weight is not None:
         weight = _load_operand(args.weight, "--weight", "field")
-    if weight is None or mask.is_empty():
+    if weight is None:
         constant, report = poincare_constant(mask, weight)
     else:
         # past a nonempty mask, what poincare_constant refuses is the

@@ -68,8 +68,8 @@ from .rng import SplitMix64
 from .transforms import (
     _require_self_dual,
     ambiguity,
-    ambiguity_relation_residual,
-    covariance_residual,
+    ambiguity_relation_residuals,
+    covariance_residuals,
     fock_polynomial_field,
     parse_window,
     phaseless,
@@ -527,15 +527,15 @@ def _run_covariance(manifest, fx, pr):
     grid = _grid(fx)
     f = random(grid, SplitMix64(manifest.seed))
     span, stride, tol = pr["span"], pr["stride"], pr["tol"]
+    lattice = [(k, l) for k in range(-span, span + 1)
+               for l in range(-span, span + 1)]
+    shifts = [(k * stride * grid.dx, l * stride * grid.dxi)
+              for k, l in lattice]
     rows = []
     for wname in fx["windows"]:
-        w = parse_window(wname)
-        for k in range(-span, span + 1):
-            for l in range(-span, span + 1):
-                u = k * stride * grid.dx
-                eta = l * stride * grid.dxi
-                rows.append([wname, k, l, u, eta,
-                             covariance_residual(f, w, u, eta), tol])
+        residuals = covariance_residuals(f, parse_window(wname), shifts)
+        rows += [[wname, k, l, u, eta, res, tol] for (k, l), (u, eta), res
+                 in zip(lattice, shifts, residuals)]
     tables = {"covariance": (["window", "k", "l", "u", "eta", "residual",
                               "tol"], rows)}
     specs = [_assertion(
@@ -556,14 +556,17 @@ def _run_ambiguity(manifest, fx, pr):
     grid = _grid(fx)
     rng = SplitMix64(manifest.seed)
     tol = pr["tol"]
-    rows = []
+    signals = []
     for si, sname in enumerate(fx["signals"]):
         f = _named_signal(sname, grid, rng.spawn(si + 1))
         if sname == "random":
             f = Signal(grid, f.values / _l2(f))
-        for wname in fx["windows"]:
-            res = ambiguity_relation_residual(f, parse_window(wname))
-            rows.append([sname, wname, res, tol])
+        signals.append(f)
+    residuals = ambiguity_relation_residuals(
+        signals, [parse_window(w) for w in fx["windows"]])
+    rows = [[sname, wname, res, tol]
+            for sname, row in zip(fx["signals"], residuals)
+            for wname, res in zip(fx["windows"], row)]
     tables = {"relation": (["signal", "window", "residual", "tol"], rows)}
     specs = [_assertion(
         "transforms.ambiguity-relation",

@@ -57,7 +57,6 @@ __all__ = [
     "modulate",
     "cdft",
     "icdft",
-    "cdft2",
     "boundary_decay",
     "riemann_lp",
 ]
@@ -286,11 +285,6 @@ def icdft(a: np.ndarray, axis: int = -1) -> np.ndarray:
     )
 
 
-def cdft2(a: np.ndarray) -> np.ndarray:
-    """Centered DFT over both axes of a 2D array."""
-    return cdft(cdft(a, axis=0), axis=1)
-
-
 def boundary_decay(f: Signal) -> float:
     """Edge magnitude relative to the peak; small means periodization is harmless."""
     v = np.abs(f.values)
@@ -306,7 +300,8 @@ def riemann_lp(values: np.ndarray, cell: float, p: float) -> float:
     For p = 2 this is sqrt(cell) times the BLAS nrm2 of the values (dznrm2
     for complex input, dnrm2 for any other, cast to float64): one pass whose
     kernel scales, so values near the bottom or top of double range come out
-    right. Any other p takes a max-rescaled sum.
+    right. Any other p takes a max-rescaled sum, dividing by the max and
+    raising to p in place in the |values| array it takes.
     """
     if p != math.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
@@ -328,7 +323,10 @@ def riemann_lp(values: np.ndarray, cell: float, p: float) -> float:
         return 0.0
     if p == math.inf:
         return m
-    return m * float(cell * np.sum((a / m) ** p)) ** (1.0 / p)
+    # an integer or boolean |values| cannot hold the quotient
+    a = np.divide(a, m, out=a if a.dtype.kind == "f" else None)
+    np.power(a, p, out=a)
+    return m * float(cell * np.sum(a)) ** (1.0 / p)
 
 
 def _unit_norm(sig: Signal, tol: float, what: str) -> Signal:

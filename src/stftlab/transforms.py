@@ -18,7 +18,6 @@ from .grids import (
     Signal,
     TFField,
     TFGrid,
-    cdft2,
     gaussian,
     hermite,
     icdft,
@@ -34,10 +33,10 @@ __all__ = [
     "WindowComparison",
     "parse_window",
     "stft",
-    "covariance_residual",
+    "covariance_residuals",
     "ambiguity",
     "phaseless",
-    "ambiguity_relation_residual",
+    "ambiguity_relation_residuals",
     "fock_exponent",
     "fock_polynomial_field",
     "recover",
@@ -50,6 +49,11 @@ _STFT_CHUNK = 256
 
 # e^700 is near the top of double range; larger weights are not representable
 _FOCK_EXP_CLAMP = 700.0
+
+# complex entries of padding per row of the measurement spectrum's buffer:
+# a row of 2^k entries would put every sample of a column on the same cache
+# sets, and the axis-0 pass reads columns
+_ROW_PAD = 4
 
 
 @dataclass(frozen=True)
@@ -130,29 +134,64 @@ def stft(f: Signal, window: WindowSpec = WindowSpec("gaussian")) -> TFField:
     return TFField(tf_grid_of(grid), _stft_values(f.values, w.values, grid))
 
 
-def covariance_residual(f: Signal, window: WindowSpec, u: float, eta: float) -> float:
-    """Sup-norm defect of V(T_u M_eta f) = e^{-2 pi i u omega} V f(.-u, .-eta).
+def covariance_residuals(f: Signal, window: WindowSpec,
+                         shifts) -> list[float]:
+    """Sup-norm defect of V(T_u M_eta f) = e^{-2 pi i u omega} V f(.-u, .-eta)
+    at each (u, eta) of shifts, in order; V f is transformed once.
 
     Shifts must be on-grid; then both sides are exact index rolls and the
     residual is pure floating-point noise.
     """
     grid = f.grid
-    shifted = translate(modulate(f, eta), u)
-    lhs = stft(shifted, window).values
     base = stft(f, window)
-    s = grid.index_of(u, "translation") - grid.count // 2
-    m = grid.dual().index_of(eta, "modulation") - grid.count // 2
-    rolled = np.roll(base.values, (s, m), axis=(0, 1))
-    phase = np.exp(-2j * np.pi * u * base.tfgrid.wmesh())
-    return float(np.max(np.abs(lhs - phase * rolled)))
+    wmesh = base.tfgrid.wmesh()
+    out = []
+    for u, eta in shifts:
+        shifted = translate(modulate(f, eta), u)
+        lhs = stft(shifted, window).values
+        s = grid.index_of(u, "translation") - grid.count // 2
+        m = grid.dual().index_of(eta, "modulation") - grid.count // 2
+        rolled = np.roll(base.values, (s, m), axis=(0, 1))
+        phase = np.exp(-2j * np.pi * u * wmesh)
+        out.append(float(np.max(np.abs(lhs - phase * rolled))))
+    return out
+
+
+def _chirp(tf: TFGrid, sign: int) -> np.ndarray:
+    """exp(sign i pi x omega) on an N x N TF grid, bit for bit the
+    expression np.exp(c * tf.xmesh() * tf.wmesh()) with c = 1j * np.pi for
+    sign +1 and c = -1j * np.pi for sign -1.
+
+    exp is taken on the quadrant x, omega >= 0 only: indices N/2 ... N - 1
+    of each axis plus the mirror N/2 dx of index 0. A centred axis holds
+    x_k = (k - N/2) dx, and (-j) dx = -(j dx) exactly, so a mirrored point
+    has the negated phase, and since libm's cos is even and sin odd, its
+    exp is the quadrant entry conjugated (one coordinate mirrored) or as it
+    is (both): reversed views of the quadrant. The row x = 0 and the column
+    omega = 0 have a signed zero phase that the conjugate would flip and
+    the expression does not, so they come from the expression itself.
+    """
+    n = tf.xgrid.count
+    h = n // 2
+    c = (1j if sign > 0 else -1j) * np.pi
+    quad = np.exp(c * (np.arange(h + 1) * tf.xgrid.dx)[:, None]
+                  * (np.arange(h + 1) * tf.wgrid.dx)[None, :])
+    out = np.empty((n, n), dtype=np.complex128)
+    out[h:, h:] = quad[:h, :h]
+    out[:h, :h] = quad[h:0:-1, h:0:-1]
+    np.conjugate(quad[h:0:-1, :h], out=out[:h, h:])
+    np.conjugate(quad[:h, h:0:-1], out=out[h:, :h])
+    x, w = tf.xmesh(), tf.wmesh()
+    out[h:h + 1] = np.exp(c * x[h:h + 1] * w)
+    out[:, h:h + 1] = np.exp(c * x * w[:, h:h + 1])
+    return out
 
 
 def ambiguity(f: Signal) -> TFField:
     """A f(x, omega) = e^{pi i x omega} V_f f(x, omega); A f(0,0) = ||f||^2."""
     tf = tf_grid_of(f.grid)
     v = _stft_values(f.values, f.values, f.grid)
-    twist = np.exp(1j * np.pi * tf.xmesh() * tf.wmesh())
-    return TFField(tf, twist * v)
+    return TFField(tf, np.multiply(_chirp(tf, 1), v, out=v))
 
 
 def phaseless(f: Signal, window: WindowSpec = WindowSpec("gaussian")) -> TFField:
@@ -172,29 +211,61 @@ def _require_self_dual(tf: TFGrid, what: str) -> None:
 
 
 def _measurement_fourier_side(m: TFField) -> np.ndarray:
-    """F(M)(omega, -x) arranged on the (x, omega) grid.
+    """F(M)(omega, -x) on the (x, omega) grid: cell times the centred 2D
+    DFT of M at (omega, -x), since axis 0 of the DFT runs over the dual of
+    x (the omega axis) and axis 1 over the x axis.
 
-    Axis 0 of the 2D transform runs over the dual of x (= omega axis), axis 1
-    over the dual of omega (= x axis); the (omega, -x) evaluation is then an
-    index transpose plus a reflection.
+    The input roll of both axes by N/2 is one copy into a buffer with
+    _ROW_PAD spare entries per row; fft runs in it along axis 0, then axis
+    1, each line on its own as the one-axis centred DFTs take it, so the
+    bits stay. Entry (i, j) is then cell times buffer entry
+    ((j + N/2) mod N, (N/2 - i) mod N): the output roll, the reflection and
+    the transpose are one scaled pass over four blocks.
     """
     n = m.tfgrid.shape[0]
-    f2 = m.tfgrid.cell * cdft2(m.values)
-    return f2[:, (n - np.arange(n)) % n].T
+    h = n // 2
+    v = m.values
+    buf = np.empty((n, n + _ROW_PAD), dtype=np.complex128)[:, :n]
+    buf[:h, :h] = v[h:, h:]
+    buf[:h, h:] = v[h:, :h]
+    buf[h:, :h] = v[:h, h:]
+    buf[h:, h:] = v[:h, :h]
+    np.fft.fft(buf, axis=0, out=buf)
+    np.fft.fft(buf, axis=1, out=buf)
+    spec = buf.T
+    cell = m.tfgrid.cell
+    out = np.empty((n, n), dtype=np.complex128)
+    np.multiply(cell, spec[h::-1, h:], out=out[:h + 1, :h])
+    np.multiply(cell, spec[h::-1, :h], out=out[:h + 1, h:])
+    np.multiply(cell, spec[:h:-1, h:], out=out[h + 1:, :h])
+    np.multiply(cell, spec[:h:-1, :h], out=out[h + 1:, h:])
+    return out
 
 
-def ambiguity_relation_residual(f: Signal, window=WindowSpec("gaussian")) -> float:
-    """Relative sup defect of F(|V_w f|^2)(omega, -x) = A f . conj(A w)."""
-    w = window.build(f.grid)
-    m = phaseless(f, window)
-    _require_self_dual(m.tfgrid, "the ambiguity relation")
-    lhs = _measurement_fourier_side(m)
-    rhs = ambiguity(f).values * np.conj(ambiguity(w).values)
-    den = float(np.max(np.abs(rhs)))
-    num = float(np.max(np.abs(lhs - rhs)))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return num / den
+def ambiguity_relation_residuals(signals, windows) -> list[list[float]]:
+    """Relative sup defect of F(|V_w f|^2)(omega, -x) = A f . conj(A w) for
+    every signal f (one row each) and window w (one entry each), all on one
+    grid; each A f and each A w is built once."""
+    grid = signals[0].grid
+    if any(f.grid != grid for f in signals):
+        raise ValueError("the ambiguity relation takes signals on one grid")
+    _require_self_dual(tf_grid_of(grid), "the ambiguity relation")
+    conj_aw = [np.conj(ambiguity(w.build(grid)).values) for w in windows]
+    rows = []
+    for f in signals:
+        af = ambiguity(f).values
+        row = []
+        for window, caw in zip(windows, conj_aw):
+            lhs = _measurement_fourier_side(phaseless(f, window))
+            rhs = af * caw
+            den = float(np.max(np.abs(rhs)))
+            num = float(np.max(np.abs(lhs - rhs)))
+            if den == 0.0:
+                row.append(0.0 if num == 0.0 else float("inf"))
+            else:
+                row.append(num / den)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +356,7 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     np.divide(lhs, np.conj(amb_w), out=amb_f, where=mask)
     masked_fraction = 1.0 - float(np.count_nonzero(mask)) / mask.size
 
-    x, om = tf.xmesh(), tf.wmesh()
-    v_ff = np.exp(-1j * np.pi * x * om) * amb_f
+    v_ff = np.multiply(_chirp(tf, -1), amb_f, out=amb_f)
     corr = icdft(v_ff, axis=1) / grid.dx
 
     if not mask[origin].any():

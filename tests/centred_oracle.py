@@ -1,17 +1,24 @@
 """The centred spectral paths: the signal's Fourier transform onto the dual
 grid, which pins the DFT convention, and the reference for
 `norms.bessel_potential` and `norms._derivative_term`, which work in fft
-order. Every transform here is the centred DFT of `grids` (cdft, cdft2) or
-its inverse, with the multiplier laid out on the centred dual grid."""
+order, and for `transforms._measurement_fourier_side`, which rolls and
+transforms in one buffer. Every transform here is the centred DFT of
+`grids` (cdft) or its inverse, one axis after the other (cdft2, icdft2),
+with the multiplier laid out on the centred dual grid."""
 
 import numpy as np
 
-from stftlab.grids import Signal, cdft, cdft2, icdft, riemann_lp
+from stftlab.grids import Signal, cdft, icdft, riemann_lp
 
 
 def fourier(f: Signal) -> Signal:
     """Forward transform onto the dual grid; unitary for Riemann-sum L2 norms."""
     return Signal(f.grid.dual(), cdft(f.values) * f.grid.dx)
+
+
+def cdft2(a: np.ndarray) -> np.ndarray:
+    """Centered DFT over both axes of a 2D array."""
+    return cdft(cdft(a, axis=0), axis=1)
 
 
 def icdft2(a: np.ndarray) -> np.ndarray:

@@ -195,6 +195,23 @@ def test_poincare_refused_weight_exits_two_naming_it(tmp_path, capsys):
         assert "argument --weight: " in err and why in err, err
 
 
+def test_poincare_empty_domain_exits_two_naming_its_flag(tmp_path, capsys):
+    """An all-false mask dump and a disk that holds no grid point are
+    refused input, named by the argument that gave the domain."""
+    from stftlab import io
+    from stftlab.grids import make_grid, tf_grid_of
+
+    tg = tf_grid_of(make_grid(16.0, 64))
+    mask = str(tmp_path / "m.bin")
+    io.dump_mask(np.zeros(tg.shape, dtype=bool), tg, mask)
+    for argv, flag in (([mask], "mask"),
+                       (["--disk", "0.03,0.03,0.001", "--L", "16", "--N",
+                         "64"], "--disk")):
+        code, out, err = run_cli(capsys, "poincare", *argv)
+        assert code == 2 and out == "", err
+        assert f"argument {flag}: empty domain" in err, err
+
+
 def test_recover_reference_on_another_grid_exits_two_before_recovering(
         tmp_path, capsys, monkeypatch):
     from stftlab import transforms

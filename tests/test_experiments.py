@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import ambiguity_oracle
 from poincare_oracle import uniform_square_mu1
-from stftlab import experiments as ex, norms
+from stftlab import experiments as ex, norms, transforms
 
 ALL_IDS = ex.experiment_ids()
 
@@ -290,6 +291,45 @@ def test_gluing_takes_each_adversary_field_once(monkeypatch):
     assert ex.run(mf).passed
     # one H1 magnitude per adversary, read by all 30 regions
     assert len(calls) == 5
+
+
+def test_ambiguity_relation_builds_each_ambiguity_once(monkeypatch):
+    mf = ex.default_manifest("ambiguity-relation", reduced=True)
+    amb = transforms.ambiguity
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return amb(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "ambiguity", counted)
+    assert ex.run(mf).passed
+    # one per signal and one per window, not two per pair
+    assert len(calls) == len(mf.fixture["signals"]) \
+        + len(mf.fixture["windows"]) == 7
+
+
+_AMBIGUITY_PLANE = ("covariance-lattice", "ambiguity-relation",
+                    "recover-noiseless", "recover-noisy", "window-ratio")
+
+
+def test_ambiguity_plane_kernels_keep_every_table(monkeypatch):
+    """The quadrant chirp, the one-buffer measurement spectrum and the
+    batched residuals give the tables of the kernels they replace, the
+    defining expressions and the per-pair residuals, bit for bit."""
+    def tables():
+        return {eid: ex.run(ex.default_manifest(eid, reduced=True)).tables
+                for eid in _AMBIGUITY_PLANE}
+
+    shipped = tables()
+    monkeypatch.setattr(transforms, "_chirp", ambiguity_oracle.chirp)
+    monkeypatch.setattr(transforms, "_measurement_fourier_side",
+                        ambiguity_oracle.measurement_fourier_side)
+    monkeypatch.setattr(ex, "covariance_residuals",
+                        ambiguity_oracle.covariance_residuals)
+    monkeypatch.setattr(ex, "ambiguity_relation_residuals",
+                        ambiguity_oracle.ambiguity_relation_residuals)
+    assert tables() == shipped
 
 
 def test_every_check_and_invariant_is_asserted():

@@ -9,7 +9,6 @@ from stftlab.grids import (
     TFGrid,
     boundary_decay,
     cdft,
-    cdft2,
     gaussian,
     hermite,
     icdft,
@@ -19,7 +18,7 @@ from stftlab.grids import (
     translate,
 )
 
-from centred_oracle import fourier, icdft2
+from centred_oracle import cdft2, fourier, icdft2
 from conftest import random_signal
 
 

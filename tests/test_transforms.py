@@ -8,7 +8,6 @@ from stftlab.grids import (
     Signal,
     TFField,
     TFGrid,
-    cdft2,
     gaussian,
     hermite,
     make_grid,
@@ -18,9 +17,11 @@ from stftlab.grids import (
 from stftlab.norms import field_gradient, japanese_bracket
 from stftlab.transforms import (
     WindowSpec,
+    _chirp,
+    _measurement_fourier_side,
     ambiguity,
-    ambiguity_relation_residual,
-    covariance_residual,
+    ambiguity_relation_residuals,
+    covariance_residuals,
     fock_polynomial_field,
     parse_window,
     phaseless,
@@ -30,8 +31,9 @@ from stftlab.transforms import (
     window_comparison_ratio,
 )
 
+import ambiguity_oracle
 import stft_oracle
-from centred_oracle import icdft2
+from centred_oracle import cdft2, icdft2
 from conftest import random_signal
 from fock_oracle import (
     FockField,
@@ -127,8 +129,9 @@ def test_stft_gaussian_pair_is_centered_bump(grid16):
     assert np.max(np.abs(mag - want)) < 1e-10
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.float64)
+def _u64(a):
+    """The bits of a float or complex array, signed zeros included."""
+    return np.ascontiguousarray(np.asarray(a)).view(np.uint64)
 
 
 @pytest.mark.parametrize("length, count, windows", [
@@ -150,13 +153,12 @@ def test_stft_and_ambiguity_are_the_gathered_transform(length, count,
         spec = parse_window(name)
         w = spec.build(grid)
         want = stft_oracle.stft_values(f.values, w.values, grid)
-        assert np.array_equal(_bits(stft(f, spec).values), _bits(want)), name
-    tf = tf_grid_of(grid)
-    twist = np.exp(1j * np.pi * tf.xmesh() * tf.wmesh())
+        assert np.array_equal(_u64(stft(f, spec).values), _u64(want)), name
+    twist = ambiguity_oracle.chirp(tf_grid_of(grid), 1)
     # a named operand: numpy may reuse a temporary right operand in place,
     # which swaps the factors, and a fused complex product is not symmetric
     v = stft_oracle.stft_values(f.values, f.values, grid)
-    assert np.array_equal(_bits(ambiguity(f).values), _bits(twist * v))
+    assert np.array_equal(_u64(ambiguity(f).values), _u64(twist * v))
 
 
 def test_stft_holds_its_output_and_about_one_chunk():
@@ -180,22 +182,37 @@ def test_stft_holds_its_output_and_about_one_chunk():
 
 
 def test_covariance_zero_shift_is_exact(grid16):
-    assert covariance_residual(gaussian(grid16), WindowSpec("gaussian"), 0.0, 0.0) == 0.0
+    assert covariance_residuals(gaussian(grid16), WindowSpec("gaussian"),
+                                [(0.0, 0.0)]) == [0.0]
 
 
 def test_covariance_on_grid_shifts(grid16):
     w = WindowSpec("gaussian")
     f = hermite(grid16, 2)
     scale = float(np.max(np.abs(stft(f, w).values)))
-    assert covariance_residual(f, w, 2.0, 0.0) < 1e-8 * scale
-    assert covariance_residual(f, w, 0.0, 3 * grid16.dxi) < 1e-8 * scale
-    assert covariance_residual(f, w, 2.0, 1.0) < 1e-8 * scale
-    assert covariance_residual(f, w, -1.5, -0.5) < 1e-8 * scale
+    shifts = [(2.0, 0.0), (0.0, 3 * grid16.dxi), (2.0, 1.0), (-1.5, -0.5)]
+    residuals = covariance_residuals(f, w, shifts)
+    assert len(residuals) == 4
+    assert all(r < 1e-8 * scale for r in residuals)
 
 
 def test_covariance_rejects_off_grid(grid16):
     with pytest.raises(ValueError):
-        covariance_residual(gaussian(grid16), WindowSpec("gaussian"), 0.3 * grid16.dx, 0.0)
+        covariance_residuals(gaussian(grid16), WindowSpec("gaussian"),
+                             [(0.0, 0.0), (0.3 * grid16.dx, 0.0)])
+
+
+def test_covariance_residuals_are_the_per_shift_residuals(grid16):
+    # V f is transformed once for all shifts; each entry keeps the bits of
+    # the residual that transforms both sides anew
+    f = random_signal(grid16, 4)
+    shifts = [(k * 8 * grid16.dx, l * 8 * grid16.dxi)
+              for k in (-2, 0, 1) for l in (-1, 0, 2)]
+    for window in (WindowSpec("gaussian"), WindowSpec("hermite", 1)):
+        want = [ambiguity_oracle.covariance_residual(f, window, u, eta)
+                for u, eta in shifts]
+        got = covariance_residuals(f, window, shifts)
+        assert np.array_equal(_u64(got), _u64(want))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +245,34 @@ def test_ambiguity_of_zero(grid16):
     assert not np.any(ambiguity(Signal(grid16, np.zeros(grid16.count))).values)
 
 
+@pytest.mark.parametrize("length, count", [
+    (16.0, 256), (8.0, 256), (32.0, 512), (16.0, 64), (64.0, 2048)],
+    ids=["16/256", "8/256-not-self-dual", "32/512", "16/64", "64/2048"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chirp_is_the_expression_bit_for_bit(length, count, sign):
+    # three blocks are mirrored from the quadrant x, omega >= 0, and the
+    # x = 0 row and omega = 0 column carry signed zeros a mirror would flip
+    tf = tf_grid_of(make_grid(length, count))
+    assert np.array_equal(_u64(_chirp(tf, sign)),
+                          _u64(ambiguity_oracle.chirp(tf, sign)))
+
+
+def test_measurement_fourier_side_is_the_centred_spectrum_bit_for_bit():
+    # real measurements (phaseless, negated) and a complex one, on 64 to
+    # 1024 points per axis
+    for grid in (make_grid(16.0, 256), make_grid(32.0, 1024),
+                 make_grid(8.0, 64)):
+        f = random_signal(grid, 6)
+        real = phaseless(f)
+        assert real.values.dtype == np.float64
+        spun = TFField(real.tfgrid, real.values * np.exp(0.3j)
+                       + stft(f).values)
+        for m in (real, spun, TFField(real.tfgrid, -real.values)):
+            assert np.array_equal(
+                _u64(_measurement_fourier_side(m)),
+                _u64(ambiguity_oracle.measurement_fourier_side(m)))
+
+
 # ---------------------------------------------------------------------------
 # phaseless measurements
 
@@ -257,19 +302,42 @@ def test_phaseless_total_mass_is_energy_product(grid16):
 
 
 def test_ambiguity_relation_fixture_set(grid16):
-    for f in (gaussian(grid16), hermite(grid16, 1), hermite(grid16, 4),
-              band_limited(grid16, seed=17)):
-        assert ambiguity_relation_residual(f) < 1e-3
+    signals = [gaussian(grid16), hermite(grid16, 1), hermite(grid16, 4),
+               band_limited(grid16, seed=17)]
+    residuals = ambiguity_relation_residuals(signals, [WindowSpec()])
+    assert len(residuals) == 4
+    assert all(row[0] < 1e-3 for row in residuals)
 
 
 def test_ambiguity_relation_zero_signal(grid16):
-    assert ambiguity_relation_residual(Signal(grid16, np.zeros(grid16.count))) == 0.0
+    zero = Signal(grid16, np.zeros(grid16.count))
+    assert ambiguity_relation_residuals([zero], [WindowSpec()]) == [[0.0]]
 
 
 def test_ambiguity_relation_requires_self_dual_grid():
     grid = make_grid(8.0, 128)
     with pytest.raises(ValueError, match="self-dual"):
-        ambiguity_relation_residual(gaussian(grid))
+        ambiguity_relation_residuals([gaussian(grid)], [WindowSpec()])
+
+
+def test_ambiguity_relation_takes_signals_on_one_grid(grid16):
+    with pytest.raises(ValueError, match="one grid"):
+        ambiguity_relation_residuals(
+            [gaussian(grid16), gaussian(make_grid(32.0, 1024))],
+            [WindowSpec()])
+
+
+def test_ambiguity_relation_residuals_are_the_per_pair_residuals(grid16):
+    # each A f and each A w is built once; every entry keeps the bits of
+    # the residual that builds both ambiguities for its pair
+    signals = [gaussian(grid16), hermite(grid16, 2), random_signal(grid16, 3),
+               Signal(grid16, np.zeros(grid16.count))]
+    windows = [WindowSpec(), WindowSpec("hermite", 1),
+               WindowSpec("hermite", 2)]
+    want = [[ambiguity_oracle.ambiguity_relation_residual(f, w)
+             for w in windows] for f in signals]
+    got = ambiguity_relation_residuals(signals, windows)
+    assert np.array_equal(_u64(got), _u64(want))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +386,8 @@ def test_self_dual_rule_is_the_grid_flag_and_the_dual_axis():
     its omega-axis is that axis's dual: equal axes are not enough."""
     near = make_grid(math.sqrt(148), 148)
     assert near.is_self_dual and near != near.dual()
-    assert ambiguity_relation_residual(gaussian(near)) < 1e-3
+    assert ambiguity_relation_residuals([gaussian(near)],
+                                        [WindowSpec()])[0][0] < 1e-3
     rec = recover(phaseless(gaussian(near))).signal
     assert align_error(gaussian(near), rec) < 1e-2
     flat = make_grid(10.0, 256)
