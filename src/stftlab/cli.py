@@ -20,6 +20,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import rules
+
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -35,17 +37,10 @@ class _Usage(Exception):
 
 def _apply_thread_cap() -> None:
     raw = os.environ.get("STFTLAB_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise _Usage(f"STFTLAB_THREADS must be a positive integer, "
-                     f"got {raw!r}")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+    if raw is not None:
+        n = _flag("STFTLAB_THREADS", rules.COUNT, raw)
+        for var in _THREAD_VARS:
+            os.environ[var] = str(n)
 
 
 def _fail(msg: str) -> int:
@@ -78,22 +73,6 @@ def _flag(name: str, convert, raw):
         return convert(raw)
     except ValueError as e:
         raise _Usage(f"argument {name}: {e}") from None
-
-
-def _at_least(low: float, strict: bool = False):
-    """argparse type: a number >= low (> low when strict), never NaN, so
-    that a bad value exits 2 with a message naming the flag."""
-    want = f"a number {'>' if strict else '>='} {low:g}"
-
-    def parse(raw: str):
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {want}, got {raw!r}")
-        return value
-    return parse
 
 
 def _load_dump(path: str, flag: str):
@@ -135,9 +114,6 @@ def _cmd_gen(args) -> int:
     for flag in ignored:
         if getattr(args, flag) is not None:
             raise _Usage(f"argument --{flag}: not used by kind {args.kind}")
-    for flag in ("center", "modulation"):
-        if not math.isfinite(getattr(args, flag) or 0.0):
-            raise _Usage(f"argument --{flag}: must be a finite number")
     if args.kind == "random":
         sig = random(grid, SplitMix64(args.seed or 0))
     else:
@@ -306,50 +282,41 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = ("fixture", "params", "seed")
+# the --config patch; check_manifest checks the merged fixture and params
+_CONFIG = rules.Keyed({}, {"fixture": rules.OBJECT, "params": rules.OBJECT,
+                           "seed": rules.SEED})
 
 
 def _manifest_from_args(args):
-    """The registered manifest of args.id with --seed and the --config
-    patch merged in; experiments.check_manifest names a bad value."""
+    """The registered manifest of args.id at --seed, with the --config patch
+    merged in; a value that rules or check_manifest refuse is named."""
     import dataclasses
 
     from . import experiments
 
     try:
-        manifest = experiments.default_manifest(args.id, out_dir=args.out,
-                                                reduced=args.reduced)
+        manifest = experiments.default_manifest(
+            args.id, seed=args.seed, out_dir=args.out, reduced=args.reduced)
     except ValueError as e:
         raise _Usage(f"argument id: {e}") from None
-    raw = {}
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise _Usage(f"argument --config: no such file "
-                         f"{args.config!r}") from None
-        except json.JSONDecodeError as e:
-            raise _Usage(f"argument --config: not valid JSON ({e})") from None
-        if not isinstance(raw, dict):
-            raise _Usage("argument --config: top level must be an object")
-        for key in raw:
-            if key not in _CONFIG_KEYS:
-                raise _Usage(f"argument --config: unknown key {key!r} "
-                             f"(allowed: {', '.join(_CONFIG_KEYS)})")
-        for section in ("fixture", "params"):
-            if not isinstance(raw.get(section, {}), dict):
-                raise _Usage(f"argument --config: {section} must be an "
-                             "object")
-    manifest = dataclasses.replace(
-        manifest, fixture={**manifest.fixture, **raw.get("fixture", {})},
-        params={**manifest.params, **raw.get("params", {})},
-        seed=raw.get("seed", args.seed))
+    if args.config is None:
+        return manifest
     try:
+        patch = json.loads(Path(args.config).read_text())
+    except FileNotFoundError:
+        raise _Usage(f"argument --config: no such file "
+                     f"{args.config!r}") from None
+    except json.JSONDecodeError as e:
+        raise _Usage(f"argument --config: not valid JSON ({e})") from None
+    try:
+        _CONFIG.check("", patch)
+        manifest = dataclasses.replace(
+            manifest, fixture={**manifest.fixture, **patch.get("fixture", {})},
+            params={**manifest.params, **patch.get("params", {})},
+            seed=patch.get("seed", manifest.seed))
         experiments.check_manifest(manifest)
     except ValueError as e:
-        flag = ("--seed" if str(e).startswith("seed") and "seed" not in raw
-                else "--config")
-        raise _Usage(f"argument {flag}: {e}") from None
+        raise _Usage(f"argument --config: {e}") from None
     return manifest
 
 
@@ -412,16 +379,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("gen", "generate a signal fixture and dump it", _cmd_gen)
     p.add_argument("kind", help="gaussian, hermite:N or random")
-    p.add_argument("--L", type=float, default=16.0,
+    p.add_argument("--L", type=rules.POSITIVE, default=16.0,
                    help="period of the grid (default 16)")
-    p.add_argument("--N", type=int, default=256,
+    p.add_argument("--N", type=rules.GRID_COUNT, default=256,
                    help="sample count (default 256)")
-    p.add_argument("--center", type=float,
+    p.add_argument("--center", type=rules.REAL,
                    help="on-grid shift of gaussian and hermite:N (default 0)")
-    p.add_argument("--modulation", type=float,
+    p.add_argument("--modulation", type=rules.REAL,
                    help="on-grid modulation of gaussian and hermite:N "
                         "(default 0)")
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=rules.SEED,
                    help="seed of kind random (default 0)")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
     p.add_argument("--out", required=True, help="output path")
@@ -453,24 +420,24 @@ def _build_parser() -> argparse.ArgumentParser:
             _cmd_cheeger)
     p.add_argument("density", help="field dump with nonnegative values")
     for flag in _SWEEP_FLAGS:
-        p.add_argument(f"--{flag}", type=int)
+        p.add_argument(f"--{flag}", type=rules.SIZE)
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("poincare", "weighted Poincare constant of a domain",
             _cmd_poincare)
     p.add_argument("mask", nargs="?", help="mask dump")
     p.add_argument("--disk", help="CX,CY,R disk domain instead of a dump")
-    p.add_argument("--L", type=float, default=16.0,
+    p.add_argument("--L", type=rules.POSITIVE, default=16.0,
                    help="grid period for --disk")
-    p.add_argument("--N", type=int, default=256,
+    p.add_argument("--N", type=rules.GRID_COUNT, default=256,
                    help="grid count for --disk")
     p.add_argument("--weight", help="field dump with the weight")
     p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = add("glue", "stability bound for a glued domain", _cmd_glue)
-    p.add_argument("--ca", type=_at_least(0.0), required=True,
+    p.add_argument("--ca", type=rules.CONSTANT, required=True,
                    help="stability constant of the first patch")
-    p.add_argument("--cb", type=_at_least(0.0), required=True,
+    p.add_argument("--cb", type=rules.CONSTANT, required=True,
                    help="stability constant of the second patch")
     p.add_argument("--connectivity", nargs=3, required=True,
                    metavar=("W", "A", "B"),
@@ -482,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
             _cmd_recover)
     p.add_argument("measurement", help="field dump of squared modulus")
     p.add_argument("--window", default="gaussian")
-    p.add_argument("--threshold", type=_at_least(0.0, strict=True),
+    p.add_argument("--threshold", type=rules.POSITIVE,
                    help="mask level for the window division")
     p.add_argument("--reference", help="signal dump to compare against")
     p.add_argument("--out", help="write the recovered signal dump here")
@@ -491,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
             _cmd_run)
     p.add_argument("id", help="experiment id, see 'stftlab list'")
     p.add_argument("--config", help="JSON patch: fixture, params, seed")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=rules.SEED, default=0)
     p.add_argument("--reduced", action="store_true",
                    help="smaller fixture for quick checks")
     p.add_argument("--out", help="directory for tables and summary")
@@ -506,11 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-    except _Usage as e:
-        print(f"stftlab: {e}", file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -518,6 +480,7 @@ def main(argv=None) -> int:
         # argparse has already written its message
         return 0 if e.code in (0, None) else 2
     try:
+        _apply_thread_cap()  # before a handler loads the numerical modules
         return args.handler(args)
     except _Usage as e:
         print(f"stftlab: {e}", file=sys.stderr)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import rules
 from .forge import (
     assemble_pair,
     dichotomy_check,
@@ -120,66 +120,99 @@ INVARIANTS = frozenset({
 # returns a bool. Checks must be computable from the stored CSV alone, so
 # verification never reruns the numerics. Empty tables fail every check.
 
+CHECKS = {}
+_COLUMN = rules.STRING
+_PAIR = {"lhs": _COLUMN, "rhs": _COLUMN}
+_COL = {"col": _COLUMN}
+_BOUND = {"col": _COLUMN, "bound": rules.REAL}
+_RUNGS = rules.List(rules.SIZE, pair=True)
+
+
+def _declare(required, optional=None, columns=()):
+    """Enter the check below in CHECKS under its name less _check_, with the
+    rule of its args and the columns that it reads besides those that its
+    _COLUMN args name."""
+    def enter(predicate):
+        predicate.args = rules.Keyed(required, optional)
+        predicate.columns = columns
+        CHECKS[predicate.__name__.removeprefix("_check_")] = predicate
+        return predicate
+    return enter
+
 
 def _col(rows, name):
     return [row[name] for row in rows]
 
 
+@_declare(_PAIR, {"scale": rules.REAL})
 def _check_col_le_col(rows, args):
     scale = args.get("scale", 1.0)
     return all(row[args["lhs"]] <= row[args["rhs"]] * scale for row in rows)
 
 
+@_declare(_PAIR)
 def _check_col_ge_col(rows, args):
     return all(row[args["lhs"]] >= row[args["rhs"]] for row in rows)
 
 
+@_declare(_PAIR)
 def _check_equals_col(rows, args):
     return all(row[args["lhs"]] == row[args["rhs"]] for row in rows)
 
 
+@_declare({**_COL, "value": rules.REAL})
 def _check_equals_value(rows, args):
     return all(row[args["col"]] == args["value"] for row in rows)
 
 
+@_declare({**_COL, "value": rules.REAL, "tol": rules.REAL})
 def _check_approx_value(rows, args):
     return all(abs(row[args["col"]] - args["value"]) <= args["tol"]
                for row in rows)
 
 
+@_declare(_BOUND)
 def _check_all_le(rows, args):
     return all(v <= args["bound"] for v in _col(rows, args["col"]))
 
 
+@_declare(_BOUND)
 def _check_all_ge(rows, args):
     return all(v >= args["bound"] for v in _col(rows, args["col"]))
 
 
+@_declare(_BOUND)
 def _check_all_gt(rows, args):
     return all(v > args["bound"] for v in _col(rows, args["col"]))
 
 
+@_declare(_BOUND)
 def _check_max_lt(rows, args):
     return max(_col(rows, args["col"])) < args["bound"]
 
 
+@_declare(_BOUND)
 def _check_max_gt(rows, args):
     return max(_col(rows, args["col"])) > args["bound"]
 
 
+@_declare(_COL)
 def _check_all_inf(rows, args):
     return all(v == math.inf for v in _col(rows, args["col"]))
 
 
+@_declare(_COL)
 def _check_all_finite(rows, args):
     return all(math.isfinite(v) for v in _col(rows, args["col"]))
 
 
+@_declare({**_COL, "scale": rules.REAL})
 def _check_last_le_first_scaled(rows, args):
     vals = _col(rows, args["col"])
     return vals[-1] <= args["scale"] * vals[0]
 
 
+@_declare({**_COL, "factor": rules.REAL})
 def _check_geometric_decay(rows, args):
     vals = _col(rows, args["col"])
     return all(b <= args["factor"] * a for a, b in zip(vals, vals[1:]))
@@ -199,6 +232,9 @@ def _ratio_window(rows):
     return rs[k:] or None
 
 
+@_declare({}, {"contains": _RUNGS, "pin": _RUNGS,
+                "growth": rules.REAL},
+          columns=("n", "ratio", "target", "degenerate"))
 def _check_ratio_window(rows, args):
     """The verified window exists, contains the rungs [lo, hi], equals the
     pin [a, b] and grows by the factor, for each of these args given; a jump
@@ -216,6 +252,7 @@ def _check_ratio_window(rows, args):
                     for a, b in zip(vals, vals[1:])))
 
 
+@_declare(dict.fromkeys(("bound", "c_a", "c_b", "lam"), _COLUMN))
 def _check_gluing_formula(rows, args):
     return all(row[args["bound"]]
                == gluing_bound(row[args["c_a"]], row[args["c_b"]],
@@ -223,32 +260,11 @@ def _check_gluing_formula(rows, args):
                for row in rows)
 
 
-CHECKS = {
-    "col_le_col": _check_col_le_col,
-    "col_ge_col": _check_col_ge_col,
-    "equals_col": _check_equals_col,
-    "equals_value": _check_equals_value,
-    "approx_value": _check_approx_value,
-    "all_le": _check_all_le,
-    "all_ge": _check_all_ge,
-    "all_gt": _check_all_gt,
-    "max_lt": _check_max_lt,
-    "max_gt": _check_max_gt,
-    "all_inf": _check_all_inf,
-    "all_finite": _check_all_finite,
-    "geometric_decay": _check_geometric_decay,
-    "last_le_first_scaled": _check_last_le_first_scaled,
-    "gluing_formula": _check_gluing_formula,
-    "ratio_window": _check_ratio_window,
-}
-
-
 def _assertion(invariant: str, description: str, table: str, check: str,
                args: dict, hard: bool = True) -> dict:
     if invariant not in INVARIANTS:
         raise KeyError(f"unknown invariant id {invariant!r}")
-    if check not in CHECKS:
-        raise KeyError(f"unknown check {check!r}")
+    CHECKS[check].args.check("args", args)  # KeyError for an unknown check
     return {"invariant": invariant, "description": description,
             "table": table, "check": check, "args": args, "hard": hard}
 
@@ -365,8 +381,22 @@ def write_result(result: ExperimentResult, out_dir: str | Path) -> list:
     return written
 
 
-# the columns that a check reads besides the ones its string args name
-_CHECK_COLUMNS = {"ratio_window": ("n", "ratio", "target", "degenerate")}
+def _plain_file_name(name: str) -> None:
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(f"{name!r} is not a plain file name")
+
+
+# summary.json as write_result lays it out; a table is named by its file
+_STORED = rules.Keyed({
+    "id": rules.STRING, "manifest": rules.OBJECT, "passed": rules.BOOLEAN,
+    "wallclock_s": rules.MAGNITUDE,
+    "tables": rules.List(rules.Accepted(str, _plain_file_name)),
+    "assertions": rules.List(rules.Keyed({
+        **dict.fromkeys(("invariant", "description", "table", "check"),
+                        rules.STRING),
+        "args": rules.OBJECT, "hard": rules.BOOLEAN,
+        "passed": rules.BOOLEAN})),
+    "summary": rules.OBJECT})
 
 
 def verify_run(out_dir: str | Path) -> dict:
@@ -375,12 +405,10 @@ def verify_run(out_dir: str | Path) -> dict:
     Returns per-assertion stored vs rechecked verdicts; ok means every
     recheck reproduced the stored verdict and every hard assertion holds.
     A run that cannot be rechecked raises ValueError naming the file and
-    the key or column: a summary that is not JSON, a summary or an assertion
-    without one of its keys, tables that are not a list of plain file names
-    (no path separator, not "", "." or ".."), args that are not an object,
-    hard or passed that is not a boolean, an unknown check or table, or a
-    column that it reads (each string arg names one) missing or holding a
-    cell that is not a number.
+    the key or column: a summary that is not JSON or not laid out as
+    _STORED declares, an unknown check or table, args other than those
+    their check declares, or a column that the check reads missing or
+    holding a cell that is not a number.
     """
     out = Path(out_dir)
     path = out / "summary.json"
@@ -388,35 +416,25 @@ def verify_run(out_dir: str | Path) -> dict:
         summary = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not JSON: {e}") from None
-    if not (isinstance(summary, dict)
-            and {"id", "tables", "assertions"} <= summary.keys()):
-        raise ValueError(f"{path}: not an object with the keys 'id', "
-                         "'tables' and 'assertions'")
-    if not isinstance(summary["tables"], list):
-        raise ValueError(f"{path}: 'tables' is not a list")
-    for name in summary["tables"]:
-        if (not isinstance(name, str) or name in ("", ".", "..")
-                or any(c in name for c in "/\\\0")):
-            raise ValueError(f"{path}: table {name!r} is not a plain file "
-                             "name")
+    try:
+        _STORED.check("", summary)
+        for i, spec in enumerate(summary["assertions"]):
+            for key, known in (("check", CHECKS), ("table", summary["tables"])):
+                if spec[key] not in known:
+                    raise ValueError(f"unknown {key} {spec[key]!r}")
+            CHECKS[spec["check"]].args.check(f"assertions[{i}].args",
+                                             spec["args"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     tables = {name: _read_csv(out / f"{name}.csv")
               for name in summary["tables"]}
     report = {"id": summary["id"], "ok": True, "assertions": []}
     for spec in summary["assertions"]:
-        for key in ("invariant", "check", "table", "args", "hard", "passed"):
-            if key not in spec:
-                raise ValueError(f"{path}: an assertion has no key {key!r}")
-        if not isinstance(spec["args"], dict):
-            raise ValueError(f"{path}: 'args' is not an object")
-        for key in ("hard", "passed"):
-            if not isinstance(spec[key], bool):
-                raise ValueError(f"{path}: {key!r} is not a boolean")
-        for key, known in (("check", CHECKS), ("table", tables)):
-            if spec[key] not in known:
-                raise ValueError(f"{path}: unknown {key} {spec[key]!r}")
+        check = CHECKS[spec["check"]]
         header, rows = tables[spec["table"]]
-        named = {v for v in spec["args"].values() if isinstance(v, str)}
-        for name in sorted(named | set(_CHECK_COLUMNS.get(spec["check"], ()))):
+        named = {v for k, v in spec["args"].items()
+                 if check.args.fields[k] is _COLUMN}
+        for name in sorted(named | set(check.columns)):
             if name not in header or not all(
                     isinstance(row[header.index(name)], (int, float))
                     for row in rows):
@@ -1317,100 +1335,39 @@ def _run_window_ratio(manifest, fx, pr):
 
 # ---------------------------------------------------------------------------
 # declarations: one rule per fixture and parameter name, checking the JSON
-# type and the range where the quantity means what its name says. Nothing
-# is converted, since the manifest is written into summary.json as given;
-# an integer stands for a number, a boolean for neither.
+# type and the range where the quantity means what its name says
 
-
-def _refuse(name: str, want: str, value):
-    raise ValueError(f"{name} must be {want}, got "
-                     f"{json.dumps(value, default=repr)}")
-
-
-class _Number:
-    """A finite number, or an integer, in [lo, hi), or in (lo, hi) if open."""
-
-    def __init__(self, lo=-math.inf, hi=math.inf, open=False, integer=False):
-        self.lo, self.hi, self.open, self.integer = lo, hi, open, integer
-
-    def check(self, name: str, value) -> None:
-        if not (type(value) is int if self.integer else type(value) in (
-                int, float) and abs(value) <= sys.float_info.max):
-            _refuse(name, "an integer" if self.integer else "a finite number",
-                    value)
-        if not (self.lo < value if self.open else self.lo <= value):
-            _refuse(name, "positive" if self.open and self.lo == 0 else
-                    f"{'>' if self.open else '>='} {self.lo}", value)
-        if not value < self.hi:
-            _refuse(name, f"< {self.hi}", value)
-
-
-class _List:
-    """A non-empty array of item, or if pair an [lo, hi] pair, lo <= hi."""
-
-    def __init__(self, item, pair=False):
-        self.item, self.pair = item, pair
-
-    def check(self, name: str, value) -> None:
-        want = "a pair [lo, hi], lo <= hi" if self.pair else \
-            "a non-empty array"
-        if type(value) is not list or not value or (
-                self.pair and len(value) != 2):
-            _refuse(name, want, value)
-        for i, item in enumerate(value):
-            self.item.check(f"{name}[{i}]", item)
-        if self.pair and value[0] > value[1]:
-            _refuse(name, want, value)
-
-
-class _Accepted:
-    """A string, or an object, that accept takes without a ValueError."""
-
-    def __init__(self, kind: type, accept):
-        self.kind, self.accept = kind, accept
-
-    def check(self, name: str, value) -> None:
-        if type(value) is not self.kind:
-            _refuse(name, "a string" if self.kind is str else "an object",
-                    value)
-        try:
-            self.accept(value)
-        except ValueError as e:
-            raise ValueError(f"{name}: {e}") from None
-
-
-_POSITIVE = _Number(0, open=True)
-_REAL = _Number()
-_COUNT = _Number(1, integer=True)
-_SIZE = _Number(0, integer=True)
-_MAGNITUDE = _Number(0.0)
-_GRID_COUNT = _Number(8, integer=True)  # make_grid adds: even, <= MAX_COUNT
-_WINDOW = _Accepted(str, parse_window)
-_RUNGS = _List(_SIZE, pair=True)
+_WINDOW = rules.Accepted(str, parse_window)
+_GRID_COUNT = rules.Accepted(int, lambda n: make_grid(1.0, n))
 
 _RULES = {
-    "length": _POSITIVE, "count": _GRID_COUNT, "counts": _List(_GRID_COUNT),
-    "sigma": _REAL, "sigmas": _List(_REAL), "window": _WINDOW,
-    "windows": _List(_WINDOW), "signal": _WINDOW, "other": _WINDOW,
-    "signals": _List(_Accepted(str,  # the names _named_signal builds
-                               lambda n: n == "random" or parse_window(n))),
+    "length": rules.POSITIVE, "count": _GRID_COUNT,
+    "counts": rules.List(_GRID_COUNT), "sigma": rules.REAL,
+    "sigmas": rules.List(rules.REAL), "window": _WINDOW,
+    "windows": rules.List(_WINDOW), "signal": _WINDOW, "other": _WINDOW,
+    "signals": rules.List(rules.Accepted(  # the names _named_signal builds
+        str, lambda n: n == "random" or parse_window(n))),
     **dict.fromkeys(("trials", "stride", "n_max", "cells", "fixtures",
-                     "fields"), _COUNT),
-    **dict.fromkeys(("span", "kmax", "excise_cells"), _SIZE),
-    "crease_modes": _List(_COUNT),
+                     "fields"), rules.COUNT),
+    **dict.fromkeys(("span", "kmax", "excise_cells"), rules.SIZE),
+    "crease_modes": rules.List(rules.COUNT),
     **dict.fromkeys(("tol", "rel_tol", "drift_tol", "slack_tol", "closeness",
                      "lp_cap", "bounded_cap", "contraction_cap", "t3_rel_cap",
-                     "c_link", "growth", "drop", "disk_radius"), _POSITIVE),
-    **dict.fromkeys(("p", "q"), _Number(1.0)),  # Lebesgue exponents
+                     "c_link", "growth", "drop", "disk_radius"),
+                    rules.POSITIVE),
+    **dict.fromkeys(("p", "q"), rules.Number(1.0)),  # Lebesgue exponents
     # Sobolev orders, weight exponents, decay rates, perturbation sizes
-    **dict.fromkeys(("s", "s_below", "s_above", "r", "decay"), _MAGNITUDE),
-    "pert_range": _List(_MAGNITUDE, pair=True),
-    "stress_magnitudes": _List(_MAGNITUDE),
-    **dict.fromkeys(("delta", "tau_scale"), _Number(0, 1, open=True)),
-    **dict.fromkeys(("snr_db", "slope_cap", "shift", "modulation"), _REAL),
+    **dict.fromkeys(("s", "s_below", "s_above", "r", "decay"),
+                    rules.MAGNITUDE),
+    "pert_range": rules.List(rules.MAGNITUDE, pair=True),
+    "stress_magnitudes": rules.List(rules.MAGNITUDE),
+    **dict.fromkeys(("delta", "tau_scale"), rules.FRACTION),
+    **dict.fromkeys(("snr_db", "slope_cap", "shift", "modulation"),
+                    rules.REAL),
     "window_contains": _RUNGS, "window_pin": _RUNGS,
-    "sweep": _Accepted(dict, check_sweep),
+    "sweep": rules.Accepted(dict, check_sweep),
 }
+
 
 def experiment_ids() -> list:
     return list(_REGISTRY)
@@ -1431,41 +1388,25 @@ def _definition(id: str) -> _ExperimentDef:
 def check_manifest(manifest: ExperimentManifest) -> None:
     """Refuse a manifest unless its fixture and params hold exactly the
     registered keys, each value passing its name's rule in _RULES and each
-    rung of window_contains and window_pin below n_max, its seed is an
-    integer in [0, 2^64), and each grid passes make_grid and, where
-    the experiment needs it, the transforms' self-dual rule. The ValueError
-    names the field: fixture.X, params.Y, fixture.counts[i] or seed."""
+    rung of window_contains and window_pin below n_max, its seed passes
+    rules.SEED, and where the experiment needs it, its grid is self-dual.
+    The ValueError names the field: fixture.X, params.Y, fixture.counts[i]
+    or seed."""
     d = _definition(manifest.id)
     for section, declared in (("fixture", d.fixture), ("params", d.params)):
-        given = getattr(manifest, section)
-        if type(given) is not dict:
-            _refuse(section, "an object", given)
-        for key in given:
-            if key not in declared:
-                raise ValueError(f"{section} key {key!r} is unknown "
-                                 f"(allowed: {', '.join(declared)})")
-        for key in declared:
-            if key not in given:
-                raise ValueError(f"{section}.{key} is missing")
-            _RULES[key].check(f"{section}.{key}", given[key])
+        rules.Keyed({key: _RULES[key] for key in declared}).check(
+            section, getattr(manifest, section))
+    rules.SEED.check("seed", manifest.seed)
     pr = manifest.params
     for key in ("window_contains", "window_pin"):
         # the ladder has rungs 0 .. n_max - 1
         if key in pr and pr[key][1] >= pr["n_max"]:
-            _refuse(f"params.{key}", "a pair of rungs below params.n_max = "
-                    f"{pr['n_max']}", pr[key])
-    _Number(0, 2 ** 64, integer=True).check("seed", manifest.seed)
-    fx = manifest.fixture
-    for name, count in ([("fixture.count", fx["count"])] if "count" in fx else
-                        [(f"fixture.counts[{i}]", c)
-                         for i, c in enumerate(fx["counts"])]):
-        try:
-            grid = make_grid(fx["length"], count)
-        except ValueError as e:
-            raise ValueError(f"{name}: {e}") from None
+            raise ValueError(f"params.{key} must be a pair of rungs below "
+                             f"params.n_max = {pr['n_max']}, got {pr[key]}")
     if d.self_dual is not None:
-        _require_self_dual(tf_grid_of(grid), "fixture.length and fixture."
-                           f"count: infeasible grid: {d.self_dual}")
+        _require_self_dual(tf_grid_of(_grid(manifest.fixture)),
+                           "fixture.length and fixture.count: infeasible "
+                           f"grid: {d.self_dual}")
 
 
 def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,

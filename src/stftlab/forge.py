@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules
 from .grids import Grid1D, Sampled, Signal, modulate, translate
 from .norms import (
     IntersectionNorm,
@@ -118,8 +119,7 @@ def select_annulus_schedule(h: Signal, sigma: float, p: float, q: float,
     even integers so that the bump centers (3/2) j_n are integers, hence
     exactly on any grid whose spacing divides 1.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    rules.COUNT.check("n_max", n_max)
     h = normalize_seed(h, p, q)
     grid = h.grid
     half = grid.length / 2.0
@@ -274,10 +274,8 @@ def assemble_pair(schedule: AnnulusSchedule, delta: float,
     pair is degenerate (k = k_n); instability_ratio reports that rather than
     dividing by zero.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not 0 <= n <= schedule.n_max:
-        raise ValueError(f"n must lie in 0..{schedule.n_max}")
+    delta = rules.FRACTION(delta, "delta")
+    rules.Number(0, schedule.n_max + 1, integer=True).check("n", n)
     grid = schedule.seed.grid
     core = schedule.seed.values.copy()
     for eps in schedule.bumps[:n]:

@@ -23,6 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
+from . import rules
 from .grids import DomainMask, TFField, riemann_lp
 from .norms import field_gradient, modulus, phase_inf_distance
 from .transforms import fock_exponent
@@ -221,13 +222,7 @@ def check_sweep(sweep: dict) -> None:
     """Refuse cheeger_estimate's candidate counts, a dict of its keywords
     (an absent one at its default), unless each is an integer >= 0 and some
     candidate family is left. The message starts with the keyword."""
-    for key, value in sweep.items():
-        if key not in _SWEEP_DEFAULTS:
-            raise ValueError(f"{key} is not a sweep keyword (known: "
-                             f"{', '.join(_SWEEP_DEFAULTS)})")
-        if isinstance(value, bool) or not isinstance(
-                value, (int, np.integer)) or value < 0:
-            raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+    _SWEEP.check("", sweep)
     n = {**_SWEEP_DEFAULTS, **sweep}
     if (n["thresholds"] < 2 and n["directions"] < 1
             and min(n["centers"], n["radii"]) < 1):
@@ -463,6 +458,7 @@ def cheeger_estimate(W: TFField, *, thresholds: int = 256,
 
 # taken at import: a wrapper put in the function's place carries no defaults
 _SWEEP_DEFAULTS = dict(cheeger_estimate.__kwdefaults__)
+_SWEEP = rules.Keyed({}, dict.fromkeys(_SWEEP_DEFAULTS, rules.SIZE))
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +492,8 @@ def gluing_bound(c_a: float, c_b: float, lam: float) -> float:
     """Stability constant of a union from its parts: combine the two local
     constants in quadrature and pay the overlap factor 1/lam + sqrt(2).
     A constant may be inf (a disconnected patch), never NaN."""
-    if not (c_a >= 0 and c_b >= 0):
-        raise ValueError("local constants must be nonnegative numbers")
-    if not lam > 0:
-        raise ValueError("connectivity must be positive")
+    c_a, c_b = rules.CONSTANT(c_a, "c_a"), rules.CONSTANT(c_b, "c_b")
+    lam = rules.POSITIVE(lam, "connectivity")
     return math.hypot(c_a, c_b) * (1.0 / lam + math.sqrt(2.0))
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg.blas import dnrm2, dznrm2
 from scipy.special import gammaln
 
+from . import rules
 from .rng import SplitMix64
 
 BOUNDARY_DECAY_TOL = 1e-10
@@ -128,14 +129,12 @@ class Grid1D(_SampleSpace):
 
 def make_grid(length: float, count: int) -> Grid1D:
     """Validated Grid1D constructor: L > 0, N even, 8 <= N <= MAX_COUNT."""
-    if not np.isfinite(length) or length <= 0:
-        raise ValueError(f"grid length must be positive, got {length!r}")
-    if int(count) != count or count < 8 or count % 2 != 0:
-        raise ValueError(f"grid count must be an even integer >= 8, got {count!r}")
-    if count > MAX_COUNT:
-        raise ValueError(f"grid count {count!r} is above the limit of "
-                         f"{MAX_COUNT}")
-    return Grid1D(float(length), int(count))
+    length = rules.POSITIVE(length, "grid length")
+    rules.GRID_COUNT.check("grid count", count)
+    if count % 2 or count > MAX_COUNT:
+        raise ValueError(f"grid count must be an even integer, not above the "
+                         f"limit of {MAX_COUNT}, got {count}")
+    return Grid1D(length, count)
 
 
 class Sampled:
@@ -361,9 +360,7 @@ def gaussian(grid: Grid1D, center: float = 0.0, modulation: float = 0.0) -> Sign
 def hermite(grid: Grid1D, n: int) -> Signal:
     """n-th Hermite function, physicists' polynomials against the exp(-pi x^2)
     weight, normalized to unit L2 norm; hermite(grid, 0) == gaussian(grid)."""
-    if int(n) != n or n < 0:
-        raise ValueError(f"hermite order must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    rules.SIZE.check("hermite order", n)
     from scipy.special import eval_hermite
 
     x = grid.points()

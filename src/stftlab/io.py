@@ -82,6 +82,12 @@ def _read_exact(fh, n: int) -> bytes:
     return fh.read(n)
 
 
+def _at_end(fh) -> None:
+    # a header that declares fewer cells than the file holds drops the rest
+    if fh.read(1):
+        raise ValueError("bytes after the payload that the header declares")
+
+
 def _space(counts: tuple, lengths: tuple):
     axes = [make_grid(length, count) for count, length in zip(counts, lengths)]
     return axes[0] if len(axes) == 1 else TFGrid(*axes)
@@ -90,7 +96,8 @@ def _space(counts: tuple, lengths: tuple):
 def load(path: str | Path):
     """Load any container; returns a Signal, a TFField or a DomainMask.
     A payload is read before its grid is built; a mask's grid and cell count
-    are checked before its runs are decoded."""
+    are checked before its runs are decoded. Bytes past the payload are
+    refused."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(MAGIC))
         if magic != MAGIC:
@@ -104,6 +111,7 @@ def load(path: str | Path):
         cells = math.prod(counts)
         if kind != _KIND_MASK:
             vals = _samples(_read_exact(fh, 16 * cells))
+            _at_end(fh)
             cls = Signal if kind == _KIND_SIGNAL else TFField
             return cls(_space(counts, lengths), vals.reshape(counts))
         tg = _space(counts, lengths)
@@ -112,6 +120,7 @@ def load(path: str | Path):
                              f"cells, above the limit of {MAX_MASK_CELLS}")
         first, n_runs = struct.unpack("<QQ", _read_exact(fh, 16))
         runs = np.frombuffer(_read_exact(fh, 8 * n_runs), dtype="<u8")
+        _at_end(fh)
         if sum(runs.tolist()) != cells:
             raise ValueError("mask run lengths do not cover the grid")
         # runs alternate between the first value and its negation

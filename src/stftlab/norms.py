@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules
 from .grids import Sampled, TFField, riemann_lp
 
 __all__ = [
@@ -109,18 +110,6 @@ def _weighted(values: np.ndarray, space, r: float,
     weight **= r
     out = np.empty(values.shape, np.result_type(weight, values))
     return _apply_radial(weight, values, out)
-
-
-def _parameter(name: str, value: float, low: float = -math.inf,
-               allow_inf: bool = False) -> float:
-    """float(value), once it is a number (not NaN), at least low and, unless
-    allow_inf, finite."""
-    value = float(value)
-    if math.isnan(value) or value < low or (math.isinf(value) and not allow_inf):
-        bound = f" >= {low:g}" if low > -math.inf else ""
-        finite = "" if allow_inf else "finite "
-        raise ValueError(f"{name} must be a {finite}number{bound}, got {value!r}")
-    return value
 
 
 def _same_geometry(f: Sampled, g: Sampled) -> None:
@@ -299,7 +288,7 @@ class LqNorm(Norm):
     """Plain Lebesgue norm ||f||_q."""
 
     def __init__(self, q: float):
-        self.q = _parameter("q", q, 1.0, allow_inf=True)
+        self.q = rules.EXPONENT(q, "q")
         self.label = f"L{self.q:g}"
 
     def _terms(self, obj):
@@ -310,8 +299,8 @@ class XpSigmaNorm(Norm):
     """Weighted Lebesgue norm ||<x>^sigma f||_p."""
 
     def __init__(self, p: float, sigma: float):
-        self.p = _parameter("p", p, 1.0, allow_inf=True)
-        self.sigma = _parameter("sigma", sigma)
+        self.p = rules.EXPONENT(p, "p")
+        self.sigma = rules.REAL(sigma, "sigma")
         self.label = f"X{self.p:g},{self.sigma:g}"
 
     def _terms(self, obj):
@@ -323,9 +312,9 @@ class SobolevNorm(Norm):
     """||<x>^r f||_p + ||<D>^s f||_p."""
 
     def __init__(self, s: float, p: float, r: float = 0.0):
-        self.s = _parameter("s", s, 0.0)
-        self.p = _parameter("p", p, 1.0, allow_inf=True)
-        self.r = _parameter("r", r, 0.0)
+        self.s = rules.MAGNITUDE(s, "s")
+        self.p = rules.EXPONENT(p, "p")
+        self.r = rules.MAGNITUDE(r, "r")
         self.label = f"W{self.s:g},{self.p:g},{self.r:g}"
 
     def _terms(self, obj):
@@ -361,9 +350,9 @@ class NormSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        for name, low in (("s", 0.0), ("p", 1.0), ("r", 0.0)):
-            _parameter(name, getattr(self, name), low)
-        _parameter("q", self.q, 1.0, allow_inf=True)
+        for name, rule in (("s", rules.MAGNITUDE), ("p", rules.Number(1.0)),
+                           ("r", rules.MAGNITUDE), ("q", rules.EXPONENT)):
+            rule(getattr(self, name), name)
 
 
 def parse_norm(text: str) -> Norm:
@@ -378,18 +367,11 @@ def parse_norm(text: str) -> Norm:
     for part in text.split("^"):
         part = part.strip().lower()
         head, colon, args = part.partition(":")
+        # each norm reads and checks its own parameters' text
+        nums = args.split(",") if args else []
         if not colon and head.startswith("l") and len(head) > 1:
-            tail = head[1:]
-            try:
-                members.append(LqNorm(math.inf if tail == "inf" else float(tail)))
-                continue
-            except ValueError:
-                raise ValueError(f"bad norm spec {part!r}") from None
-        try:
-            nums = [float(t) for t in args.split(",")] if args else []
-        except ValueError:
-            raise ValueError(f"bad norm spec {part!r}") from None
-        if head == "lq" and len(nums) == 1:
+            members.append(LqNorm(head[1:]))
+        elif head == "lq" and len(nums) == 1:
             members.append(LqNorm(nums[0]))
         elif head == "x" and len(nums) == 2:
             members.append(XpSigmaNorm(nums[0], nums[1]))

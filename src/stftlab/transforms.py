@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import rules
 from .grids import (
     Grid1D,
     Signal,
@@ -67,8 +68,7 @@ class WindowSpec:
         if self.kind not in ("gaussian", "hermite"):
             raise ValueError(f"unknown window kind {self.kind!r}")
         if self.kind == "hermite":
-            if not isinstance(self.order, (int, np.integer)) or self.order < 0:
-                raise ValueError("hermite window order must be an integer >= 0")
+            rules.SIZE.check("hermite window order", self.order)
 
     def build(self, grid: Grid1D) -> Signal:
         if self.kind == "gaussian":
@@ -82,12 +82,8 @@ def parse_window(text: str) -> WindowSpec:
     if text == "gaussian":
         return WindowSpec("gaussian")
     if text.startswith("hermite:"):
-        arg = text[len("hermite:"):]
-        try:
-            n = int(arg)
-        except ValueError:
-            raise ValueError(f"bad hermite order {arg!r}") from None
-        return WindowSpec("hermite", order=n)
+        order = rules.SIZE(text[len("hermite:"):], "hermite order")
+        return WindowSpec("hermite", order=order)
     raise ValueError(f"bad window spec {text!r}")
 
 
@@ -345,8 +341,7 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     peak = abs(amb_w[origin, origin])
     if threshold is None:
         threshold = 1e-6 * peak
-    if not threshold > 0:
-        raise ValueError(f"threshold must be a positive number, got {threshold!r}")
+    threshold = rules.POSITIVE(threshold, "threshold")
     if peak <= threshold:
         raise ValueError("window ambiguity peak does not clear the threshold")
 

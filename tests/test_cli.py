@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stftlab import cli, experiments as ex
+from stftlab import cli, experiments as ex, rules
 from stftlab.grids import MAX_COUNT
 
 
@@ -274,9 +275,24 @@ def small_dumps(tmp_path_factory):
     return paths
 
 
+def _operands(dumps: dict, command: str) -> list:
+    """The dumps and outputs that a command takes besides the flags under
+    test; a refused `gen` must not write dumps["gen"]."""
+    return {"recover": [dumps["meas"]],
+            "cheeger": [dumps["meas"]],
+            "glue": ["--connectivity", dumps["meas"], dumps["a"], dumps["b"]],
+            "poincare": [],
+            "gen": ["--out", dumps["gen"]],
+            "norm": [dumps["meas"]],
+            "distance": [dumps["meas"], dumps["meas"]],
+            "run": ["isometry-sweep", "--reduced"],
+            }[command]
+
+
 @pytest.mark.parametrize("command, flags, named", [
     ("recover", ["--threshold", "-1"], "--threshold"),
     ("recover", ["--threshold", "nan"], "--threshold"),
+    ("recover", ["--threshold", "inf"], "--threshold"),
     ("cheeger", ["--thresholds", "-1"], "--thresholds"),
     ("cheeger", ["--centers", "-1"], "--centers"),
     ("cheeger", ["--radii", "-1"], "--radii"),
@@ -290,6 +306,8 @@ def small_dumps(tmp_path_factory):
     ("poincare", ["--disk", "0,0,nan"], "--disk"),
     ("poincare", ["--disk", "0,0,-1"], "--disk"),
     ("poincare", ["--disk", "nan,0,1"], "--disk"),
+    ("gen", ["random", "--seed", "-1"], "--seed"),
+    ("gen", ["random", "--seed", "18446744073709551616"], "--seed"),
     ("gen", ["gaussian", "--center", "100"], "--center"),
     ("gen", ["hermite:1", "--center", "0.01"], "--center"),
     ("gen", ["hermite:1", "--modulation", "0.013"], "--modulation"),
@@ -306,11 +324,11 @@ def small_dumps(tmp_path_factory):
     ("norm", ["--norm", "x:2,1000"], "--norm"),
     ("distance", ["--norm", "w:1000,2"], "--norm"),
     ("distance", ["--norm", "x:2,inf"], "--norm"),
-], ids=["threshold-negative", "threshold-nan", "thresholds", "centers",
-        "radii", "directions", "offsets", "all-counts-zero", "ca-nan",
-        "ca-negative", "cb-nan", "disk-nan", "disk-negative",
-        "disk-center-nan", "center-outside", "center-off-grid",
-        "modulation-off-grid", "modulation-inf", "gaussian-grid-too-coarse",
+], ids=["threshold-negative", "threshold-nan", "threshold-inf", "thresholds",
+        "centers", "radii", "directions", "offsets", "all-counts-zero",
+        "ca-nan", "ca-negative", "cb-nan", "disk-nan", "disk-negative",
+        "disk-center-nan", "seed-negative", "seed-past-2-64",
+        "center-outside", "center-off-grid", "modulation-off-grid", "modulation-inf", "gaussian-grid-too-coarse",
         "hermite-grid-too-coarse", "hermite3-grid-too-coarse",
         "gaussian-modulation-off-grid", "norm-s-inf", "norm-sigma-inf",
         "norm-sigma-minus-inf", "norm-r-inf", "norm-multiplier-overflow",
@@ -318,18 +336,48 @@ def small_dumps(tmp_path_factory):
         "distance-sigma-inf"])
 def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
                                               flags, named):
-    operands = {"recover": [small_dumps["meas"]],
-                "cheeger": [small_dumps["meas"]],
-                "glue": ["--connectivity", small_dumps["meas"],
-                         small_dumps["a"], small_dumps["b"]],
-                "poincare": [],
-                "gen": ["--out", small_dumps["gen"]],
-                "norm": [small_dumps["meas"]],
-                "distance": [small_dumps["meas"], small_dumps["meas"]],
-                }[command]
-    code, out, err = run_cli(capsys, command, *operands, *flags)
+    code, out, err = run_cli(capsys, command,
+                             *_operands(small_dumps, command), *flags)
     assert code == 2 and out == ""
     assert f"argument {named}" in err
+    assert not Path(small_dumps["gen"]).exists()
+
+
+def _typed_flags() -> list:
+    """(command, flag, type) for every option of the parser with a type."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.type)
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None]
+
+
+def test_every_typed_flag_is_read_by_a_rule():
+    flags = _typed_flags()
+    assert {("gen", "--seed"), ("run", "--seed"), ("recover", "--threshold"),
+            ("glue", "--ca"), ("cheeger", "--offsets")} <= \
+        {flag[:2] for flag in flags}
+    assert all(isinstance(rule, rules.Number) for _, _, rule in flags), flags
+
+
+# (command, flag, text) with text that the flag's rule refuses: no number,
+# or a number outside the rule
+_BAD_FLAGS = st.sampled_from(_typed_flags()).flatmap(
+    lambda f: st.one_of(st.sampled_from(["", "x", "1,5", "0x10"]),
+                        *(s.map(repr) for s in _outside(f[2])))
+    .map(lambda text: (*f[:2], text)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_BAD_FLAGS)
+def test_fuzz_a_refused_numeric_flag_exits_two_naming_it(small_dumps, case):
+    command, flag, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, f"{flag}={text}",
+                         *_operands(small_dumps, command)])
+    assert code == 2 and out.getvalue() == ""
+    assert f"argument {flag}: value must be" in err.getvalue(), case
     assert not Path(small_dumps["gen"]).exists()
 
 
@@ -435,28 +483,19 @@ def _dot_dot_table(d):
     (d / "summary.json").write_text(json.dumps(summary))
 
 
-def _string_tables(d):
-    summary = json.loads((d / "summary.json").read_text())
-    summary["tables"] = "covariance"
-    (d / "summary.json").write_text(json.dumps(summary))
+def _stored(*path):
+    """An edit that sets the entry of summary.json at path, a list of keys
+    and indices, to the value after it."""
+    *path, key, value = path
 
-
-def _list_args(d):
-    summary = json.loads((d / "summary.json").read_text())
-    summary["assertions"][0]["args"] = ["residual", "tol"]
-    (d / "summary.json").write_text(json.dumps(summary))
-
-
-def _string_hard(d):
-    summary = json.loads((d / "summary.json").read_text())
-    summary["assertions"][0]["hard"] = "no"
-    (d / "summary.json").write_text(json.dumps(summary))
-
-
-def _string_passed(d):
-    summary = json.loads((d / "summary.json").read_text())
-    summary["assertions"][0]["passed"] = "yes"
-    (d / "summary.json").write_text(json.dumps(summary))
+    def edit(d):
+        summary = json.loads((d / "summary.json").read_text())
+        entry = summary
+        for k in path:
+            entry = entry[k]
+        entry[key] = value
+        (d / "summary.json").write_text(json.dumps(summary))
+    return edit
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -464,18 +503,38 @@ def _string_passed(d):
     (_renamed_column, ["covariance.csv", "'residual'"]),
     (_text_cell, ["covariance.csv", "'residual'", "not all numbers"]),
     (_empty_table, ["covariance.csv", "no header"]),
-    (_no_args, ["summary.json", "'args'"]),
-    (_list_args, ["summary.json", "'args'"]),
-    (_no_tables, ["summary.json", "'tables'"]),
+    (_no_args, ["summary.json", "assertions[0].args is missing"]),
+    (_stored("assertions", 0, "args", ["residual", "tol"]),
+     ["summary.json", "assertions[0].args must be an object"]),
+    (_no_tables, ["summary.json", "tables is missing"]),
     (_not_json, ["summary.json", "not JSON"]),
-    (_escaping_table, ["summary.json", "'../outside/covariance'"]),
-    (_dot_dot_table, ["summary.json", "'..'", "plain file name"]),
-    (_string_tables, ["summary.json", "'tables'", "not a list"]),
-    (_string_hard, ["summary.json", "'hard'", "not a boolean"]),
-    (_string_passed, ["summary.json", "'passed'", "not a boolean"]),
+    (_escaping_table, ["summary.json", "tables[",
+                       "'../outside/covariance' is not a plain file name"]),
+    (_dot_dot_table, ["summary.json", "tables[",
+                      "'..' is not a plain file name"]),
+    (_stored("tables", "covariance"),
+     ["summary.json", "tables must be a non-empty array"]),
+    (_stored("assertions", 0, "hard", "no"),
+     ["summary.json", "assertions[0].hard must be a boolean"]),
+    (_stored("assertions", 0, "passed", "yes"),
+     ["summary.json", "assertions[0].passed must be a boolean"]),
+    (_stored("assertions", 5),
+     ["summary.json", "assertions must be a non-empty array, got 5"]),
+    (_stored("assertions", 0, None),
+     ["summary.json", "assertions[0] must be an object, got null"]),
+    (_stored("assertions", 0, "check", ["x"]),
+     ["summary.json", "assertions[0].check must be a string"]),
+    (_stored("assertions", 0, "table", {}),
+     ["summary.json", "assertions[0].table must be a string"]),
+    (_stored("assertions", 0, "args", {}),
+     ["summary.json", "assertions[0].args.lhs is missing"]),
+    (_stored("assertions", 0, "args", "lhs", 5),
+     ["summary.json", "assertions[0].args.lhs must be a string, got 5"]),
 ], ids=["short-row", "renamed-column", "text-cell", "empty-table",
         "no-args", "list-args", "no-tables", "not-json", "escaping-table",
-        "dot-dot-table", "string-tables", "string-hard", "string-passed"])
+        "dot-dot-table", "string-tables", "string-hard", "string-passed",
+        "number-assertions", "null-assertion", "list-check", "object-table",
+        "empty-args", "number-column"])
 def test_verify_of_a_malformed_run_exits_two_naming_it(stored_run, tmp_path,
                                                        capsys, edit, named):
     run_dir = tmp_path / "run"
@@ -513,12 +572,12 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "isometry-sweep",
                            "--config", str(cfg))
     assert code == 2
-    assert "'trials'" in err
+    assert "argument --config: trials is unknown" in err
     cfg.write_text('{"params": {"trils": 3}}')
     code, _, err = run_cli(capsys, "run", "isometry-sweep",
                            "--config", str(cfg))
     assert code == 2
-    assert "'trils'" in err
+    assert "argument --config: params.trils is unknown" in err
     for patch, name in (('{"params": {"trials": "a"}}', "params.trials"),
                         ('{"fixture": {"count": 1e12}}', "fixture.count"),
                         ('{"params": {"trials": true}}', "params.trials")):
@@ -534,7 +593,7 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
             ("isometry-sweep", '{"fixture": {"count": 513}}',
              "fixture.count", "even integer"),
             ("isometry-sweep", '{"fixture": {"length": -1}}',
-             "fixture.length", "must be positive"),
+             "fixture.length", "must be a finite number > 0"),
             ("cheeger-gaussian", '{"fixture": {"counts": [128, 5000]}}',
              "fixture.counts[1]", "above the limit")):
         cfg.write_text(patch)
@@ -592,25 +651,33 @@ def test_run_refuses_a_bad_config_value_naming_it(tmp_path, capsys, id,
 def test_run_refuses_a_bad_seed_flag_naming_it(capsys):
     code, out, err = run_cli(capsys, "run", "isometry-sweep", "--seed", "-1")
     assert code == 2 and out == ""
-    assert "argument --seed: seed must be >= 0" in err
+    assert ("argument --seed: value must be an integer in "
+            "[0, 18446744073709551616)") in err
+
+
+def _outside(rule):
+    """Numbers a numeric rule refuses: NaN, -inf, +inf unless the rule takes
+    it, any past a bound, and any float where it wants an integer."""
+    out = [st.sampled_from([math.nan, -math.inf]
+                           + ([] if rule.infinite else [math.inf]))]
+    if rule.integer:
+        out.append(st.floats())
+    if rule.lo > -math.inf:
+        out.append(st.integers(max_value=math.ceil(rule.lo) - 1)
+                   if rule.integer else
+                   st.floats(max_value=rule.lo, exclude_max=not rule.open))
+    if rule.hi < math.inf:
+        out.append(st.integers(min_value=rule.hi) if rule.integer
+                   else st.floats(min_value=rule.hi))
+    return out
 
 
 def _refused(rule):
     """Values a declared rule refuses: another JSON type, or out of range."""
     others = [None, True, "1", [1], {"a": 1}]
-    if isinstance(rule, ex._Number):
-        out = [st.sampled_from(others + [math.nan, math.inf, -math.inf])]
-        if rule.integer:
-            out.append(st.floats())
-        if rule.lo > -math.inf:
-            out.append(st.integers(max_value=math.ceil(rule.lo) - 1)
-                       if rule.integer else
-                       st.floats(max_value=rule.lo, exclude_max=not rule.open))
-        if rule.hi < math.inf:
-            out.append(st.integers(min_value=rule.hi) if rule.integer
-                       else st.floats(min_value=rule.hi))
-        return st.one_of(out)
-    if isinstance(rule, ex._List):
+    if isinstance(rule, rules.Number):
+        return st.one_of(st.sampled_from(others), *_outside(rule))
+    if isinstance(rule, rules.List):
         out = [st.sampled_from(others[:3] + [{}, []]),
                st.lists(_refused(rule.item), min_size=1, max_size=3)]
         if rule.pair:
@@ -620,6 +687,9 @@ def _refused(rule):
                     st.lists(item, min_size=2, max_size=2, unique=True)
                     .map(lambda v: sorted(v, reverse=True))]
         return st.one_of(out)
+    if rule.kind is int:  # a grid count
+        return st.one_of(st.sampled_from(others[:3] + [8.0, [8], {}]),
+                         st.integers(max_value=7))
     if rule.kind is str:
         return st.sampled_from([None, 1, ["gaussian"], {}, "", "bogus",
                                 "Gaussian", "hermite:", "hermite:x",

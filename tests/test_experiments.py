@@ -46,7 +46,7 @@ def _patched(id, section, **change):
 
 @pytest.mark.parametrize("manifest, named", [
     (_patched("isometry-sweep", "params", tol=None), "params.tol is missing"),
-    (_patched("isometry-sweep", "params", trils=3), "params key 'trils'"),
+    (_patched("isometry-sweep", "params", trils=3), "params.trils is unknown"),
     (_patched("isometry-sweep", "params", trials=0), "params.trials must be"),
     (_patched("isometry-sweep", "params", tol=math.nan), "params.tol must be"),
     (_patched("cheeger-trend", "params", sweep={"thresholds": 1.5}),
@@ -54,7 +54,7 @@ def _patched(id, section, **change):
     (_patched("modulus-threshold", "params", crease_modes=[4, 0]),
      "params.crease_modes[1] must be"),
     (_patched("covariance-lattice", "fixture", windows=["hermite:x"]),
-     "fixture.windows[0]: bad hermite order"),
+     "fixture.windows[0]: hermite order must be an integer >= 0"),
     (_patched("window-ratio", "fixture", length=15.0),
      "fixture.length and fixture.count: infeasible grid"),
     (dataclasses.replace(ex.default_manifest("isometry-sweep"), seed=2 ** 64),
@@ -75,7 +75,8 @@ def test_run_refuses_a_bad_manifest_before_any_numerics(monkeypatch, manifest,
 
 
 def test_default_manifest_refuses_a_bad_seed():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, "
+                                         r"18446744073709551616\)"):
         ex.default_manifest("isometry-sweep", seed=-1)
 
 

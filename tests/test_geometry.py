@@ -279,7 +279,7 @@ def test_cheeger_rejects_zero_and_negative_fields(tfg):
 
 
 @pytest.mark.parametrize("sweep, named", [
-    ({"bogus": 3}, "bogus is not a sweep keyword"),
+    ({"bogus": 3}, "bogus is unknown"),
     ({"thresholds": -4}, "thresholds must be an integer >= 0"),
     ({"offsets": 2.0}, "offsets must be an integer >= 0"),
     ({"radii": True}, "radii must be an integer >= 0"),

@@ -1,3 +1,6 @@
+import contextlib
+import io as stdio
+import itertools
 import os
 import struct
 import subprocess
@@ -6,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stftlab import cli, experiments, io
 from stftlab.grids import (DomainMask, Signal, TFField, TFGrid, make_grid,
@@ -111,6 +116,88 @@ def test_truncated_raises(tmp_path, grid8):
     p.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="truncated"):
         load(p)
+
+
+def _dumps(tmp_path, grid) -> dict:
+    """Dumps of a signal on grid and of a field and a mask on its TF grid,
+    by path, with the command and argument that read each."""
+    tg = tf_grid_of(grid)
+    sig, field, mask = (tmp_path / f"{n}.bin" for n in ("sig", "field", "mask"))
+    dump_signal(random_signal(grid), sig)
+    dump_field(TFField(tg, np.ones(tg.shape)), field)
+    dump_mask(np.arange(np.prod(tg.shape)).reshape(tg.shape) % 3 == 0, tg,
+              mask)
+    return {sig: ("norm", "operand"), field: ("norm", "operand"),
+            mask: ("poincare", "mask")}
+
+
+def _refused_by_the_cli(path, command, arg) -> bool:
+    err = stdio.StringIO()
+    with contextlib.redirect_stdout(stdio.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path)])
+    return code == 2 and f"argument {arg}: " in err.getvalue()
+
+
+def test_bytes_after_the_payload_are_refused(tmp_path, grid8):
+    """Counts rewritten from 64 to 32 declare the front of the payload; the
+    rest, like an appended byte, is refused, not dropped."""
+    dumps = _dumps(tmp_path, grid8)
+    for path, (command, arg) in dumps.items():
+        data = bytearray(path.read_bytes())
+        if command == "norm":
+            n = 1 if path.stem == "sig" else 2
+            struct.pack_into(f"<{n}Q", data, len(MAGIC) + 8, *[32] * n)
+        else:
+            data += b"\0"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="after the payload"):
+            load(path)
+        assert _refused_by_the_cli(path, command, arg)
+
+
+@pytest.fixture(scope="module")
+def small_dumps(tmp_path_factory):
+    """The three dumps on an 8-point grid, as bytes, and a new path for
+    each example."""
+    d = tmp_path_factory.mktemp("fuzz")
+    dumps = [(path.read_bytes(), use)
+             for path, use in _dumps(d, make_grid(2.0, 8)).items()]
+    return dumps, (d / f"{i}.bin" for i in itertools.count())
+
+
+# (index of the dump, damage): a truncation, a bit flip or appended bytes
+_DAMAGE = st.tuples(st.integers(0, 2), st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=32))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_DAMAGE)
+def test_fuzz_a_damaged_dump_raises_value_error_or_loads(small_dumps, case):
+    """io.load of a truncated, bit-flipped or extended dump raises nothing
+    but ValueError, and a command given a refused dump exits 2 naming the
+    dump's argument."""
+    dumps, paths = small_dumps
+    which, (how, arg) = case
+    data, (command, name) = dumps[which]
+    data = bytearray(data)
+    if how == "truncate":
+        del data[int(arg * len(data)):]
+    elif how == "flip":
+        bit = int(arg * 8 * len(data))
+        data[bit // 8] ^= 1 << bit % 8
+    else:
+        data += arg
+    path = next(paths)
+    path.write_bytes(data)
+    try:
+        obj = load(path)
+    except ValueError:
+        assert _refused_by_the_cli(path, command, name), case
+    else:
+        assert how == "flip" and isinstance(obj, (Signal, TFField, DomainMask))
 
 
 def test_forged_header_is_refused_before_reading(tmp_path, capsys):

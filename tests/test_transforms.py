@@ -397,7 +397,7 @@ def test_self_dual_rule_is_the_grid_flag_and_the_dual_axis():
 
 
 def test_recover_refuses_a_nan_threshold(grid16):
-    with pytest.raises(ValueError, match="positive number"):
+    with pytest.raises(ValueError, match="threshold must be a finite number > 0"):
         recover(phaseless(gaussian(grid16)), threshold=float("nan"))
 
 
