@@ -257,8 +257,7 @@ def _cmd_glue(args) -> int:
 
 def _cmd_recover(args) -> int:
     from . import io
-    from .grids import riemann_lp
-    from .norms import phase_inf_distance
+    from .norms import LqNorm, phase_inf_distance
     from .transforms import _require_self_dual, parse_window, recover
 
     meas = _load_operand(args.measurement, "measurement", "field")
@@ -273,7 +272,7 @@ def _cmd_recover(args) -> int:
     error = None
     if ref is not None:
         res = phase_inf_distance(ref, result.signal)
-        scale = riemann_lp(ref.values, ref.grid.dx, 2.0)
+        scale = LqNorm(2.0)(ref)
         error = res.distance / scale if scale > 0 else float("inf")
     if args.out is not None:
         io.dump_signal(result.signal, args.out)
@@ -449,8 +448,10 @@ def _build_parser() -> argparse.ArgumentParser:
             _cmd_recover)
     p.add_argument("measurement", help="field dump of squared modulus")
     p.add_argument("--window", default="gaussian")
-    p.add_argument("--threshold", type=rules.POSITIVE,
-                   help="mask level for the window division")
+    p.add_argument("--threshold", type=rules.FRACTION,
+                   help="mask level for the window division, a fraction in "
+                        "(0, 1) of the window ambiguity's peak (default "
+                        "1e-6)")
     p.add_argument("--reference", help="signal dump to compare against")
     p.add_argument("--out", help="write the recovered signal dump here")
 

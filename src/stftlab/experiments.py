@@ -52,6 +52,7 @@ from .grids import (
     translate,
 )
 from .norms import (
+    LqNorm,
     NormSpec,
     SobolevNorm,
     XpSigmaNorm,
@@ -67,7 +68,6 @@ from .norms import (
 from .rng import SplitMix64
 from .transforms import (
     _require_self_dual,
-    ambiguity,
     ambiguity_relation_residuals,
     covariance_residuals,
     fock_polynomial_field,
@@ -478,8 +478,7 @@ def _named_signal(name: str, grid, rng: SplitMix64) -> Signal:
     return parse_window(name).build(grid)
 
 
-def _l2(obj) -> float:
-    return riemann_lp(obj.values, obj.space.cell, 2.0)
+_l2 = LqNorm(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +640,6 @@ def _run_recover_noisy(manifest, fx, pr):
     w = parse_window(fx["window"])
     tol, snr = pr["tol"], pr["snr_db"]
     rng = SplitMix64(manifest.seed)
-    # noise passes through the masked division, so the mask must sit above
-    # the amplified noise floor; the clean default would flip the peak sign
-    wsig = w.build(grid)
-    origin = grid.count // 2
-    peak = abs(ambiguity(wsig).values[origin, origin])
-    threshold = pr["tau_scale"] * peak
     rows = []
     for trial in range(pr["trials"]):
         def noisy(m, sname, _t=trial):
@@ -658,8 +651,11 @@ def _run_recover_noisy(manifest, fx, pr):
                               0.0)
             return TFField(m.tfgrid, vals.astype(np.complex128))
 
+        # noise passes through the masked division, so the mask must sit
+        # above the amplified noise floor; the clean default would flip the
+        # peak sign
         for r in _recovery_rows(grid, fx["signals"], w, manifest.seed,
-                                noise=noisy, threshold=threshold):
+                                noise=noisy, threshold=pr["tau_scale"]):
             rows.append([trial] + r + [tol])
     tables = {"recovery_noisy": (["trial", "signal", "rel_error",
                                   "masked_fraction", "threshold", "tol"],

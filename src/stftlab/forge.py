@@ -214,9 +214,9 @@ def verify_bump_bounds(schedule: AnnulusSchedule) -> BoundReport:
     the worst leakage of earlier bumps into A_n.
     """
     h = schedule.seed
-    grid = h.grid
     xnorm = _intersection_norm(schedule)
-    h_lp = riemann_lp(h.values, grid.dx, schedule.p)
+    lp_norm, lq_norm = LqNorm(schedule.p), LqNorm(schedule.q)
+    h_lp = lp_norm(h)
     rows = []
     for m, eps in enumerate(schedule.bumps):
         n = m + 1
@@ -225,11 +225,11 @@ def verify_bump_bounds(schedule: AnnulusSchedule) -> BoundReport:
         bracket_sig = japanese_bracket(float(j)) ** schedule.sigma
         mask = schedule.annulus_mask(m)
 
-        lp = riemann_lp(eps.values, grid.dx, schedule.p)
+        lp = lp_norm(eps)
         gub_lp_ratio = lp / (scale * h_lp)
         gub_x_scaled = xnorm(eps) * 2.0 ** n
 
-        mcb = riemann_lp(eps.restrict(mask).values, grid.dx, schedule.q)
+        mcb = lq_norm(eps.restrict(mask))
         mcb_product = mcb * 2.0 ** n * bracket_sig
 
         mtb = xnorm(eps.restrict(~mask))
@@ -337,15 +337,12 @@ def dichotomy_check(pair: InstabilityPair, schedule: AnnulusSchedule) -> dict:
     slope bound ||k_n||_q); returns it and the floor. The experiment decides
     from these two numbers.
     """
-    q = schedule.q
-    grid = pair.core.grid
-    norm = LqNorm(q)
+    norm = LqNorm(schedule.q)
     _, measured, _, _ = _certified_min(norm.pair_evaluator(pair.k, pair.k_n),
                                        norm(pair.k_n), _FAR_END,
                                        2.0 * math.pi - _FAR_END)
-    bump_mass = sum(riemann_lp(e.values, grid.dx, q) for e in schedule.bumps)
-    floor = 0.5 * riemann_lp(schedule.seed.values, grid.dx, q) \
-        - 2.0 * pair.delta * bump_mass
+    bump_mass = sum(map(norm, schedule.bumps))
+    floor = 0.5 * norm(schedule.seed) - 2.0 * pair.delta * bump_mass
     return {
         "min_far_distance": float(measured),
         "floor": float(floor),
@@ -469,11 +466,11 @@ def lp_reduction_rows(a: Sampled, members: list, s: float, p: float) -> list:
     full field per member alive.
     """
     high_a = frac_sobolev_norm(a, s + _LP_GAIN, p)
-    norm = SobolevNorm(s, p)
+    norm, lp_norm = SobolevNorm(s, p), LqNorm(p)
     rows = []
     for label, b, *measured in members:
         diff = modulus_difference(a, b)
-        low = riemann_lp(diff.values, diff.space.cell, norm.p)
+        low = lp_norm(diff)
         derivative = (measured[0] if measured else
                       riemann_lp(*_derivative_term(diff, norm.s, norm.p)))
         lhs = low + derivative

@@ -24,8 +24,8 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
 from . import rules
-from .grids import DomainMask, TFField, riemann_lp
-from .norms import field_gradient, modulus, phase_inf_distance
+from .grids import DomainMask, TFField
+from .norms import LqNorm, field_gradient, modulus, phase_inf_distance
 from .transforms import fock_exponent
 
 __all__ = [
@@ -474,15 +474,11 @@ def connectivity(W: TFField, A: DomainMask, B: DomainMask) -> float:
     """
     if A.tfgrid != W.tfgrid or B.tfgrid != W.tfgrid:
         raise ValueError("masks and field live on different grids")
-    mod = modulus(W)
-
-    def l2_on(region):
-        return riemann_lp(mod.restrict(region).values, W.tfgrid.cell, 2.0)
-
-    num = l2_on(A.inside & B.inside)
+    mod, l2 = modulus(W), LqNorm(2.0)
+    num = l2(mod.restrict(A.inside & B.inside))
     if num == 0.0:
         raise ValueError("overlap carries no mass")
-    den = l2_on(A.inside) + l2_on(B.inside)
+    den = l2(mod.restrict(A.inside)) + l2(mod.restrict(B.inside))
     # a masked sum can exceed its superset by rounding only; the quotient is
     # capped at the exact upper end of its range
     return min(num / den, 0.5)
@@ -760,7 +756,6 @@ def stability_certificate(f1: TFField, f2: TFField, mask: DomainMask,
             f"field magnitude below {_WEIGHT_FLOOR:g} of max on "
             f"{floor_hits} cells outside the excised zeros")
 
-    cell = tg.cell
     x = tg.xmesh()
     w = tg.wmesh()
 
@@ -772,12 +767,10 @@ def stability_certificate(f1: TFField, f2: TFField, mask: DomainMask,
     lx, ly = field_gradient(TFField(tg, logm1))
     log_deriv = np.hypot(lx + math.pi * x, ly + math.pi * w)
 
-    def l2_over(arr):
-        return riemann_lp(TFField(tg, arr).restrict(dom).values, cell, 2.0)
-
-    t1 = l2_over(diff)
-    t2 = l2_over(grad_term)
-    t3 = l2_over(log_deriv * np.abs(diff))
+    l2 = LqNorm(2.0)
+    t1 = l2(TFField(tg, diff).restrict(dom))
+    t2 = l2(TFField(tg, grad_term).restrict(dom))
+    t3 = l2(TFField(tg, log_deriv * np.abs(diff)).restrict(dom))
 
     c1 = TFField(tg, f1.values * damp).restrict(dom)
     c2 = TFField(tg, f2.values * damp).restrict(dom)

@@ -302,7 +302,7 @@ def riemann_lp(values: np.ndarray, cell: float, p: float) -> float:
     right. Any other p takes a max-rescaled sum, dividing by the max and
     raising to p in place in the |values| array it takes.
     """
-    if p != math.inf and p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     if p == 2:
         # the BLAS wrappers refuse strided input, and dnrm2 refuses empty input

@@ -325,9 +325,11 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     yields the correlations f(t) conj(f(t - x)). The x = 0 row is |f|^2; the
     column through the modulus peak then determines f up to one phase.
 
-    The division is the unstable step, so it is masked at `threshold`
-    (absolute; default 1e-6 of the window ambiguity's peak) and the zeroed
-    fraction of the plane is reported.
+    The division is the unstable step, so it is masked where |A w| falls
+    below `threshold` times the window ambiguity's peak |A w(0,0)|, a
+    fraction in (0, 1) (default 1e-6). The result reports that absolute
+    level and the zeroed fraction of the plane. A fraction below 1 keeps
+    the origin, whose row carries |f|^2.
     """
     tf = measurement.tfgrid
     _require_self_dual(tf, "recovery")
@@ -339,12 +341,8 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     amb_w = ambiguity(w).values
     origin = grid.count // 2
     peak = abs(amb_w[origin, origin])
-    if threshold is None:
-        threshold = 1e-6 * peak
-    threshold = rules.POSITIVE(threshold, "threshold")
-    if peak <= threshold:
-        raise ValueError("window ambiguity peak does not clear the threshold")
-
+    threshold = peak * rules.FRACTION(
+        1e-6 if threshold is None else threshold, "threshold")
     mask = np.abs(amb_w) >= threshold
     lhs = _measurement_fourier_side(measurement)
     amb_f = np.zeros_like(lhs)
@@ -354,8 +352,6 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     v_ff = np.multiply(_chirp(tf, -1), amb_f, out=amb_f)
     corr = icdft(v_ff, axis=1) / grid.dx
 
-    if not mask[origin].any():
-        raise ValueError("threshold masks the entire x = 0 row; lower it")
     power = corr[origin].real
     t0 = int(np.argmax(np.abs(power)))
     amp2 = power[t0]

@@ -178,3 +178,21 @@ def test_every_import_is_read():
             for line, name in _unread_imports(ast.parse(path.read_text())):
                 found.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not found, f"imported but never read: {found}"
+
+
+def test_sampled_norms_go_through_lqnorm():
+    """Outside grids and norms, the L^p norm of a sampled object is an
+    LqNorm call: no module passes `<obj>.values` to riemann_lp itself.
+    riemann_lp stays the array kernel of the norm objects."""
+    found = []
+    for path in sorted((ROOT / "src" / "stftlab").glob("*.py")):
+        if path.name in ("grids.py", "norms.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None)) == "riemann_lp"
+                    and node.args and isinstance(node.args[0], ast.Attribute)
+                    and node.args[0].attr == "values"):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"riemann_lp of a sampled object's values: {found}"

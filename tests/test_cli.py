@@ -293,6 +293,8 @@ def _operands(dumps: dict, command: str) -> list:
     ("recover", ["--threshold", "-1"], "--threshold"),
     ("recover", ["--threshold", "nan"], "--threshold"),
     ("recover", ["--threshold", "inf"], "--threshold"),
+    ("recover", ["--threshold", "1"], "--threshold"),
+    ("recover", ["--threshold", "1e10"], "--threshold"),
     ("cheeger", ["--thresholds", "-1"], "--thresholds"),
     ("cheeger", ["--centers", "-1"], "--centers"),
     ("cheeger", ["--radii", "-1"], "--radii"),
@@ -324,7 +326,8 @@ def _operands(dumps: dict, command: str) -> list:
     ("norm", ["--norm", "x:2,1000"], "--norm"),
     ("distance", ["--norm", "w:1000,2"], "--norm"),
     ("distance", ["--norm", "x:2,inf"], "--norm"),
-], ids=["threshold-negative", "threshold-nan", "threshold-inf", "thresholds",
+], ids=["threshold-negative", "threshold-nan", "threshold-inf",
+        "threshold-one", "threshold-past-the-peak", "thresholds",
         "centers", "radii", "directions", "offsets", "all-counts-zero",
         "ca-nan", "ca-negative", "cb-nan", "disk-nan", "disk-negative",
         "disk-center-nan", "seed-negative", "seed-past-2-64",

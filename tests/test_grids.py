@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from stftlab.grids import (
     icdft,
     make_grid,
     modulate,
+    riemann_lp,
     tf_grid_of,
     translate,
 )
@@ -315,3 +318,9 @@ def test_parseval_property(seed):
     a = grid.dx * np.sum(np.abs(f.values) ** 2)
     b = F.grid.dx * np.sum(np.abs(F.values) ** 2)
     assert abs(a - b) <= 1e-10 * max(a, 1.0)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.5, -math.inf])
+def test_riemann_lp_refuses_an_exponent_below_one_or_nan(p):
+    with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+        riemann_lp(np.ones(8), 0.1, p)

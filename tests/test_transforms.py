@@ -372,7 +372,8 @@ def test_recover_error_paths(grid16):
     with pytest.raises(ValueError, match="zero measurement"):
         recover(TFField(tf, np.zeros(tf.shape)))
     m = phaseless(gaussian(grid16))
-    with pytest.raises(ValueError, match="threshold"):
+    with pytest.raises(ValueError,
+                       match=r"threshold must be a finite number in \(0, 1\)"):
         recover(m, threshold=2.0)
     with pytest.raises(ValueError):
         recover(m, threshold=-1.0)
@@ -397,8 +398,29 @@ def test_self_dual_rule_is_the_grid_flag_and_the_dual_axis():
 
 
 def test_recover_refuses_a_nan_threshold(grid16):
-    with pytest.raises(ValueError, match="threshold must be a finite number > 0"):
+    with pytest.raises(ValueError,
+                       match=r"threshold must be a finite number in \(0, 1\)"):
         recover(phaseless(gaussian(grid16)), threshold=float("nan"))
+
+
+@pytest.mark.parametrize("tau", [1e-6, 1e-2, 0.5])
+def test_recover_threshold_is_the_fraction_of_the_window_peak(grid16, tau):
+    """The reported level is peak * tau, bit for bit, with the peak read
+    from the window ambiguity at the origin."""
+    amb = ambiguity(WindowSpec().build(grid16)).values
+    origin = grid16.count // 2
+    want = abs(amb[origin, origin]) * tau
+    got = recover(phaseless(gaussian(grid16)), threshold=tau).threshold
+    assert _u64(np.float64(got)) == _u64(np.float64(want))
+
+
+def test_recover_keeps_the_origin_at_the_largest_fraction(grid16):
+    """tau = 1 - 2^-53, the largest fraction below 1, rounds peak * tau to
+    at most the peak, so the origin stays in the mask: a gaussian window's
+    ambiguity peaks there alone, and a signal still comes back."""
+    res = recover(phaseless(gaussian(grid16)), threshold=1.0 - 2.0 ** -53)
+    assert res.masked_fraction == 1.0 - 1.0 / grid16.count ** 2
+    assert res.signal.grid == grid16
 
 
 # ---------------------------------------------------------------------------
