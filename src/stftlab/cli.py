@@ -150,6 +150,7 @@ def _cmd_stft(args) -> int:
 
     sig = _load_operand(args.signal, "signal", "signal")
     window = _flag("--window", parse_window, args.window)
+    _flag("--window", window.build, sig.grid)
     field = phaseless(sig, window) if args.phaseless else stft(sig, window)
     io.dump_field(field, args.out)
     return 0
@@ -249,7 +250,7 @@ def _cmd_glue(args) -> int:
     field = _load_operand(wpath, "--connectivity", "field")
     a = _load_operand(apath, "--connectivity", "mask")
     b = _load_operand(bpath, "--connectivity", "mask")
-    lam = connectivity(field, a, b)
+    lam = _flag("--connectivity", lambda _: connectivity(field, a, b), None)
     bound = gluing_bound(args.ca, args.cb, lam)
     _emit({"lambda": lam, "bound": bound}, args.out)
     return 0
@@ -258,12 +259,12 @@ def _cmd_glue(args) -> int:
 def _cmd_recover(args) -> int:
     from . import io
     from .norms import LqNorm, phase_inf_distance
-    from .transforms import _require_self_dual, parse_window, recover
+    from .transforms import _require_measurement, parse_window, recover
 
     meas = _load_operand(args.measurement, "measurement", "field")
-    _flag("measurement", lambda m: _require_self_dual(m.tfgrid, "recovery"),
-          meas)
+    _flag("measurement", _require_measurement, meas)
     window = _flag("--window", parse_window, args.window)
+    _flag("--window", window.build, meas.tfgrid.xgrid)
     ref = (None if args.reference is None else
            _load_operand(args.reference, "--reference", "signal"))
     if ref is not None and ref.grid != meas.tfgrid.xgrid:
@@ -350,7 +351,7 @@ def _cmd_verify(args) -> int:
 
     try:
         report = experiments.verify_run(args.dir)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise _Usage(f"argument dir: {args.dir!r} is not a stored "
                      f"run") from None
     except ValueError as e:

@@ -68,6 +68,7 @@ from .norms import (
 from .rng import SplitMix64
 from .transforms import (
     _require_self_dual,
+    ambiguity,
     ambiguity_relation_residuals,
     covariance_residuals,
     fock_polynomial_field,
@@ -1282,16 +1283,15 @@ def _run_window_ratio(manifest, fx, pr):
     grid = _grid(fx)
     tg = tf_grid_of(grid)
     bracket_max = float(japanese_bracket(tg.radius()).max())
-    same = window_comparison_ratio(parse_window("gaussian"),
-                                   parse_window("gaussian"), grid)
+    a_gauss = ambiguity(parse_window("gaussian").build(grid))
+    a_other = ambiguity(parse_window(fx["other"]).build(grid))
+    same = window_comparison_ratio(a_gauss, a_gauss)
     ident_rows = [["gaussian", "gaussian", same.sup, bracket_max,
                    same.n_zeros]]
-    bounded = window_comparison_ratio(parse_window(fx["other"]),
-                                      parse_window("gaussian"), grid)
+    bounded = window_comparison_ratio(a_other, a_gauss)
     bounded_rows = [[fx["other"], "gaussian", bounded.sup,
                      pr["bounded_cap"], bounded.n_zeros]]
-    flagged = window_comparison_ratio(parse_window("gaussian"),
-                                      parse_window(fx["other"]), grid)
+    flagged = window_comparison_ratio(a_gauss, a_other)
     flagged_rows = [["gaussian", fx["other"], flagged.sup,
                      flagged.n_zeros]]
     tables = {
@@ -1385,9 +1385,9 @@ def check_manifest(manifest: ExperimentManifest) -> None:
     """Refuse a manifest unless its fixture and params hold exactly the
     registered keys, each value passing its name's rule in _RULES and each
     rung of window_contains and window_pin below n_max, its seed passes
-    rules.SEED, and where the experiment needs it, its grid is self-dual.
-    The ValueError names the field: fixture.X, params.Y, fixture.counts[i]
-    or seed."""
+    rules.SEED, where the experiment needs it, its grid is self-dual, and
+    each window and signal name builds on its grid. The ValueError names
+    the field: fixture.X, params.Y, fixture.counts[i] or seed."""
     d = _definition(manifest.id)
     for section, declared in (("fixture", d.fixture), ("params", d.params)):
         rules.Keyed({key: _RULES[key] for key in declared}).check(
@@ -1403,6 +1403,14 @@ def check_manifest(manifest: ExperimentManifest) -> None:
         _require_self_dual(tf_grid_of(_grid(manifest.fixture)),
                            "fixture.length and fixture.count: infeasible "
                            f"grid: {d.self_dual}")
+    fx = manifest.fixture
+    # by now only signals may hold "random", which builds on any grid
+    built = rules.Accepted(str, lambda name: name == "random"
+                           or parse_window(name).build(_grid(fx)))
+    for key in ("window", "signal", "other", "windows", "signals"):
+        if key in fx:
+            (rules.List(built) if key.endswith("s") else built).check(
+                f"fixture.{key}", fx[key])
 
 
 def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,

@@ -369,12 +369,15 @@ def hermite(grid: Grid1D, n: int) -> Signal:
     logc = 0.25 * np.log(2.0 * np.pi) - 0.5 * (
         n * np.log(2.0) + gammaln(n + 1) + 0.5 * np.log(np.pi)
     )
-    vals = np.exp(logc) * eval_hermite(n, t) * np.exp(-np.pi * x**2)
-    sig = Signal(grid, vals)
-    if boundary_decay(sig) > BOUNDARY_DECAY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(logc) * eval_hermite(n, t) * np.exp(-np.pi * x**2)
+    # past double range eval_hermite gives inf or nan, which decays nowhere
+    sig = Signal(grid, vals) if np.isfinite(vals).all() else None
+    edge = math.inf if sig is None else boundary_decay(sig)
+    if edge > BOUNDARY_DECAY_TOL:
         raise ValueError(
             f"hermite order {n} does not decay below {BOUNDARY_DECAY_TOL} at the "
-            f"grid boundary (edge ratio {boundary_decay(sig):.3e}); enlarge the grid"
+            f"grid boundary (edge ratio {edge:.3e}); enlarge the grid"
         )
     return _unit_norm(sig, 1e-6, f"hermite({n})")
 

@@ -26,7 +26,7 @@ from .grids import (
     tf_grid_of,
     translate,
 )
-from .norms import japanese_bracket
+from .norms import _spectrum, japanese_bracket
 
 __all__ = [
     "WindowSpec",
@@ -50,11 +50,6 @@ _STFT_CHUNK = 256
 
 # e^700 is near the top of double range; larger weights are not representable
 _FOCK_EXP_CLAMP = 700.0
-
-# complex entries of padding per row of the measurement spectrum's buffer:
-# a row of 2^k entries would put every sample of a column on the same cache
-# sets, and the axis-0 pass reads columns
-_ROW_PAD = 4
 
 
 @dataclass(frozen=True)
@@ -206,29 +201,32 @@ def _require_self_dual(tf: TFGrid, what: str) -> None:
         )
 
 
+def _require_measurement(m: TFField) -> None:
+    """Refuse what recover cannot invert: a measurement off a self-dual
+    grid, a non-real one or a zero one."""
+    _require_self_dual(m.tfgrid, "recovery")
+    if np.iscomplexobj(m.values) and m.values.imag.any():
+        raise ValueError("measurement must be real: its imaginary part is "
+                         "not 0")
+    if not m.values.any():
+        raise ValueError("zero measurement")
+
+
 def _measurement_fourier_side(m: TFField) -> np.ndarray:
     """F(M)(omega, -x) on the (x, omega) grid: cell times the centred 2D
     DFT of M at (omega, -x), since axis 0 of the DFT runs over the dual of
     x (the omega axis) and axis 1 over the x axis.
 
-    The input roll of both axes by N/2 is one copy into a buffer with
-    _ROW_PAD spare entries per row; fft runs in it along axis 0, then axis
-    1, each line on its own as the one-axis centred DFTs take it, so the
-    bits stay. Entry (i, j) is then cell times buffer entry
-    ((j + N/2) mod N, (N/2 - i) mod N): the output roll, the reflection and
-    the transpose are one scaled pass over four blocks.
+    The centred DFT rolls both axes by N/2 and transforms axis 0, then 1;
+    norms._spectrum transforms axis 1, then 0, each line alone, so on the
+    transpose of the rolled M it takes the same lines in the same order,
+    bits and all, and its entry (j, i) is the DFT's (i, j). Entry (i, j)
+    here is cell times spectrum entry ((N/2 - i) mod N, (j + N/2) mod N):
+    the output roll and the reflection are one scaled pass over four blocks.
     """
     n = m.tfgrid.shape[0]
     h = n // 2
-    v = m.values
-    buf = np.empty((n, n + _ROW_PAD), dtype=np.complex128)[:, :n]
-    buf[:h, :h] = v[h:, h:]
-    buf[:h, h:] = v[h:, :h]
-    buf[h:, :h] = v[:h, h:]
-    buf[h:, h:] = v[:h, :h]
-    np.fft.fft(buf, axis=0, out=buf)
-    np.fft.fft(buf, axis=1, out=buf)
-    spec = buf.T
+    spec = _spectrum(np.roll(m.values, h, axis=(0, 1)).T)
     cell = m.tfgrid.cell
     out = np.empty((n, n), dtype=np.complex128)
     np.multiply(cell, spec[h::-1, h:], out=out[:h + 1, :h])
@@ -331,11 +329,8 @@ def recover(measurement: TFField, window: WindowSpec = WindowSpec("gaussian"),
     level and the zeroed fraction of the plane. A fraction below 1 keeps
     the origin, whose row carries |f|^2.
     """
+    _require_measurement(measurement)
     tf = measurement.tfgrid
-    _require_self_dual(tf, "recovery")
-    m = measurement.values
-    if not np.any(m):
-        raise ValueError("zero measurement")
     grid = tf.xgrid
     w = window.build(grid)
     amb_w = ambiguity(w).values
@@ -382,12 +377,14 @@ class WindowComparison:
     n_zeros: int
 
 
-def window_comparison_ratio(phi: WindowSpec, big_phi: WindowSpec,
-                            grid: Grid1D) -> WindowComparison:
-    a_num = ambiguity(phi.build(grid)).values
-    target = ambiguity(big_phi.build(grid))
-    a_den = target.values
-    tf = target.tfgrid
+def window_comparison_ratio(a_phi: TFField,
+                            a_big_phi: TFField) -> WindowComparison:
+    """The growth field of two window ambiguities A phi, A Phi on one grid."""
+    tf = a_big_phi.tfgrid
+    if a_phi.tfgrid != tf:
+        raise ValueError("window comparison takes ambiguities on one grid; "
+                         f"got {a_phi.tfgrid} and {tf}")
+    a_num, a_den = a_phi.values, a_big_phi.values
     bracket = japanese_bracket(tf.radius())
 
     if np.array_equal(a_num, a_den):

@@ -257,21 +257,34 @@ def test_recover_on_a_grid_that_is_not_self_dual_exits_two(tmp_path, capsys,
 def small_dumps(tmp_path_factory):
     """A gaussian on the self-dual 8/64 grid, its phaseless STFT, and two
     overlapping half-plane masks of that field's grid; `gen` is a path that
-    a refused `gen` must not write."""
+    a refused `gen` must not write. Beside them, inputs that a command
+    refuses: the gaussian as a signal dump, a zero and a non-real field of
+    the measurement's grid, two masks on another grid and two disjoint
+    masks."""
     from stftlab import io
     from stftlab.geometry import DomainMask
-    from stftlab.grids import gaussian, make_grid
-    from stftlab.transforms import phaseless
+    from stftlab.grids import gaussian, make_grid, tf_grid_of
+    from stftlab.transforms import phaseless, stft
 
     d = tmp_path_factory.mktemp("dumps")
-    paths = {n: str(d / f"{n}.bin") for n in ("meas", "a", "b", "gen")}
-    meas = phaseless(gaussian(make_grid(8.0, 64)))
+    paths = {n: str(d / f"{n}.bin") for n in (
+        "meas", "a", "b", "gen", "signal", "zero", "spun", "far_a", "far_b",
+        "left", "right")}
+    f = gaussian(make_grid(8.0, 64))
+    io.dump_signal(f, paths["signal"])
+    meas = phaseless(f)
     io.dump_field(meas, paths["meas"])
+    io.dump_field(meas.like(0.0 * meas.values), paths["zero"])
+    io.dump_field(meas.like(meas.values + stft(f).values), paths["spun"])
     tg = meas.tfgrid
-    io.dump_mask(DomainMask.rectangle(tg, -4.0, 0.5, -4.0, 4.0).inside, tg,
-                 paths["a"])
-    io.dump_mask(DomainMask.rectangle(tg, -0.5, 4.0, -4.0, 4.0).inside, tg,
-                 paths["b"])
+    far = tf_grid_of(make_grid(16.0, 256))
+    for name, grid, lo, hi in (("a", tg, -4.0, 0.5), ("b", tg, -0.5, 4.0),
+                               ("far_a", far, -4.0, 0.5),
+                               ("far_b", far, -0.5, 4.0),
+                               ("left", tg, -4.0, -1.0),
+                               ("right", tg, 1.0, 4.0)):
+        io.dump_mask(DomainMask.rectangle(grid, lo, hi, -4.0, 4.0).inside,
+                     grid, paths[name])
     return paths
 
 
@@ -343,6 +356,31 @@ def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
                              *_operands(small_dumps, command), *flags)
     assert code == 2 and out == ""
     assert f"argument {named}" in err
+    assert not Path(small_dumps["gen"]).exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["stft", "{signal}", "--window", "hermite:400", "--out", "{gen}"],
+     "--window"),
+    (["stft", "{signal}", "--window", "hermite:170", "--out", "{gen}"],
+     "--window"),
+    (["recover", "{meas}", "--window", "hermite:400"], "--window"),
+    (["glue", "--ca", "1", "--cb", "1", "--connectivity", "{meas}",
+      "{far_a}", "{far_b}"], "--connectivity"),
+    (["glue", "--ca", "1", "--cb", "1", "--connectivity", "{meas}",
+      "{left}", "{right}"], "--connectivity"),
+    (["recover", "{zero}"], "measurement"),
+    (["recover", "{spun}"], "measurement"),
+    (["verify", "{meas}"], "dir"),
+], ids=["stft-window-overflows", "stft-window-spreads",
+        "recover-window-overflows", "glue-masks-on-another-grid",
+        "glue-masks-disjoint", "recover-zero", "recover-non-real",
+        "verify-a-file"])
+def test_bad_input_exits_two_naming_it(small_dumps, capsys, argv, named):
+    code, out, err = run_cli(capsys, *(a.format(**small_dumps)
+                                       for a in argv))
+    assert code == 2 and out == "", err
+    assert f"argument {named}: " in err, err
     assert not Path(small_dumps["gen"]).exists()
 
 
@@ -637,10 +675,27 @@ def test_run_config_patch_is_strict(tmp_path, capsys):
     ("prop21-gaussian-ratio", {"params": {"n_max": 3}},
      "params.window_contains must be a pair of rungs below params.n_max"),
     ("isometry-sweep", {"seed": -1}, "seed"),
+    ("covariance-lattice", {"fixture": {"windows": ["gaussian",
+                                                    "hermite:170"]}},
+     "fixture.windows[1]: hermite order 170 does not decay"),
+    ("covariance-lattice", {"fixture": {"windows": ["gaussian",
+                                                    "hermite:400"]}},
+     "fixture.windows[1]: hermite order 400 does not decay"),
+    ("ambiguity-relation", {"fixture": {"signals": ["random",
+                                                    "hermite:400"]}},
+     "fixture.signals[1]: hermite order 400"),
+    ("recover-noisy", {"fixture": {"window": "hermite:170"}},
+     "fixture.window: hermite order 170"),
+    ("connectivity-gluing", {"fixture": {"signal": "hermite:400"}},
+     "fixture.signal: hermite order 400"),
+    ("window-ratio", {"fixture": {"other": "hermite:170"}},
+     "fixture.other: hermite order 170"),
 ], ids=["trials-negative", "tol-negative", "not-self-dual", "sweep-key",
         "sweep-negative", "counts-empty", "stress-empty", "pert-reversed",
         "pin-short", "contains-reversed", "pin-past-n-max",
-        "contains-past-n-max", "seed-negative"])
+        "contains-past-n-max", "seed-negative", "window-spreads",
+        "window-overflows", "signal-overflows", "recover-window-spreads",
+        "signal-overflows-gluing", "other-spreads"])
 def test_run_refuses_a_bad_config_value_naming_it(tmp_path, capsys, id,
                                                   patch, named):
     cfg = tmp_path / "cfg.json"

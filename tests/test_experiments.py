@@ -310,6 +310,21 @@ def test_ambiguity_relation_builds_each_ambiguity_once(monkeypatch):
         + len(mf.fixture["windows"]) == 7
 
 
+def test_window_ratio_builds_each_ambiguity_once(monkeypatch):
+    amb = transforms.ambiguity
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return amb(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "ambiguity", counted)
+    monkeypatch.setattr(ex, "ambiguity", counted)
+    assert ex.run(ex.default_manifest("window-ratio", reduced=True)).passed
+    # one per window, gaussian and the other, for all three comparisons
+    assert len(calls) == 2
+
+
 _AMBIGUITY_PLANE = ("covariance-lattice", "ambiguity-relation",
                     "recover-noiseless", "recover-noisy", "window-ratio")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ def test_hermite_guards(grid8):
     # high orders spread out and trip the boundary decay guard on a small grid
     with pytest.raises(ValueError):
         hermite(make_grid(8.0, 64), 40)
+
+
+@pytest.mark.parametrize("n", [250, 400])
+def test_hermite_past_double_range_reports_its_order(grid16, n):
+    # eval_hermite overflows at the edges of 16/256: the order's own error,
+    # which names the remedy, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"hermite order {n} does not "
+                           "decay .*edge ratio inf.*enlarge the grid"):
+            hermite(grid16, n)
 
 
 def test_boundary_decay_values(grid16):

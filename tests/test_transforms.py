@@ -372,6 +372,9 @@ def test_recover_error_paths(grid16):
     with pytest.raises(ValueError, match="zero measurement"):
         recover(TFField(tf, np.zeros(tf.shape)))
     m = phaseless(gaussian(grid16))
+    # |V_w f|^2 is real: a complex field is no measurement
+    with pytest.raises(ValueError, match="measurement must be real"):
+        recover(m.like(m.values + 1j * m.values))
     with pytest.raises(ValueError,
                        match=r"threshold must be a finite number in \(0, 1\)"):
         recover(m, threshold=2.0)
@@ -551,8 +554,18 @@ def test_fock_polynomial_log_derivative_bound(grid16):
 # window comparison
 
 
+def _amb(grid, window):
+    return ambiguity(parse_window(window).build(grid))
+
+
+def test_window_ratio_refuses_ambiguities_on_two_grids(grid16):
+    with pytest.raises(ValueError, match="on one grid"):
+        window_comparison_ratio(_amb(grid16, "gaussian"),
+                                _amb(make_grid(8.0, 64), "gaussian"))
+
+
 def test_window_ratio_identical_windows(grid16):
-    wc = window_comparison_ratio(WindowSpec("gaussian"), WindowSpec("gaussian"), grid16)
+    wc = window_comparison_ratio(_amb(grid16, "gaussian"), _amb(grid16, "gaussian"))
     tf = tf_grid_of(grid16)
     bracket = japanese_bracket(np.hypot(tf.xmesh(), tf.wmesh()))
     assert wc.sup == float(np.max(bracket))
@@ -560,7 +573,7 @@ def test_window_ratio_identical_windows(grid16):
 
 
 def test_window_ratio_reports_hermite_zero_circle(grid16):
-    wc = window_comparison_ratio(WindowSpec("gaussian"), WindowSpec("hermite", 1), grid16)
+    wc = window_comparison_ratio(_amb(grid16, "gaussian"), _amb(grid16, "hermite:1"))
     num = np.abs(ambiguity(WindowSpec("gaussian").build(grid16)).values)
     den = ambiguity(WindowSpec("hermite", 1).build(grid16))
     # a dropout counts where the numerator still carries signal
@@ -576,7 +589,7 @@ def test_window_ratio_reports_hermite_zero_circle(grid16):
 
 
 def test_window_ratio_never_raises_on_zeros(grid16):
-    wc = window_comparison_ratio(WindowSpec("hermite", 1), WindowSpec("gaussian"), grid16)
+    wc = window_comparison_ratio(_amb(grid16, "hermite:1"), _amb(grid16, "gaussian"))
     assert np.isfinite(wc.sup)
     assert wc.n_zeros == 0
 
