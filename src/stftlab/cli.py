@@ -150,8 +150,9 @@ def _cmd_stft(args) -> int:
 
     sig = _load_operand(args.signal, "signal", "signal")
     window = _flag("--window", parse_window, args.window)
-    _flag("--window", window.build, sig.grid)
-    field = phaseless(sig, window) if args.phaseless else stft(sig, window)
+    # the window's build on the signal's grid is all that can fail here
+    field = _flag("--window", lambda w: (
+        phaseless if args.phaseless else stft)(sig, w), window)
     io.dump_field(field, args.out)
     return 0
 

@@ -1333,16 +1333,15 @@ def _run_window_ratio(manifest, fx, pr):
 # declarations: one rule per fixture and parameter name, checking the JSON
 # type and the range where the quantity means what its name says
 
-_WINDOW = rules.Accepted(str, parse_window)
 _GRID_COUNT = rules.Accepted(int, lambda n: make_grid(1.0, n))
 
 _RULES = {
     "length": rules.POSITIVE, "count": _GRID_COUNT,
     "counts": rules.List(_GRID_COUNT), "sigma": rules.REAL,
-    "sigmas": rules.List(rules.REAL), "window": _WINDOW,
-    "windows": rules.List(_WINDOW), "signal": _WINDOW, "other": _WINDOW,
-    "signals": rules.List(rules.Accepted(  # the names _named_signal builds
-        str, lambda n: n == "random" or parse_window(n))),
+    "sigmas": rules.List(rules.REAL),
+    # window and signal names: check_manifest builds each on the grid
+    **dict.fromkeys(("window", "signal", "other"), rules.STRING),
+    **dict.fromkeys(("windows", "signals"), rules.List(rules.STRING)),
     **dict.fromkeys(("trials", "stride", "n_max", "cells", "fixtures",
                      "fields"), rules.COUNT),
     **dict.fromkeys(("span", "kmax", "excise_cells"), rules.SIZE),
@@ -1404,13 +1403,18 @@ def check_manifest(manifest: ExperimentManifest) -> None:
                            "fixture.length and fixture.count: infeasible "
                            f"grid: {d.self_dual}")
     fx = manifest.fixture
-    # by now only signals may hold "random", which builds on any grid
-    built = rules.Accepted(str, lambda name: name == "random"
-                           or parse_window(name).build(_grid(fx)))
-    for key in ("window", "signal", "other", "windows", "signals"):
+    if not fx.keys() & {"window", "signal", "other", "windows", "signals"}:
+        return
+    grid = _grid(fx)
+    built = rules.Accepted(str, lambda name: parse_window(name).build(grid))
+    names = {"window": built, "signal": built, "other": built,
+             "windows": rules.List(built),
+             # the names _named_signal builds; "random" builds on any grid
+             "signals": rules.List(rules.Accepted(str, lambda name: (
+                 name == "random" or parse_window(name).build(grid))))}
+    for key, rule in names.items():
         if key in fx:
-            (rules.List(built) if key.endswith("s") else built).check(
-                f"fixture.{key}", fx[key])
+            rule.check(f"fixture.{key}", fx[key])
 
 
 def default_manifest(id: str, seed: int = 0, out_dir: str | None = None,
