@@ -75,13 +75,18 @@ def _flag(name: str, convert, raw):
         raise _Usage(f"argument {name}: {e}") from None
 
 
-def _load_dump(path: str, flag: str):
-    from . import io
-
+def _read_file(flag: str, read, path: str):
+    """read(path) for the file that `flag` names. A file that cannot be
+    read (missing, a directory, unreadable, not UTF-8 text) or whose
+    content `read` refuses is a usage error naming the flag."""
     try:
-        return io.load(path)
-    except FileNotFoundError:
-        raise _Usage(f"argument {flag}: no such file {path!r}") from None
+        return read(path)
+    except OSError as e:
+        raise _Usage(f"argument {flag}: cannot read {path!r}: "
+                     f"{e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise _Usage(f"argument {flag}: {path!r} is not UTF-8 "
+                     f"text") from None
     except ValueError as e:
         raise _Usage(f"argument {flag}: {e}") from None
 
@@ -89,9 +94,10 @@ def _load_dump(path: str, flag: str):
 def _load_operand(path: str, flag: str, kind: str = "signal or field"):
     """A dump that must hold a `kind`: signal, field, "signal or field", or
     mask."""
+    from . import io
     from .grids import DomainMask, Signal, TFField
 
-    obj = _load_dump(path, flag)
+    obj = _read_file(flag, io.load, path)
     want = {"signal": Signal, "field": TFField, "mask": DomainMask,
             "signal or field": (Signal, TFField)}[kind]
     if not isinstance(obj, want):
@@ -302,11 +308,9 @@ def _manifest_from_args(args):
         raise _Usage(f"argument id: {e}") from None
     if args.config is None:
         return manifest
+    text = _read_file("--config", lambda p: Path(p).read_text(), args.config)
     try:
-        patch = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise _Usage(f"argument --config: no such file "
-                     f"{args.config!r}") from None
+        patch = json.loads(text)
     except json.JSONDecodeError as e:
         raise _Usage(f"argument --config: not valid JSON ({e})") from None
     try:
@@ -350,13 +354,7 @@ def _cmd_list(args) -> int:
 def _cmd_verify(args) -> int:
     from . import experiments
 
-    try:
-        report = experiments.verify_run(args.dir)
-    except (FileNotFoundError, NotADirectoryError):
-        raise _Usage(f"argument dir: {args.dir!r} is not a stored "
-                     f"run") from None
-    except ValueError as e:
-        raise _Usage(f"argument dir: {e}") from None
+    report = _flag("dir", experiments.verify_run, args.dir)
     _emit(report, args.out)
     return 0 if report["ok"] else 1
 

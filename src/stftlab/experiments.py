@@ -79,20 +79,6 @@ from .transforms import (
     window_comparison_ratio,
 )
 
-__all__ = [
-    "CHECKS",
-    "INVARIANTS",
-    "ExperimentManifest",
-    "ExperimentResult",
-    "check_manifest",
-    "default_manifest",
-    "experiment_ids",
-    "list_experiments",
-    "run",
-    "verify_run",
-    "write_result",
-]
-
 
 # ---------------------------------------------------------------------------
 # invariant ids an assertion may name; its description says what holds
@@ -355,8 +341,19 @@ def _parse_cell(s: str):
         return s
 
 
+def _read_stored(path: Path) -> str:
+    """The text of a stored run's file; one that is missing, a directory,
+    unreadable or not UTF-8 text raises ValueError naming it."""
+    try:
+        return path.read_text()
+    except OSError as e:
+        raise ValueError(f"{path}: cannot read: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def _read_csv(path: Path) -> tuple:
-    lines = path.read_text().splitlines()
+    lines = _read_stored(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file, no header")
     header = lines[0].split(",")
@@ -406,15 +403,15 @@ def verify_run(out_dir: str | Path) -> dict:
     Returns per-assertion stored vs rechecked verdicts; ok means every
     recheck reproduced the stored verdict and every hard assertion holds.
     A run that cannot be rechecked raises ValueError naming the file and
-    the key or column: a summary that is not JSON or not laid out as
-    _STORED declares, an unknown check or table, args other than those
-    their check declares, or a column that the check reads missing or
-    holding a cell that is not a number.
+    the key or column: a file that cannot be read as text, a summary that
+    is not JSON or not laid out as _STORED declares, an unknown check or
+    table, args other than those their check declares, or a column that
+    the check reads missing or holding a cell that is not a number.
     """
     out = Path(out_dir)
     path = out / "summary.json"
     try:
-        summary = json.loads(path.read_text())
+        summary = json.loads(_read_stored(path))
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: not JSON: {e}") from None
     try:

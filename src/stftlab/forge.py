@@ -36,25 +36,6 @@ from .norms import (
 )
 from .transforms import WindowSpec, stft
 
-__all__ = [
-    "AnnulusSchedule",
-    "InstabilityPair",
-    "BoundRow",
-    "BoundReport",
-    "RatioResult",
-    "StftFamily",
-    "normalize_seed",
-    "select_annulus_schedule",
-    "build_bumps",
-    "verify_bump_bounds",
-    "assemble_pair",
-    "instability_ratio",
-    "field_instability_ratio",
-    "dichotomy_check",
-    "stft_instability_family",
-    "lp_reduction_rows",
-]
-
 
 def normalize_seed(h: Signal, p: float, q: float) -> Signal:
     """Recenter a bump at its modulus peak and scale it so the smaller of its

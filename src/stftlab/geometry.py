@@ -28,19 +28,6 @@ from .grids import DomainMask, TFField
 from .norms import LqNorm, field_gradient, modulus, phase_inf_distance
 from .transforms import fock_exponent
 
-__all__ = [
-    "DomainMask",  # re-exported from grids
-    "CheegerReport",
-    "CertificateReport",
-    "marching_squares",
-    "cheeger_estimate",
-    "check_sweep",
-    "connectivity",
-    "gluing_bound",
-    "poincare_constant",
-    "stability_certificate",
-]
-
 
 # ---------------------------------------------------------------------------
 # marching squares

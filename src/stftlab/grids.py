@@ -42,26 +42,6 @@ BOUNDARY_DECAY_TOL = 1e-10
 # experiment builds (2048), and a 4096^2 complex field is 256 MiB.
 MAX_COUNT = 4096
 
-__all__ = [
-    "Grid1D",
-    "Signal",
-    "TFGrid",
-    "TFField",
-    "Sampled",
-    "DomainMask",
-    "make_grid",
-    "tf_grid_of",
-    "gaussian",
-    "hermite",
-    "random",
-    "translate",
-    "modulate",
-    "cdft",
-    "icdft",
-    "boundary_decay",
-    "riemann_lp",
-]
-
 
 class _SampleSpace:
     """The sample-space protocol of Grid1D and TFGrid, built from `axes`."""

@@ -24,28 +24,6 @@ import numpy as np
 from . import rules
 from .grids import Sampled, TFField, riemann_lp
 
-__all__ = [
-    "japanese_bracket",
-    "inner_l2",
-    "bessel_potential",
-    "frac_sobolev_norm",
-    "Norm",
-    "LqNorm",
-    "XpSigmaNorm",
-    "SobolevNorm",
-    "IntersectionNorm",
-    "NormSpec",
-    "parse_norm",
-    "PhaseDistanceResult",
-    "phase_inf_distance",
-    "disjointness_witness",
-    "modulus",
-    "modulus_difference",
-    "modulus_sobolev_ratio",
-    "field_gradient",
-    "h1_magnitude",
-]
-
 
 def japanese_bracket(x: np.ndarray | float) -> np.ndarray | float:
     """<x> = sqrt(1 + x^2)."""

@@ -28,22 +28,6 @@ from .grids import (
 )
 from .norms import _spectrum, japanese_bracket
 
-__all__ = [
-    "WindowSpec",
-    "RecoveryResult",
-    "WindowComparison",
-    "parse_window",
-    "stft",
-    "covariance_residuals",
-    "ambiguity",
-    "phaseless",
-    "ambiguity_relation_residuals",
-    "fock_exponent",
-    "fock_polynomial_field",
-    "recover",
-    "window_comparison_ratio",
-]
-
 
 # rows per FFT batch; bounds the (chunk x N) scratch block to a few MB
 _STFT_CHUNK = 256
@@ -203,11 +187,15 @@ def _require_self_dual(tf: TFGrid, what: str) -> None:
 
 def _require_measurement(m: TFField) -> None:
     """Refuse what recover cannot invert: a measurement off a self-dual
-    grid, a non-real one or a zero one."""
+    grid, a non-real one, one with a sample below -1e-12 max(peak, 1) (the
+    rule cheeger_estimate applies to a density) or a zero one."""
     _require_self_dual(m.tfgrid, "recovery")
     if np.iscomplexobj(m.values) and m.values.imag.any():
         raise ValueError("measurement must be real: its imaginary part is "
                          "not 0")
+    vals = m.values.real
+    if (vals < -1e-12 * max(vals.max(), 1.0)).any():
+        raise ValueError("measurement must be nonnegative")
     if not m.values.any():
         raise ValueError("zero measurement")
 

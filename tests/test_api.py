@@ -11,11 +11,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _public_names() -> set:
+    """The package's public API. The leading underscore is its only
+    declaration: every top-level def, class or assignment (plain or
+    annotated) of every module whose name has no leading underscore.
+    Imports define nothing."""
     names = set()
-    for info in pkgutil.iter_modules(stftlab.__path__):
-        mod = importlib.import_module(f"stftlab.{info.name}")
-        names.update(getattr(mod, "__all__", ()))
-    return names
+    for path in (ROOT / "src" / "stftlab").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def _public_members() -> set:
@@ -39,9 +50,9 @@ def _public_members() -> set:
 def _references() -> set:
     """Every name read or attribute taken in the package and the benchmark,
     plus the names the benchmark's tracer wraps (its TARGETS strings).
-    Definitions, imports and the string entries of __all__ are not
-    references, and neither is a use inside a definition of the same
-    name (recursion, or a method that forwards to its namesake on a part)."""
+    Definitions and imports are not references, and neither is a use
+    inside a definition of the same name (recursion, or a method that
+    forwards to its namesake on a part)."""
     seen = set()
 
     def visit(node, inside):
@@ -66,13 +77,6 @@ def _references() -> set:
     return seen
 
 
-def test_exported_and_all_names_resolve():
-    for info in pkgutil.iter_modules(stftlab.__path__):
-        mod = importlib.import_module(f"stftlab.{info.name}")
-        for name in getattr(mod, "__all__", ()):
-            assert hasattr(mod, name), f"stftlab.{info.name}.{name}"
-
-
 def test_package_binds_no_public_name_but_its_submodules():
     """A public name has one path, stftlab.<module>.<name>: the package
     neither binds nor lazily resolves any name of its own."""
@@ -83,6 +87,18 @@ def test_package_binds_no_public_name_but_its_submodules():
                 if hasattr(stftlab, name)}
     assert not resolved, f"resolved through the package: {sorted(resolved)}"
     assert not hasattr(stftlab, "__all__")
+
+
+def test_public_names_come_from_every_module():
+    """No module keeps a second list of its API, and the gate reads the
+    definitions of all of them, the command line and io included."""
+    for info in pkgutil.iter_modules(stftlab.__path__):
+        mod = importlib.import_module(f"stftlab.{info.name}")
+        assert not hasattr(mod, "__all__"), f"stftlab.{info.name}.__all__"
+    names = _public_names()
+    assert {"main", "load", "SplitMix64", "POSITIVE", "MAX_COUNT",
+            "BOUNDARY_DECAY_TOL", "Grid1D", "run"} <= names
+    assert "annotations" not in names and "np" not in names
 
 
 def test_every_public_name_has_a_caller():

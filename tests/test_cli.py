@@ -258,9 +258,10 @@ def small_dumps(tmp_path_factory):
     """A gaussian on the self-dual 8/64 grid, its phaseless STFT, and two
     overlapping half-plane masks of that field's grid; `gen` is a path that
     a refused `gen` must not write. Beside them, inputs that a command
-    refuses: the gaussian as a signal dump, a zero and a non-real field of
-    the measurement's grid, two masks on another grid and two disjoint
-    masks."""
+    refuses: the gaussian as a signal dump, a zero, a non-real, a negated
+    and a dented (one sample at -1e-3) field of the measurement's grid, two
+    masks on another grid, two disjoint masks, a directory and a file that
+    is not UTF-8 text."""
     from stftlab import io
     from stftlab.geometry import DomainMask
     from stftlab.grids import gaussian, make_grid, tf_grid_of
@@ -269,13 +270,19 @@ def small_dumps(tmp_path_factory):
     d = tmp_path_factory.mktemp("dumps")
     paths = {n: str(d / f"{n}.bin") for n in (
         "meas", "a", "b", "gen", "signal", "zero", "spun", "far_a", "far_b",
-        "left", "right")}
+        "left", "right", "negated", "dented", "dir", "latin")}
     f = gaussian(make_grid(8.0, 64))
     io.dump_signal(f, paths["signal"])
     meas = phaseless(f)
     io.dump_field(meas, paths["meas"])
     io.dump_field(meas.like(0.0 * meas.values), paths["zero"])
     io.dump_field(meas.like(meas.values + stft(f).values), paths["spun"])
+    io.dump_field(meas.like(-meas.values), paths["negated"])
+    dented = meas.values.copy()
+    dented[3, 5] = -1e-3
+    io.dump_field(meas.like(dented), paths["dented"])
+    Path(paths["dir"]).mkdir()
+    Path(paths["latin"]).write_bytes('{"seed": 1, "é": 0}'.encode("latin-1"))
     tg = meas.tfgrid
     far = tf_grid_of(make_grid(16.0, 256))
     for name, grid, lo, hi in (("a", tg, -4.0, 0.5), ("b", tg, -0.5, 4.0),
@@ -372,16 +379,56 @@ def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
     (["recover", "{zero}"], "measurement"),
     (["recover", "{spun}"], "measurement"),
     (["verify", "{meas}"], "dir"),
+    (["recover", "{negated}"], "measurement"),
+    (["recover", "{dented}"], "measurement"),
+    (["norm", "{dir}"], "operand"),
+    (["distance", "{meas}", "{dir}"], "g"),
+    (["cheeger", "{dir}"], "density"),
+    (["stft", "{dir}", "--out", "{gen}"], "signal"),
+    (["poincare", "{dir}"], "mask"),
+    (["poincare", "--disk", "0,0,2", "--L", "8", "--N", "64", "--weight",
+      "{dir}"], "--weight"),
+    (["recover", "{meas}", "--reference", "{dir}"], "--reference"),
+    (["glue", "--ca", "1", "--cb", "1", "--connectivity", "{dir}", "{a}",
+      "{b}"], "--connectivity"),
+    (["glue", "--ca", "1", "--cb", "1", "--connectivity", "{meas}", "{a}",
+      "{dir}"], "--connectivity"),
+    (["run", "isometry-sweep", "--config", "{dir}"], "--config"),
+    (["run", "isometry-sweep", "--config", "{latin}"], "--config"),
 ], ids=["stft-window-overflows", "stft-window-spreads",
         "recover-window-overflows", "glue-masks-on-another-grid",
         "glue-masks-disjoint", "recover-zero", "recover-non-real",
-        "verify-a-file"])
+        "verify-a-file", "recover-negated", "recover-dented",
+        "norm-a-directory", "distance-a-directory", "cheeger-a-directory",
+        "stft-a-directory", "poincare-a-directory", "weight-a-directory",
+        "reference-a-directory", "connectivity-density-a-directory",
+        "connectivity-mask-a-directory", "config-a-directory",
+        "config-not-utf8"])
 def test_bad_input_exits_two_naming_it(small_dumps, capsys, argv, named):
     code, out, err = run_cli(capsys, *(a.format(**small_dumps)
                                        for a in argv))
     assert code == 2 and out == "", err
     assert f"argument {named}: " in err, err
     assert not Path(small_dumps["gen"]).exists()
+
+
+@pytest.mark.parametrize("spoil", ["summary-a-directory",
+                                   "summary-not-utf8", "table-not-utf8"])
+def test_verify_of_an_unreadable_file_exits_two_naming_it(tmp_path, capsys,
+                                                         spoil):
+    run = tmp_path / "run"
+    assert run_cli(capsys, "run", "isometry-sweep", "--reduced",
+                   "--out", str(run))[0] == 0
+    target = run / ("isometry.csv" if spoil == "table-not-utf8"
+                    else "summary.json")
+    target.unlink()
+    if spoil == "summary-a-directory":
+        target.mkdir()
+    else:
+        target.write_bytes(b"\xff\xfe not text")
+    code, out, err = run_cli(capsys, "verify", str(run))
+    assert code == 2 and out == "", err
+    assert f"argument dir: {target}: " in err, err
 
 
 def _typed_flags() -> list:

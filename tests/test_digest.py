@@ -1,7 +1,9 @@
-"""tools/digest.py on one reduced run: a directory agrees with itself, and a
-flipped CSV byte is named with its file and line."""
+"""tools/digest.py on one reduced run: a directory agrees with itself, a
+flipped CSV byte is named with its file and line, and the run's cost is
+recorded beside the digest."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -19,6 +21,11 @@ def test_digest_names_a_flipped_csv_byte_with_its_line(tmp_path, capsys):
     assert sorted(got) == ["isometry-sweep/seed3-reduced/isometry.csv",
                            "isometry-sweep/seed3-reduced/summary.json"]
     assert digest.compare(a, a) == []
+    timing = json.loads((a / "timing.json").read_text())
+    assert list(timing) == ["isometry-sweep/seed3-reduced"]
+    cost = timing["isometry-sweep/seed3-reduced"]
+    assert sorted(cost) == ["peak_rss_mb", "wall_s"]
+    assert all(v > 0 for v in cost.values()), cost
     assert digest.main(["--compare", str(a), str(a)]) == 0
 
     # the run directory's path and wall time stay out of the digest

@@ -385,6 +385,25 @@ def test_recover_error_paths(grid16):
         recover(phaseless(gaussian(grid)))
 
 
+def _dented(m: TFField, value: float) -> TFField:
+    vals = m.values.copy()
+    vals[3, 5] = value
+    return m.like(vals)
+
+
+@pytest.mark.parametrize("spoil", ["negated", "dented"])
+def test_recover_refuses_a_negative_measurement(grid16, spoil):
+    """|V_w f|^2 has no negative sample: a negated measurement, or one
+    sample below -1e-12 max(peak, 1), is refused as cheeger_estimate
+    refuses such a density; rounding below 0 within that bound is not."""
+    m = phaseless(gaussian(grid16))
+    bad = m.like(-m.values) if spoil == "negated" else _dented(m, -1e-3)
+    with pytest.raises(ValueError, match="measurement must be nonnegative"):
+        recover(bad)
+    assert recover(_dented(m, -1e-13)).masked_fraction == \
+        recover(m).masked_fraction
+
+
 def test_self_dual_rule_is_the_grid_flag_and_the_dual_axis():
     """A TF grid is self-dual iff its x-axis is (Grid1D.is_self_dual) and
     its omega-axis is that axis's dual: equal axes are not enough."""

@@ -10,8 +10,10 @@ process with SRC/src on PYTHONPATH. The run directories land in
 DIR/<id>/seed<S>-<size>/, and DIR/digest.json maps each file's path under
 DIR to its sha256: each CSV as written, and each summary.json without
 `wallclock_s` and `manifest.out_dir`, the two entries that change from run
-to run. A run that exits other than 0 (all assertions hold) or 1 (a hard
-assertion failed) stops the digest.
+to run. DIR/timing.json records each run's cost by its directory under
+DIR: the process wall time in seconds and its peak resident set in MB; it
+is not digested. A run that exits other than 0 (all assertions hold) or 1
+(a hard assertion failed) stops the digest.
 
 The second form compares two such directories: it names each file whose
 digest differs or that one side lacks, and for a CSV the first line at
@@ -27,6 +29,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SEEDS = (0, 3, 7)
@@ -47,24 +51,43 @@ def experiment_ids(src: Path) -> list:
     return [line.split()[0] for line in listed.splitlines() if line.strip()]
 
 
+def _timed_run(argv: list, env: dict) -> tuple:
+    """(exit code, stderr text, wall s, peak RSS MB) of one child process.
+    Its output goes to files, so os.wait4 reaps it and reports its own
+    peak resident set (ru_maxrss, in KiB on Linux)."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        # Popen must not wait for a child that wait4 has already reaped
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return (proc.returncode, err.read().decode(errors="replace"), wall,
+                usage.ru_maxrss / 1024.0)
+
+
 def run_all(src: Path, out: Path, ids=None, seeds=SEEDS,
             sizes=SIZES) -> dict:
     """Run each id (default: every registered one) at each seed and size
-    into out, write out/digest.json and return the digest."""
+    into out, write out/timing.json and out/digest.json and return the
+    digest."""
     out = Path(out)
+    timing = {}
     for id in experiment_ids(src) if ids is None else ids:
         for seed in seeds:
             for size in sizes:
+                run_dir = f"{id}/seed{seed}-{size}"
                 argv = [sys.executable, "-m", "stftlab.cli", "run", id,
-                        "--seed", str(seed),
-                        "--out", str(out / id / f"seed{seed}-{size}")]
+                        "--seed", str(seed), "--out", str(out / run_dir)]
                 if size == "reduced":
                     argv.append("--reduced")
-                done = subprocess.run(argv, env=_env(src),
-                                      capture_output=True, text=True)
-                if done.returncode not in (0, 1):
+                code, stderr, wall, rss = _timed_run(argv, _env(src))
+                if code not in (0, 1):
                     raise RuntimeError(f"{' '.join(argv[2:])} exited "
-                                       f"{done.returncode}: {done.stderr}")
+                                       f"{code}: {stderr}")
+                timing[run_dir] = {"wall_s": wall, "peak_rss_mb": rss}
+    (out / "timing.json").write_text(json.dumps(timing, indent=1) + "\n")
     return write_digest(out)
 
 
