@@ -91,6 +91,26 @@ def _read_file(flag: str, read, path: str):
         raise _Usage(f"argument {flag}: {e}") from None
 
 
+def _check_out(command: str, out: str) -> None:
+    """Refuse an --out target that the command could not write, before any
+    work: a file must not be a directory and must go in a writable
+    directory; `run` writes a directory, which may be missing, but whose
+    nearest existing ancestor must be a writable directory."""
+    path = Path(out).absolute()
+    if command == "run":
+        if path.exists() and not path.is_dir():
+            raise _Usage(f"argument --out: {out!r} is not a directory")
+        home = next(p for p in (path, *path.parents) if p.exists())
+    elif path.is_dir():
+        raise _Usage(f"argument --out: {out!r} is a directory")
+    else:
+        home = path.parent
+    if not home.is_dir():
+        raise _Usage(f"argument --out: no directory {str(home)!r}")
+    if not os.access(home, os.W_OK | os.X_OK):
+        raise _Usage(f"argument --out: cannot write in {str(home)!r}")
+
+
 def _load_operand(path: str, flag: str, kind: str = "signal or field"):
     """A dump that must hold a `kind`: signal, field, "signal or field", or
     mask."""
@@ -482,6 +502,8 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         _apply_thread_cap()  # before a handler loads the numerical modules
+        if getattr(args, "out", None) is not None:
+            _check_out(args.command, args.out)
         return args.handler(args)
     except _Usage as e:
         print(f"stftlab: {e}", file=sys.stderr)

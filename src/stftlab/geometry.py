@@ -205,6 +205,26 @@ def _span(flags: np.ndarray) -> tuple[int, int]:
     return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
 
 
+def _cut_counts(px: np.ndarray, py: np.ndarray, offsets) -> np.ndarray:
+    """counts[k, i] = #{j : px[i] + py[j] <= offsets[k]} for a nondecreasing
+    py and finite offsets, so those j are 0 .. counts[k, i] - 1. Rounded
+    addition is monotone, so this holds for the computed sums too; the
+    bisection tests that exact sum, never py[j] <= offset - px[i], whose
+    rounding can move a whole row when py is nearly flat. Branchless, over
+    all rows and offsets at once."""
+    offs = np.asarray(offsets, dtype=float)[:, None]
+    m = py.size.bit_length()
+    # a probe past the row reads +inf, which no finite offset reaches
+    row = np.full(2 ** m - 1, np.inf)
+    row[:py.size] = py
+    n = np.zeros((offs.shape[0], px.size), dtype=np.intp)
+    for b in reversed(range(m)):
+        sums = row[n + ((1 << b) - 1)]
+        sums += px
+        np.add(n, 1 << b, out=n, where=sums <= offs)
+    return n
+
+
 def check_sweep(sweep: dict) -> None:
     """Refuse cheeger_estimate's candidate counts, a dict of its keywords
     (an absent one at its default), unless each is an integer >= 0 and some
@@ -231,30 +251,33 @@ def cheeger_estimate(W: TFField, *, thresholds: int = 256,
     holding at most half the total mass count.
 
     The boundary integrals of all disks of one radius, and of all offsets of
-    one half-plane direction, are evaluated in one batch. Masses stay exact
-    masked sums, one per candidate in table order: a mass read from a sorted
-    cumulative sum rounds differently, which flips near-tied half-plane
-    winners on symmetric densities and, through total - mass, moves the
-    complement masses by far more than rounding.
+    one half-plane direction, are evaluated in one batch. Level-set and disk
+    masses are exact masked sums over only the cells a candidate can hold:
+    the box of a superlevel set (from the row and column maxima of the
+    smoothed field), the rows and columns within r of a disk's center. They
+    gather the same cells in the same row-major order as a full-grid mask,
+    so numpy's pairwise sum sees the same array and the bits agree.
+    Contours run on the superlevel box grown by one cell, which holds every
+    cell that straddles the level.
 
-    Each candidate touches only the cells it can hold: the box of a
-    superlevel set (from the row and column maxima of the smoothed field),
-    the rows and columns within r of a disk's center, and for a half-plane
-    the block of rows wholly inside (the projection is monotone along x, so
-    they are one contiguous block, copied whole) plus the rows it cuts;
-    squared distances and projections are computed once per center and per
-    direction. Every mass is still bit-equal to the full-grid masked sum: it gathers
-    the same cells in the same row-major order, so numpy's pairwise sum
-    sees the same array. Contours run on the superlevel box grown by one
-    cell, which holds every cell that straddles the level.
+    A half-plane px[i] + py[j] <= c (px = cos(theta) x, py = sin(theta)
+    omega) holds a prefix of each grid row when sin(theta) >= 0, else a
+    suffix, because rounded addition is monotone along the row. Its mass is
+    one gather of nrow row prefix sums and their sum; the row prefix sums
+    of one orientation are held while its directions run, one array at a
+    time in theta order. Each row's cell count comes from a bisection on
+    that rounded sum itself (_cut_counts), so the cells are exactly the
+    full-grid mask's, and the mass differs from the masked sum by rounding
+    only: these terms are nonnegative, so it stays within
+    (ncol + ceil(log2 nrow)) eps of the exact sum, relative. No mass is
+    total - mass, so nothing cancels.
 
     Each direction's half-mass midpoint sorts only the slab between the two
     lattice offsets whose masses bracket total / 2 (a side with no such
-    offset is open) and accumulates it on top of the lower offset's mass.
-    The midpoint's offset is therefore not a pinned value: its prefix is
-    the row-major lattice mass, not the sequential sum of the sorted
-    cells, so it can move when the crossing lies within rounding of
-    total / 2. Its mass row is still the exact masked sum at that offset.
+    offset is open), which in each row lies between their cut counts, and
+    accumulates it on top of the lower offset's mass. The midpoint is
+    therefore not a pinned value: it can move when the crossing lies within
+    rounding of total / 2.
     """
     check_sweep(dict(thresholds=thresholds, centers=centers, radii=radii,
                      directions=directions, offsets=offsets))
@@ -349,66 +372,60 @@ def cheeger_estimate(W: TFField, *, thresholds: int = 256,
 
     span = 0.75 * diag
     tline = np.linspace(-span, span, max(129, int(4.0 * span / max(dx, dy))))
+    rowix = np.arange(nrow)
+    prefix, forward_built = None, None
     for k in range(directions):
         theta = 2.0 * math.pi * k / directions
         nx, ny = math.cos(theta), math.sin(theta)
         corners = [nx * cx + ny * cy for cx in (xlo, xhi) for cy in (ylo, yhi)]
         cands = list(np.linspace(min(corners), max(corners), offsets))
-        # proj[i, j] = px[i] + py[j] is monotone along x, and so are its
-        # row extremes; in `step` order the rows ascend in projection
+        # proj[i, j] = px[i] + py[j]; in `order` each row's projections
+        # ascend, so the cells at or below an offset lead the row
         px = nx * xs
         py = ny * ys
-        proj = px[:, None] + py
-        step = 1 if nx >= 0 else -1
-        row_max = (px + py.max())[::step]
-        row_min = (px + py.min())[::step]
-
-        def rows(lo, hi):
-            """The slice of rows holding a cell with lo < proj <= hi, and
-            the number f of rows wholly at or below lo (the first f in
-            `step` order)."""
-            f = int(np.searchsorted(row_max, lo, side="right"))
-            t = int(np.searchsorted(row_min, hi, side="right"))
-            part = slice(f, t) if step > 0 else slice(nrow - t, nrow - f)
-            return part, f
-
-        def below(c):
-            """Unscaled mass at proj <= c: the block of rows wholly inside
-            is copied whole, only the rows the line cuts are masked."""
-            part, f = rows(c, c)
-            whole = (vals[:f] if step > 0 else vals[nrow - f:]).ravel()
-            cut = vals[part][proj[part] <= c]
-            # in row-major order the whole rows lead when the rows ascend
-            return (np.concatenate((whole, cut)[::step]) if f else cut).sum()
-
-        sums = [below(c) for c in cands]
+        forward = ny >= 0.0
+        order = py if forward else py[::-1]
+        if forward != forward_built:
+            # prefix[i, n]: the first n cells of row i in `order`; one
+            # orientation's array is freed before the other's is built
+            prefix = None
+            prefix = np.zeros((nrow, ncol + 1))
+            np.cumsum(vals if forward else vals[:, ::-1], axis=1,
+                      out=prefix[:, 1:])
+            forward_built = forward
+        counts = _cut_counts(px, order, cands)
+        sums = list(prefix[rowix, counts].sum(axis=1))
         # the best cut is usually the half-mass one, which falls between
         # lattice offsets; add the largest feasible projection midpoint,
         # found in the slab between the offsets that bracket total / 2
         s = next((i for i, inner in enumerate(sums)
                   if float(inner * cell) > half), len(cands))
-        lo = cands[s - 1] if s > 0 else -math.inf
-        hi = cands[s] if s < len(cands) else math.inf
-        part, f = rows(lo, hi)
-        slab = proj[part]
-        inslab = (slab > lo) & (slab <= hi)
-        pv = slab[inslab]
-        order = np.argsort(pv, kind="stable")
-        pv = pv[order]
+        n_lo = counts[s - 1] if s > 0 else np.zeros(nrow, dtype=np.intp)
+        n_hi = counts[s] if s < len(cands) else np.full(nrow, ncol)
+        # the slab cells lo < proj <= hi, row-major: in row i, the columns
+        # [a[i], a[i] + width[i])
+        width = n_hi - n_lo
+        a = n_lo if forward else ncol - n_hi
+        flat = (np.repeat(rowix * ncol + a - (np.cumsum(width) - width), width)
+                + np.arange(width.sum()))
+        pv = px[flat // ncol] + py[flat % ncol]
+        sort = np.argsort(pv, kind="stable")
+        pv = pv[sort]
         base = sums[s - 1] if s > 0 else 0.0
-        cum = np.cumsum(np.concatenate(([base], vals[part][inslab][order])))
+        cum = np.cumsum(np.concatenate(([base], vals.ravel()[flat][sort])))
         cum *= cell
         # cum[0] <= total / 2 <= cum[-1] up to rounding, and the slab is
         # never empty: the crossing cell is pv[split - 1]
         split = min(int(np.searchsorted(cum, half, side="right")), pv.size)
         # the predecessor of the first slab cell is the largest projection
-        # at or below lo; with none, there is no midpoint
+        # at or below lo: the last cell at or below lo of some row
+        held = n_lo > 0
         prev = (pv[split - 2:split - 1] if split > 1
-                else np.concatenate((row_max[:f], slab[slab <= lo])))
+                else px[held] + order[n_lo[held] - 1])
         if prev.size:
             mid = 0.5 * (prev.max() + pv[split - 1])
             cands.append(mid)
-            sums.append(below(mid))
+            sums.append(prefix[rowix, _cut_counts(px, order, [mid])[0]].sum())
         offs = np.array(cands)[:, None]
         boundaries = _polyline_integrals(
             xs, ys, vals, offs * nx - tline * ny, offs * ny + tline * nx)

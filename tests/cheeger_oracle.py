@@ -5,7 +5,15 @@ every half-plane direction places its half-mass midpoint from one stable
 argsort and one cumulative sum of the whole projection; contours come from
 the per-case, full-grid `full_grid_marching_squares`. `cheeger_estimate`
 touches only the cells a candidate can hold and must return the same table,
-value, family, params and witness, compared with `==`.
+value, family, params and witness (`assert_same_sweep`).
+
+Everything is compared with `==` except three numbers that the estimator
+sums in another order: a half-plane row's mass and ratio, and the value
+when a half-plane wins. The estimator takes a half-plane mass from row
+prefix sums, so each row's count of cells under the line is compared
+exactly with the full-grid mask, and the mass and ratio within
+`mass_tolerance` of the correctly rounded masked sum's; the value is the
+winning row's ratio.
 """
 
 import math
@@ -16,6 +24,7 @@ from scipy.ndimage import gaussian_filter
 from contour_oracle import full_grid_marching_squares
 from stftlab.geometry import (
     _SMOOTHING,
+    _cut_counts,
     _polyline_integrals,
     _segment_integral,
 )
@@ -117,3 +126,73 @@ def full_grid_cheeger(W, thresholds=256, centers=9, radii=16, directions=64,
 
     ratio, famname, params, mask = best
     return ratio, famname, params, mask, table
+
+
+def mass_tolerance(tg):
+    """(ncol + ceil(log2 nrow)) eps: the relative bound on a half-plane mass
+    of the estimator against the correctly rounded masked sum.
+
+    A sum of nonnegative terms is within k u of the exact sum (u = eps / 2)
+    when no term passes through more than k additions. A prefix mass passes
+    through at most ncol - 1 additions in its row's cumulative sum, then
+    through numpy's pairwise sum of the nrow row prefixes (4, 10 and 19
+    deep at 16, 64 and 256 rows; at most ceil(log2 nrow) + 17); `math.fsum`
+    and the two scalings by the cell add a rounding each, a ratio one more.
+    That is at most ncol + 7 u at 16 rows and ncol + ceil(log2 nrow) + 20 u
+    in general: within the bound, 2 (ncol + ceil(log2 nrow)) u, at every
+    grid the tests use (16 x 12 up to 256 x 256)."""
+    nrow, ncol = tg.shape
+    return (ncol + math.ceil(math.log2(nrow))) * np.finfo(float).eps
+
+
+def _close(got, want, tol):
+    return got == want or abs(got - want) <= tol * abs(want)
+
+
+def assert_halfplane_row(W, row):
+    """A half-plane row of the estimator's table: each grid row's count of
+    cells under the line, from the estimator's bisection, is the full-grid
+    mask's, and the mass and ratio are within mass_tolerance of the
+    correctly rounded masked sum's."""
+    tg = W.tfgrid
+    nx, ny = math.cos(row["theta"]), math.sin(row["theta"])
+    px, py = nx * tg.xgrid.points(), ny * tg.wgrid.points()
+    counts = _cut_counts(px, py if ny >= 0.0 else py[::-1], [row["offset"]])
+    inside = nx * tg.xmesh() + ny * tg.wmesh() <= row["offset"]
+    assert np.array_equal(counts[0], inside.sum(axis=1)), row
+    mass = math.fsum(np.maximum(W.values.real, 0.0)[inside]) * tg.cell
+    ratio = row["boundary"] / mass if mass > 0 else float("inf")
+    tol = mass_tolerance(tg)
+    assert _close(row["mass"], mass, tol), (row, mass)
+    assert _close(row["ratio"], ratio, tol), (row, ratio)
+
+
+def assert_same_table(W, table, oracle_table):
+    """The estimator's table against the oracle's: every row equal, except
+    a half-plane row's mass and ratio (assert_halfplane_row)."""
+    assert len(table) == len(oracle_table)
+    for row, ref in zip(table, oracle_table):
+        if row["family"] == "halfplane":
+            assert row.keys() == ref.keys(), (row, ref)
+            assert all(row[key] == ref[key] for key in row
+                       if key not in ("mass", "ratio")), (row, ref)
+            assert_halfplane_row(W, row)
+        else:
+            assert row == ref, (row, ref)
+
+
+def assert_same_sweep(W, rep, oracle):
+    """A CheegerReport against full_grid_cheeger's result: the tables
+    (assert_same_table), the family, the params and the witness are equal,
+    and the value is the ratio of the table row that the oracle's winner
+    is; that ratio equals the oracle's unless a half-plane wins."""
+    value, family, params, inside, table = oracle
+    assert_same_table(W, rep.table, table)
+    assert (rep.family, rep.params) == (family, params)
+    win = next(k for k, ref in enumerate(table)
+               if ref["family"] == family and ref["feasible"]
+               and ref["ratio"] == value
+               and all(ref[key] == params[key] for key in params))
+    assert rep.value == rep.table[win]["ratio"]
+    assert family == "halfplane" or rep.value == value
+    assert np.array_equal(rep.witness.inside, inside)

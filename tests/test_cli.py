@@ -395,6 +395,16 @@ def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
       "{dir}"], "--connectivity"),
     (["run", "isometry-sweep", "--config", "{dir}"], "--config"),
     (["run", "isometry-sweep", "--config", "{latin}"], "--config"),
+    (["gen", "gaussian", "--out", "{dir}"], "--out"),
+    (["gen", "gaussian", "--out", "{dir}/missing/x.bin"], "--out"),
+    (["gen", "gaussian", "--format", "csv", "--out", "{meas}/x.csv"],
+     "--out"),
+    (["stft", "{signal}", "--out", "{dir}"], "--out"),
+    (["cheeger", "{meas}", "--out", "{dir}"], "--out"),
+    (["verify", "{dir}", "--out", "{dir}/missing/report.json"], "--out"),
+    (["run", "isometry-sweep", "--reduced", "--out", "{meas}"], "--out"),
+    (["run", "isometry-sweep", "--reduced", "--out", "{meas}/run"],
+     "--out"),
 ], ids=["stft-window-overflows", "stft-window-spreads",
         "recover-window-overflows", "glue-masks-on-another-grid",
         "glue-masks-disjoint", "recover-zero", "recover-non-real",
@@ -403,7 +413,10 @@ def test_bad_numeric_flag_exits_two_naming_it(small_dumps, capsys, command,
         "stft-a-directory", "poincare-a-directory", "weight-a-directory",
         "reference-a-directory", "connectivity-density-a-directory",
         "connectivity-mask-a-directory", "config-a-directory",
-        "config-not-utf8"])
+        "config-not-utf8", "gen-out-a-directory", "gen-out-no-directory",
+        "gen-csv-out-under-a-file", "stft-out-a-directory",
+        "cheeger-out-a-directory", "verify-out-no-directory",
+        "run-out-a-file", "run-out-under-a-file"])
 def test_bad_input_exits_two_naming_it(small_dumps, capsys, argv, named):
     code, out, err = run_cli(capsys, *(a.format(**small_dumps)
                                        for a in argv))

@@ -7,7 +7,12 @@ from hypothesis import given, strategies as st
 from scipy.ndimage import gaussian_filter, label
 from scipy.sparse.csgraph import connected_components
 
-from cheeger_oracle import full_grid_cheeger
+from cheeger_oracle import (
+    assert_halfplane_row,
+    assert_same_sweep,
+    assert_same_table,
+    full_grid_cheeger,
+)
 from contour_oracle import full_grid_marching_squares
 from fock_oracle import to_fock
 from poincare_oracle import (
@@ -337,7 +342,8 @@ def test_cheeger_table_matches_candidates_computed_one_at_a_time(shape):
     vals = _two_bumps(tg)
     sweep = {"thresholds": 32, "centers": 4, "radii": 5, "directions": 8,
              "offsets": 9}
-    rep = cheeger_estimate(TFField(tg, vals.astype(np.complex128)), **sweep)
+    W = TFField(tg, vals.astype(np.complex128))
+    rep = cheeger_estimate(W, **sweep)
 
     xs, ys, cell = tg.xgrid.points(), tg.wgrid.points(), tg.cell
     dx, dy = tg.xgrid.dx, tg.wgrid.dx
@@ -382,14 +388,18 @@ def test_cheeger_table_matches_candidates_computed_one_at_a_time(shape):
     for row in rep.table:
         boundary, mass, inside = candidate(row)
         assert row["boundary"] == boundary, row
-        assert row["mass"] == mass, row
         ratio = boundary / mass if mass > 0 else float("inf")
-        assert row["ratio"] == ratio, row
+        if row["family"] == "halfplane":
+            # a prefix-sum mass: exact cut counts, mass and ratio in bound
+            assert_halfplane_row(W, row)
+        else:
+            assert row["mass"] == mass, row
+            assert row["ratio"] == ratio, row
         assert row["feasible"] == (0.0 < mass <= 0.5 * total * (1.0 + 1e-6))
         if row["feasible"] and (best is None or ratio < best[0]):
             best = (ratio, row, inside)
     ratio, row, inside = best
-    assert rep.value == ratio and rep.family == row["family"]
+    assert rep.value == row["ratio"] and rep.family == row["family"]
     assert np.array_equal(rep.witness.inside, inside)
 
 
@@ -456,18 +466,15 @@ _ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_cheeger_estimate_matches_the_full_grid_sweep(case):
-    """The boxed, slab-sorted sweep against the full-grid one
-    (tests/cheeger_oracle.py): every table row, the value, the family, the
-    params and the witness are equal, compared with ==."""
+    """The boxed, prefix-summed sweep against the full-grid one
+    (tests/cheeger_oracle.py): every table row, the family, the params and
+    the witness are equal; a half-plane row cuts each grid row in the
+    full grid's cell count, and its mass and ratio, and the value when a
+    half-plane wins, lie within the bound of rounding."""
     build, sweep = _ORACLE_CASES[case]
     W = build()
-    rep = cheeger_estimate(W, **sweep)
-    value, family, params, inside, table = full_grid_cheeger(W, **sweep)
-    assert len(rep.table) == len(table)
-    for row, ref in zip(rep.table, table):
-        assert row == ref
-    assert (rep.value, rep.family, rep.params) == (value, family, params)
-    assert np.array_equal(rep.witness.inside, inside)
+    assert_same_sweep(W, cheeger_estimate(W, **sweep),
+                      full_grid_cheeger(W, **sweep))
 
 
 def test_cheeger_estimate_matches_the_full_grid_sweep_on_sparse_densities():
@@ -482,8 +489,40 @@ def test_cheeger_estimate_matches_the_full_grid_sweep_on_sparse_densities():
         W = TFField(tg, vals)
         sweep = {"thresholds": 4, "centers": 2, "radii": 2,
                  "directions": 12, "offsets": seed % 4}
-        assert cheeger_estimate(W, **sweep).table == full_grid_cheeger(
-            W, **sweep)[4], seed
+        try:
+            assert_same_table(W, cheeger_estimate(W, **sweep).table,
+                              full_grid_cheeger(W, **sweep)[4])
+        except AssertionError as e:
+            raise AssertionError(f"seed {seed}: {e}") from None
+
+
+def _sparse_tied_rows():
+    """A seeded sparse density on the non-square grid with four whole rows
+    of one value: at theta = 0 and pi the cells of a row tie in projection
+    (or nearly), and in value."""
+    tg = _TABLE_GRIDS["non-square"]
+    rng = np.random.default_rng(29)
+    vals = rng.random(tg.shape) * (rng.random(tg.shape) < 0.2)
+    vals[rng.choice(tg.shape[0], size=4, replace=False)] = 0.5
+    return TFField(tg, vals)
+
+
+@pytest.mark.parametrize("directions", [2, 4])
+@pytest.mark.parametrize("build", [_gaussian_non_square, _sparse_tied_rows])
+def test_halfplane_cut_counts_near_theta_pi_are_the_full_grids(build,
+                                                              directions):
+    """At theta = pi, sin theta = 1.2e-16, so the projections along a row
+    differ only in their last bits, and a search on offset - cos(theta) x
+    moves whole rows. At every offset, the half-mass midpoint's included,
+    each grid row's cut count is the full-grid mask's, and so the mass is
+    the masked sum's up to rounding."""
+    W = build()
+    rep = cheeger_estimate(W, thresholds=0, centers=0,
+                           directions=directions)
+    thetas = [row["theta"] for row in rep.table]
+    assert thetas.count(math.pi) == 34  # 33 lattice offsets and a midpoint
+    for row in rep.table:
+        assert_halfplane_row(W, row)
 
 
 def test_a_cell_over_half_the_mass_leaves_some_directions_no_midpoint():

@@ -16,16 +16,20 @@ is not digested. A run that exits other than 0 (all assertions hold) or 1
 (a hard assertion failed) stops the digest.
 
 The second form compares two such directories: it names each file whose
-digest differs or that one side lacks, and for a CSV the first line at
-which the two differ. It exits 1 on any difference and 0 on none. Bits may
+digest differs or that one side lacks. For a CSV it adds the first line at
+which the two differ, the largest relative change over the numeric cells
+that differ, and each other cell that differs (a `family`, a verdict), by
+column and line. It exits 1 on any difference and 0 on none. Bits may
 differ across CPUs and library builds, so compare trees run on one host.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +129,41 @@ def _first_line_apart(a: Path, b: Path) -> int:
     return min(len(la), len(lb)) + 1
 
 
+def _number(text: str):
+    """The finite float that a CSV cell holds, or None."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _csv_moves(a: Path, b: Path) -> str:
+    """How far two CSVs of one shape moved: the largest relative change
+    over the numeric cells that differ, and each other cell that differs
+    by column and line."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        ra, rb = list(csv.reader(fa)), list(csv.reader(fb))
+    if (len(ra) != len(rb) or ra[:1] != rb[:1]
+            or any(len(x) != len(y) for x, y in zip(ra, rb))):
+        return "; the tables differ in shape"
+    worst, text = None, []
+    for line, (x, y) in enumerate(zip(ra[1:], rb[1:]), start=2):
+        for column, u, v in zip(ra[0], x, y):
+            if u == v:
+                continue
+            nu, nv = _number(u), _number(v)
+            if nu is None or nv is None:
+                text.append(f"{column} at line {line}")
+            else:
+                change = (abs(nu - nv) / max(abs(nu), abs(nv))
+                          if nu != nv else 0.0)
+                worst = change if worst is None else max(worst, change)
+    moves = ("" if worst is None
+             else f"; largest relative change {worst:.2g}")
+    return moves + (f"; text differs: {', '.join(text)}" if text else "")
+
+
 def compare(a: Path, b: Path) -> list:
     """One line per file whose digest differs between the directories a and
     b, or that only one of them holds; empty when they agree."""
@@ -137,6 +176,7 @@ def compare(a: Path, b: Path) -> list:
             report.append(f"{key}: only in {a if key in da else b}")
         elif da[key] != db[key]:
             where = (f" from line {_first_line_apart(a / key, b / key)}"
+                     f"{_csv_moves(a / key, b / key)}"
                      if key.endswith(".csv") else "")
             report.append(f"{key}: differs{where}")
     return report
