@@ -205,6 +205,13 @@ def _span(flags: np.ndarray) -> tuple[int, int]:
     return (int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0)
 
 
+def _row_prefix(vals: np.ndarray) -> np.ndarray:
+    """prefix[i, n]: the sum of the first n cells of row i, in order."""
+    prefix = np.zeros((vals.shape[0], vals.shape[1] + 1))
+    np.cumsum(vals, axis=1, out=prefix[:, 1:])
+    return prefix
+
+
 def _cut_counts(px: np.ndarray, py: np.ndarray, offsets) -> np.ndarray:
     """counts[k, i] = #{j : px[i] + py[j] <= offsets[k]} for a nondecreasing
     py and finite offsets, so those j are 0 .. counts[k, i] - 1. Rounded
@@ -251,26 +258,22 @@ def cheeger_estimate(W: TFField, *, thresholds: int = 256,
     holding at most half the total mass count.
 
     The boundary integrals of all disks of one radius, and of all offsets of
-    one half-plane direction, are evaluated in one batch. Level-set and disk
-    masses are exact masked sums over only the cells a candidate can hold:
-    the box of a superlevel set (from the row and column maxima of the
-    smoothed field), the rows and columns within r of a disk's center. They
-    gather the same cells in the same row-major order as a full-grid mask,
-    so numpy's pairwise sum sees the same array and the bits agree.
-    Contours run on the superlevel box grown by one cell, which holds every
-    cell that straddles the level.
+    one half-plane direction, are evaluated in one batch. A level set's mass
+    is an exact masked sum over its superlevel box (from the row and column
+    maxima of the smoothed field) in the full-grid mask's order, so the bits
+    agree; its contour runs on that box grown by one cell.
 
-    A half-plane px[i] + py[j] <= c (px = cos(theta) x, py = sin(theta)
-    omega) holds a prefix of each grid row when sin(theta) >= 0, else a
-    suffix, because rounded addition is monotone along the row. Its mass is
-    one gather of nrow row prefix sums and their sum; the row prefix sums
-    of one orientation are held while its directions run, one array at a
-    time in theta order. Each row's cell count comes from a bisection on
-    that rounded sum itself (_cut_counts), so the cells are exactly the
-    full-grid mask's, and the mass differs from the masked sum by rounding
-    only: these terms are nonnegative, so it stays within
-    (ncol + ceil(log2 nrow)) eps of the exact sum, relative. No mass is
-    total - mass, so nothing cancels.
+    Every other mass is a sum of row runs. Rounded addition is monotone, so
+    in each grid row a half-plane px[i] + py[j] <= c (px = cos(theta) x,
+    py = sin(theta) omega) is a prefix or a suffix, and a disk is a run each
+    way from its centre's column jc, where (omega - cy)^2 ascends outward;
+    its complement is the rest, a prefix and a suffix. A bisection on the
+    full-grid predicate's own rounded sum (_cut_counts) gives each run's
+    length, so the cells are the full-grid mask's. Row prefix sums anchored
+    at the row's ends or at jc give the mass: at most two per row, added,
+    then summed over the rows. Every term is nonnegative and no mass is a
+    difference, so a mass is within (ncol + ceil(log2 nrow)) eps of the
+    exact sum, relative.
 
     Each direction's half-mass midpoint sorts only the slab between the two
     lattice offsets whose masses bracket total / 2 (a side with no such
@@ -346,53 +349,50 @@ def cheeger_estimate(W: TFField, *, thresholds: int = 256,
     cys = np.linspace(ylo, yhi, centers)
     rads = np.linspace(2.0 * max(dx, dy), 0.6 * diag, radii)
     # one (cx, cy) table of boundary integrals per radius
-    pcx = cxs[:, None, None]
-    pcy = cys[None, :, None]
     disk_boundaries = []
     for r in rads:
         npts = max(64, int(4.0 * math.pi * r / max(dx, dy)))
         th = np.linspace(0.0, 2.0 * math.pi, npts + 1)
         disk_boundaries.append(_polyline_integrals(
-            xs, ys, vals, pcx + r * np.cos(th), pcy + r * np.sin(th)))
-    for a, cx in enumerate(cxs):
-        dx2 = (xs - cx) ** 2
-        for b, cy in enumerate(cys):
-            dy2 = (ys - cy) ** 2
-            rr = dx2[:, None] + dy2
-            for r, bounds in zip(rads, disk_boundaries):
-                boundary = float(bounds[a, b])
-                # adding a square never lowers rr: each axis bounds the disk
-                r2 = r * r
-                box = tuple(slice(*_span(d2 <= r2)) for d2 in (dx2, dy2))
-                mass = float(vals[box][rr[box] <= r2].sum() * cell)
-                consider("disk", {"cx": cx, "cy": cy, "r": r},
-                         boundary, mass)
-                consider("diskc", {"cx": cx, "cy": cy, "r": r},
-                         boundary, total - mass)
+            xs, ys, vals, cxs[:, None, None] + r * np.cos(th),
+            cys[None, :, None] + r * np.sin(th)))
+    # fwd[i, n], rev[i, n]: the sum of the first, the last n cells of row i
+    fwd, rev = _row_prefix(vals), _row_prefix(vals[:, ::-1])
+    rowix = np.arange(nrow)
+    # masses[0, k, a, b]: the disk (cxs[a], cys[b], rads[k]); [1]: the rest
+    masses = np.empty((2, radii, centers, centers))
+    dx2 = ((xs - cxs[:, None]) ** 2).ravel()
+    for b, cy in enumerate(cys):
+        # dy2 ascends from column jc outward on both sides: in row i the disk
+        # of centre a holds nr[k, a, i] cells from jc on, nl[k, a, i] before
+        jc = int(np.searchsorted(ys, cy))
+        dy2 = (ys - cy) ** 2
+        right = _row_prefix(vals[:, jc:])
+        left = _row_prefix(vals[:, :jc][:, ::-1])
+        nr, nl = (_cut_counts(dx2, half_row, rads * rads).reshape(
+            radii, centers, nrow) for half_row in (dy2[jc:], dy2[:jc][::-1]))
+        masses[0, ..., b] = (right[rowix, nr] + left[rowix, nl]).sum(axis=-1)
+        masses[1, ..., b] = (fwd[rowix, jc - nl]
+                             + rev[rowix, ncol - jc - nr]).sum(axis=-1)
+        del right, left  # freed before the next column's are built
+    for a, b, k in np.ndindex(centers, centers, radii):
+        for familyname, mass in zip(("disk", "diskc"), masses[:, k, a, b]):
+            consider(familyname, {"cx": cxs[a], "cy": cys[b], "r": rads[k]},
+                     float(disk_boundaries[k][a, b]), float(mass * cell))
 
     span = 0.75 * diag
     tline = np.linspace(-span, span, max(129, int(4.0 * span / max(dx, dy))))
-    rowix = np.arange(nrow)
-    prefix, forward_built = None, None
     for k in range(directions):
         theta = 2.0 * math.pi * k / directions
         nx, ny = math.cos(theta), math.sin(theta)
         corners = [nx * cx + ny * cy for cx in (xlo, xhi) for cy in (ylo, yhi)]
         cands = list(np.linspace(min(corners), max(corners), offsets))
-        # proj[i, j] = px[i] + py[j]; in `order` each row's projections
-        # ascend, so the cells at or below an offset lead the row
+        # proj[i, j] = px[i] + py[j] ascends along each row in `order`
         px = nx * xs
         py = ny * ys
         forward = ny >= 0.0
         order = py if forward else py[::-1]
-        if forward != forward_built:
-            # prefix[i, n]: the first n cells of row i in `order`; one
-            # orientation's array is freed before the other's is built
-            prefix = None
-            prefix = np.zeros((nrow, ncol + 1))
-            np.cumsum(vals if forward else vals[:, ::-1], axis=1,
-                      out=prefix[:, 1:])
-            forward_built = forward
+        prefix = fwd if forward else rev
         counts = _cut_counts(px, order, cands)
         sums = list(prefix[rowix, counts].sum(axis=1))
         # the best cut is usually the half-mass one, which falls between

@@ -110,7 +110,8 @@ def test_every_public_name_has_a_caller():
 def test_every_public_method_has_a_caller():
     members = _public_members()
     assert "Sampled.restrict" in members and "Grid1D.dx" in members
-    unused = {m for m in members if m.split(".")[1] not in _references()}
+    refs = _references()
+    unused = {m for m in members if m.split(".")[1] not in refs}
     assert not unused, f"public methods and properties nothing in src or " \
                        f"perfbench calls: {sorted(unused)}"
 

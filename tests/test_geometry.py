@@ -8,10 +8,11 @@ from scipy.ndimage import gaussian_filter, label
 from scipy.sparse.csgraph import connected_components
 
 from cheeger_oracle import (
-    assert_halfplane_row,
+    assert_prefix_row,
     assert_same_sweep,
     assert_same_table,
     full_grid_cheeger,
+    masked_fsum,
 )
 from contour_oracle import full_grid_marching_squares
 from fock_oracle import to_fock
@@ -377,8 +378,10 @@ def test_cheeger_table_matches_candidates_computed_one_at_a_time(shape):
             c = row["offset"]
             boundary = path(c * nx - tline * ny, c * ny + tline * nx)
             inside = nx * xm + ny * wm <= c
+        if fam == "diskc":
+            inside = ~inside
         mass = float(vals[inside].sum() * cell)
-        if fam in ("sublevel", "diskc"):
+        if fam == "sublevel":
             return boundary, total - mass, ~inside
         return boundary, mass, inside
 
@@ -389,9 +392,9 @@ def test_cheeger_table_matches_candidates_computed_one_at_a_time(shape):
         boundary, mass, inside = candidate(row)
         assert row["boundary"] == boundary, row
         ratio = boundary / mass if mass > 0 else float("inf")
-        if row["family"] == "halfplane":
-            # a prefix-sum mass: exact cut counts, mass and ratio in bound
-            assert_halfplane_row(W, row)
+        if row["family"] in ("disk", "diskc", "halfplane"):
+            # a prefix-sum mass: exact runs, mass and ratio in bound
+            assert_prefix_row(W, row)
         else:
             assert row["mass"] == mass, row
             assert row["ratio"] == ratio, row
@@ -464,13 +467,29 @@ _ORACLE_CASES = {
 }
 
 
+def test_the_oracles_masked_sum_is_math_fsum():
+    """masked_fsum, the oracle's vectorized exact sum, returns math.fsum's
+    bits on cells that span the whole exponent range, subnormals and zeros
+    included, and on the 256 x 256 atoms density."""
+    rng = np.random.default_rng(3)
+    wide = np.ldexp(rng.random(4096), rng.integers(-1080, 1000, 4096))
+    wide[rng.random(4096) < 0.1] = 0.0
+    dense = np.maximum(_atoms_density().values.real, 0.0)
+    for vals in (wide, wide[:64] * 1e-300, dense.ravel()):
+        fsum = masked_fsum(vals)
+        for _ in range(20):
+            mask = rng.random(vals.size) < rng.random()
+            assert fsum(mask) == math.fsum(vals[mask])
+
+
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_cheeger_estimate_matches_the_full_grid_sweep(case):
     """The boxed, prefix-summed sweep against the full-grid one
     (tests/cheeger_oracle.py): every table row, the family, the params and
-    the witness are equal; a half-plane row cuts each grid row in the
-    full grid's cell count, and its mass and ratio, and the value when a
-    half-plane wins, lie within the bound of rounding."""
+    the witness are equal; a disk, diskc or half-plane row cuts each grid
+    row (a disk each half-row) in the full grid's cell count, and its mass
+    and ratio, and the value when such a row wins, lie within the bound of
+    rounding."""
     build, sweep = _ORACLE_CASES[case]
     W = build()
     assert_same_sweep(W, cheeger_estimate(W, **sweep),
@@ -494,6 +513,32 @@ def test_cheeger_estimate_matches_the_full_grid_sweep_on_sparse_densities():
                               full_grid_cheeger(W, **sweep)[4])
         except AssertionError as e:
             raise AssertionError(f"seed {seed}: {e}") from None
+
+
+def _off_centre_gaussian():
+    """exp(-8 pi |z - z0|^2) on the 8/64 grid, z0 = 0.3 + 0.2i: its cells
+    fall from 0.88 to subnormals, and to exact zeros in the corners."""
+    tg = _TABLE_GRIDS["square"]
+    z = tg.xmesh() + 1j * tg.wmesh()
+    return TFField(tg, np.exp(-8.0 * math.pi * np.abs(z - (0.3 + 0.2j)) ** 2))
+
+
+@pytest.mark.parametrize("build, sweep", [
+    (_atoms_density, {"centers": 3, "radii": 4}),
+    (_off_centre_gaussian, {}),
+], ids=["atoms-16-256", "gaussian-8-64"])
+def test_disk_complement_masses_are_direct_sums(build, sweep):
+    """A diskc mass sums the cells outside its disk. As total - mass it
+    cancels when the disk holds nearly all the mass: by 1e-3 relative on
+    the atoms density and by 7e-11 on the Gaussian. Among disks alone a
+    diskc row wins on both; every diskc row is within mass_tolerance of
+    math.fsum of its cells, and so is the winner's ratio."""
+    W = build()
+    rep = cheeger_estimate(W, thresholds=0, directions=0, **sweep)
+    assert rep.family == "diskc"
+    for row in rep.table:
+        if row["family"] == "diskc":
+            assert_prefix_row(W, row)
 
 
 def _sparse_tied_rows():
@@ -522,7 +567,7 @@ def test_halfplane_cut_counts_near_theta_pi_are_the_full_grids(build,
     thetas = [row["theta"] for row in rep.table]
     assert thetas.count(math.pi) == 34  # 33 lattice offsets and a midpoint
     for row in rep.table:
-        assert_halfplane_row(W, row)
+        assert_prefix_row(W, row)
 
 
 def test_a_cell_over_half_the_mass_leaves_some_directions_no_midpoint():
